@@ -3,18 +3,31 @@
 A symmetric walk with step size sqrt(dt) stands in for Brownian motion.
 Ladder times alternate between first passage up to the level eps and
 first return to zero; the studied random time is the last completed
-return before the walk first reaches one.  With eps, one and zero all
-multiples of sqrt(dt) the walk hits the levels exactly, so the ladder
-bookkeeping is lattice-exact; everything else here is a diagnostic at
-random-walk resolution, not an assertion.
+return before the walk first reaches one.  Both levels are rounded to
+the lattice, k_eps = round(eps / sqrt(dt)) and k_one = round(1 / sqrt(dt))
+steps, so the walk hits them exactly and the ladder bookkeeping is
+lattice-exact.  The rounded levels need not equal the nominal ones: at
+dt = 1e-3 one becomes 32 steps (1.012) and eps = 0.25 becomes 8 steps
+(0.253).  Everything else here is a diagnostic at random-walk
+resolution, not an assertion.
 
-Hitting times of a driftless walk are heavy-tailed, so paths that have
-not reached one by the step cap are reported censored rather than
-waited out.
+Hitting times of a driftless walk are heavy-tailed, so a path that has
+not reached one within int(time_cap / dt) steps is reported censored
+rather than waited out; no ladder time beyond that step is recorded.
+
+Steps come from counter-based Philox streams, one step per bit of each
+64-bit word, and stay packed eight to a byte: a 256-entry table gives
+each byte's moves, so only bytes whose range touches a level are
+unpacked.  Outer path i reads the single stream keyed
+(seed, _STREAM_OUTER, i), so any path replays from (seed, path index)
+alone.  The nested estimate at outer index i steps all its inner walks
+together; round r of that lockstep simulation reads the stream keyed
+(seed, _STREAM_INNER, i, r).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,55 +35,87 @@ import numpy as np
 
 from .errors import EnlabError
 
-_BLOCK = 1 << 14
+_BLOCK = 1 << 16     # outer-walk steps per block
+_LOCKSTEP = 256      # steps per round of the nested lockstep walks
 _STREAM_OUTER = 11
 _STREAM_INNER = 13
 
 
-def _sign_blocks(seed: int, *key: int):
-    """Infinite stream of +-1 blocks from packed Philox bits."""
-    rnd = 0
-    while True:
-        gen = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(*key, rnd))))
-        raw = gen.integers(0, 2, size=_BLOCK, dtype=np.int8)
-        yield raw * 2 - 1
-        rnd += 1
+def _byte_tables():
+    """Moves of the 8 steps packed in each byte value, first step in the
+    most significant bit (the order of np.unpackbits): the positions
+    after each step, and their last, lowest and highest values."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    prefix = np.cumsum(2 * bits.astype(np.int64) - 1, axis=1)
+    return prefix, prefix[:, -1], prefix.min(axis=1), prefix.max(axis=1)
 
 
-class _Walk:
-    """Sequential lattice walk with first-passage queries by block scan."""
+_PREFIX, _MOVE, _LOW, _HIGH = _byte_tables()
 
-    def __init__(self, seed: int, *key: int):
-        self._blocks = _sign_blocks(seed, *key)
-        self._steps = np.empty(0, dtype=np.int64)
-        self._pos = 0  # lattice position after consumed steps
-        self._consumed = 0
 
-    def first_passage(self, targets: tuple[int, ...], step_cap: int
-                      ) -> tuple[int | None, int]:
-        """Advance until the walk sits on one of the target levels.
+def _philox(seed: int, *key: int) -> np.random.Philox:
+    return np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=key))
 
-        Returns (target hit or None when the cap binds, steps consumed).
-        """
-        while True:
-            if self._steps.size == 0:
-                self._steps = next(self._blocks)
-            path = self._pos + np.cumsum(self._steps)
-            hits = np.zeros(path.shape, dtype=bool)
-            for level in targets:
-                hits |= path == level
-            if hits.any():
-                idx = int(np.argmax(hits))
-                self._pos = int(path[idx])
-                self._consumed += idx + 1
-                self._steps = self._steps[idx + 1:]
-                return self._pos, self._consumed
-            self._pos = int(path[-1])
-            self._consumed += path.size
-            self._steps = self._steps[:0]
-            if self._consumed >= step_cap:
-                return None, self._consumed
+
+def _levels(eps: float, dt: float) -> tuple[int, int]:
+    """Lattice levels (k_eps, k_one) of eps and one."""
+    if not 0 < eps < 1:
+        raise EnlabError("eps must lie in (0, 1)")
+    if not 0 < dt <= 1e-3:
+        raise EnlabError("dt must lie in (0, 1e-3]")
+    k_eps = max(1, round(eps / math.sqrt(dt)))
+    k_one = round(1.0 / math.sqrt(dt))
+    if k_eps >= k_one:
+        raise EnlabError(f"eps={eps} rounds onto the level one at dt={dt}")
+    return k_eps, k_one
+
+
+def _ladder_steps(blocks, k_eps: int, k_one: int, cap: int
+                  ) -> tuple[list[int], list[int], int | None]:
+    """Ladder events of a walk started at zero, as 1-based step numbers.
+
+    ``blocks`` yields uint8 arrays of packed steps (see _byte_tables).
+    Events after step ``cap`` are ignored.  Returns the up-passage
+    steps, the return steps and the step of the first visit to k_one
+    (None when it does not come within the cap).
+
+    Among the visits to {0, k_eps, k_one} with consecutive repeats
+    dropped, every visit is a ladder event: the walk moves by single
+    steps, so after a return it must pass k_eps before anything else,
+    and after an up-passage the next new level is zero or one.
+    """
+    ups: list[int] = []
+    returns: list[int] = []
+    pos = 0    # lattice position after the steps read so far
+    done = 0   # steps read so far
+    last = 0   # level of the latest ladder event (the start counts as 0)
+    for packed in blocks:
+        move = np.take(_MOVE, packed)
+        start = np.cumsum(move) - move + pos   # position before each byte
+        low = np.take(_LOW, packed) + start
+        high = np.take(_HIGH, packed) + start
+        # a byte's positions form the integer range [low, high]
+        near = np.flatnonzero(((low <= 0) & (high >= 0))
+                              | ((low <= k_eps) & (high >= k_eps))
+                              | ((low <= k_one) & (high >= k_one)))
+        path = start[near, None] + np.take(_PREFIX, packed[near], axis=0)
+        row, col = np.nonzero((path == 0) | (path == k_eps) | (path == k_one))
+        for step, level in zip((done + 1 + 8 * near[row] + col).tolist(),
+                               path[row, col].tolist()):
+            if step > cap:
+                break
+            if level == last:
+                continue   # a repeated visit is no ladder event
+            if level == k_one:
+                return ups, returns, step
+            (ups if level == k_eps else returns).append(step)
+            last = level
+        pos = int(start[-1] + move[-1])
+        done += 8 * packed.size
+        if done >= cap:
+            break
+    return ups, returns, None
 
 
 @dataclass(frozen=True)
@@ -102,36 +147,20 @@ class BrownianDemoReport:
 
 def simulate_ladder_path(eps: float, dt: float, seed: int, path_index: int,
                          time_cap: float) -> LadderPath:
-    if not 0 < eps < 1:
-        raise EnlabError("eps must lie in (0, 1)")
-    if dt > 1e-3:
-        raise EnlabError("dt must be at most 1e-3")
-    k_eps = max(1, round(eps / math.sqrt(dt)))
-    k_one = round(1.0 / math.sqrt(dt))
+    k_eps, k_one = _levels(eps, dt)
     cap = int(time_cap / dt)
-    walk = _Walk(seed, _STREAM_OUTER, path_index)
-
-    ups: list[float] = []
-    returns: list[float] = []
-    t_one = None
-    censored = False
-    while True:
-        hit, steps = walk.first_passage((k_eps,), cap)  # from below eps
-        if hit is None:
-            censored = True
-            break
-        ups.append(steps * dt)
-        hit, steps = walk.first_passage((0, k_one), cap)
-        if hit is None:
-            censored = True
-            break
-        if hit == k_one:
-            t_one = steps * dt
-            break
-        returns.append(steps * dt)
-    last_return = returns[-1] if returns else 0.0
-    return LadderPath(tuple(ups), tuple(returns), t_one, last_return,
-                      censored)
+    if cap < 1:
+        raise EnlabError("time_cap must cover at least one step of dt")
+    bitgen = _philox(seed, _STREAM_OUTER, path_index)
+    blocks = (bitgen.random_raw(_BLOCK // 64).view(np.uint8)
+              for _ in itertools.repeat(None))
+    ups, returns, hit = _ladder_steps(blocks, k_eps, k_one, cap)
+    return_times = tuple(s * dt for s in returns)
+    return LadderPath(
+        up_times=tuple(s * dt for s in ups), return_times=return_times,
+        first_hit_one=None if hit is None else hit * dt,
+        last_return=return_times[-1] if return_times else 0.0,
+        censored=hit is None)
 
 
 def _structural_check(path: LadderPath) -> bool:
@@ -155,29 +184,45 @@ def _structural_check(path: LadderPath) -> bool:
         all(v <= path.first_hit_one for v in path.return_times)
 
 
-def _inner_survival_estimate(eps: float, dt: float, seed: int,
+def _inner_survival_estimate(k_eps: int, k_one: int, seed: int,
                              outer_index: int, inner_paths: int) -> float:
     """Nested estimate of the probability that another excursion
     completes before the walk reaches one, started at a return time.
 
     From zero the walk must pass the eps level before one, so only the
     decision leg from eps is simulated: absorb at zero (another return
-    happens) or at the one level (the time stays put).
+    happens) or at the one level (the time stays put).  All inner walks
+    step together, _LOCKSTEP steps per round; absorbed walks drop out.
+    A walk strictly inside (0, k_one) is absorbed in the first byte
+    whose range reaches a boundary, and a byte spans fewer than k_one
+    levels, so that byte decides which boundary.
     """
-    k_eps = max(1, round(eps / math.sqrt(dt)))
-    k_one = round(1.0 / math.sqrt(dt))
+    pos = np.full(inner_paths, k_eps, dtype=np.int64)
     wins = 0
-    for j in range(inner_paths):
-        walk = _Walk(seed, _STREAM_INNER, outer_index, j)
-        walk._pos = k_eps
-        hit, _ = walk.first_passage((0, k_one), step_cap=1 << 62)
-        wins += hit == 0
-    return wins / inner_paths
+    for rnd in itertools.count():
+        words = _philox(seed, _STREAM_INNER, outer_index, rnd).random_raw(
+            pos.size * _LOCKSTEP // 64)
+        packed = words.view(np.uint8).reshape(pos.size, _LOCKSTEP // 8)
+        move = np.take(_MOVE, packed)
+        after = np.cumsum(move, axis=1) + pos[:, None]
+        start = after - move
+        down = np.take(_LOW, packed) + start <= 0
+        hit = down | (np.take(_HIGH, packed) + start >= k_one)
+        absorbed = hit.any(axis=1)
+        rows = np.flatnonzero(absorbed)
+        wins += int(down[rows, hit[rows].argmax(axis=1)].sum())
+        pos = after[~absorbed, -1]
+        if pos.size == 0:
+            return wins / inner_paths
 
 
 def brownian_demo(eps: float, dt: float, paths: int, seed: int,
                   time_cap: float = 100.0, nested_outer: int = 64,
                   nested_inner: int = 500) -> BrownianDemoReport:
+    if min(paths, nested_outer, nested_inner) < 1:
+        raise EnlabError("paths, nested_outer and nested_inner must be at "
+                         "least 1")
+    k_eps, k_one = _levels(eps, dt)
     structural_ok = True
     censored = 0
     last_sum = 0.0
@@ -193,11 +238,9 @@ def brownian_demo(eps: float, dt: float, paths: int, seed: int,
             last_sum += path.last_return
 
     estimates = np.array([
-        _inner_survival_estimate(eps, dt, seed, i, nested_inner)
+        _inner_survival_estimate(k_eps, k_one, seed, i, nested_inner)
         for i in range(min(nested_outer, paths))])
     inner_se = math.sqrt(max((1 - eps) * eps, 1e-12) / nested_inner)
-    k_eps = max(1, round(eps / math.sqrt(dt)))
-    k_one = round(1.0 / math.sqrt(dt))
     lattice = (k_one - k_eps) / k_one
     frac_near_one = float((estimates > 1.0 - 3.0 * inner_se).mean())
     return BrownianDemoReport(

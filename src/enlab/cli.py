@@ -2,8 +2,8 @@
 
 Exit codes: 0 all hard checks passed, 1 a hard check failed (the report
 points at the first failure), 2 usage error.  Reports are JSON, tabular
-Monte Carlo output is CSV.  ENLAB_THREADS caps worker threads; results
-are independent of its value.
+Monte Carlo output is CSV.  ENLAB_THREADS caps worker threads (clamped
+to the core count); results are independent of its value.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .brownian_demo import brownian_demo
-from .errors import EnlabError
+from .errors import EnlabError, UsageError
 from .harness import run_crosscheck, run_identity_suite
 from .model_io import dump_model, load_model
 from .nupbr import nupbr_check, theorem2_crosscheck, verify_witness
@@ -36,12 +36,33 @@ from .finite_prob import AdaptedProcess
 def _seed_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(1, int(text) + 1)
+        seeds = range(int(lo), int(hi) + 1)
+    else:
+        seeds = range(1, int(text) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
 
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
+
+
+def _reserves(text: str) -> tuple[float, ...]:
+    us = _floats(text)
+    if not all(u >= 0 for u in us):
+        raise argparse.ArgumentTypeError(f"reserves must be >= 0, got {text}")
+    return us
+
+
+def _positive(kind):
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in errors
+    return parse
 
 
 def _write_json(path, payload) -> None:
@@ -63,7 +84,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = run_identity_suite(_seed_range(args.models_seed_range),
+    suite = run_identity_suite(args.models_seed_range,
                                args.depth, args.branching,
                                threads=thread_count(args.threads))
     _write_json(args.out, suite.to_json())
@@ -97,7 +118,7 @@ def cmd_nupbr(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    suite = run_crosscheck(_seed_range(args.seeds), args.depth,
+    suite = run_crosscheck(args.seeds, args.depth,
                            args.branching, fixtures_dir=args.fixtures_dir,
                            threads=thread_count(args.threads))
     if args.csv:
@@ -204,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add("verify", cmd_verify, help="run the exact identity suite")
-    p.add_argument("--models-seed-range", default="1..500")
+    p.add_argument("--models-seed-range", type=_seed_range, default="1..500")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--branching", type=int, default=3)
     p.add_argument("--out")
@@ -214,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = add("crosscheck", cmd_crosscheck, help="three-way theorem harness")
-    p.add_argument("--seeds", default="1..1000")
+    p.add_argument("--seeds", type=_seed_range, default="1..1000")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--branching", type=int, default=3)
     p.add_argument("--csv")
@@ -223,31 +244,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("example1", cmd_example1, help="after-time arbitrage strategy run")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_positive(int), default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv")
 
     p = add("example2", cmd_example2, help="deflator martingale run")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_positive(int), default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--checkpoints", type=_floats, default=(1.0, 2.0, 5.0))
     p.add_argument("--csv")
 
     p = add("psi", cmd_psi, help="ruin probability with MC cross-check")
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--u", type=_floats, required=True)
-    p.add_argument("--mc-paths", type=int, default=200_000)
+    p.add_argument("--u", type=_reserves, required=True)
+    p.add_argument("--mc-paths", type=_positive(int), default=200_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--csv")
 
     p = add("brownian", cmd_brownian, help="excursion-ladder diagnostic")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1e-4)
-    p.add_argument("--paths", type=int, default=20_000)
+    p.add_argument("--dt", type=_positive(float), default=1e-4)
+    p.add_argument("--paths", type=_positive(int), default=20_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--time-cap", type=float, default=100.0)
+    p.add_argument("--time-cap", type=_positive(float), default=100.0)
     p.add_argument("--out")
 
     return parser
@@ -261,6 +282,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"enlab: error: {exc}", file=sys.stderr)
+        return 2
     except EnlabError as exc:
         print(f"FAIL {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -52,6 +52,11 @@ class SchemaError(EnlabError):
         super().__init__(f"{message} (field: {field})" if field else message)
 
 
+class UsageError(EnlabError):
+    """A run setting from outside the program is malformed; the command
+    line exits with status 2."""
+
+
 class DimensionMismatch(EnlabError):
     pass
 

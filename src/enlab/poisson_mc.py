@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EnlabError, InvalidDrift
+from .errors import EnlabError, InvalidDrift, UsageError
 from .ruin import RuinOracle
 
 CHUNK = 4096
@@ -37,13 +37,16 @@ _CI99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
 def thread_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("ENLAB_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+    """Worker threads: the explicit value, else ENLAB_THREADS, else 1,
+    clamped to [1, os.cpu_count()]."""
+    if explicit is None:
+        env = os.environ.get("ENLAB_THREADS", "")
+        try:
+            explicit = int(env) if env else 1
+        except ValueError:
+            raise UsageError(
+                f"ENLAB_THREADS must be an integer, got {env!r}") from None
+    return max(1, min(explicit, os.cpu_count() or 1))
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:

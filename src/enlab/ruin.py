@@ -9,8 +9,10 @@ distribution,
 
     psi(u) = (1 - rho) * sum_{k>=1} rho^k * P(IrwinHall_k > u),
 
-truncated once the geometric tail drops below the series tolerance.
-psi(0) = rho exactly (up to truncation).
+truncated after the first K terms with rho^{K+1} below the series
+tolerance.  The dropped mass is at most rho^{K+1} (``remainder``), so
+psi + remainder bounds the untruncated series from above; tail_level
+bisects on that bound.  psi(0) = rho exactly (up to truncation).
 
 Irwin-Hall terms are computed in log space; above the midpoint the
 symmetric form P(IH_k > u) = F_k(k - u) keeps the alternating sum short
@@ -76,10 +78,22 @@ class RuinOracle:
     series_tolerance: float = 1e-12
     max_terms: int = 10_000
     _cache: dict = field(default_factory=dict, repr=False)
+    remainder: float = field(init=False, repr=False)
+    terms: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.mu > 1:
             raise InvalidDrift(f"premium rate {self.mu} must exceed 1")
+        # K terms with rho^{K+1} < tolerance; the terms k > K carry mass
+        # (1-rho) * sum_{j>K} rho^j * P(IH_j > u) <= rho^{K+1}
+        rho = self.load
+        weight = 1.0
+        for k in range(1, self.max_terms + 1):
+            weight *= rho
+            if weight * rho < self.series_tolerance:
+                break
+        self.terms = k
+        self.remainder = weight * rho
 
     @property
     def load(self) -> float:
@@ -92,29 +106,28 @@ class RuinOracle:
         rho = self.load
         acc = np.zeros(us.shape)
         weight = 1.0
-        for k in range(1, self.max_terms + 1):
+        for k in range(1, self.terms + 1):
             weight *= rho
             acc += weight * irwin_hall_sf(k, us)
-            # remaining mass is at most (1-rho) * sum_{j>k} rho^j = rho^{k+1}
-            if weight * rho < self.series_tolerance:
-                break
         return (1.0 - rho) * acc
 
     def psi(self, u: float) -> float:
         return float(self.psi_many(np.array([u]))[0])
 
     def tail_level(self, eps: float) -> float:
-        """Smallest grid-hunted u with psi(u) <= eps (monotone bisection)."""
-        if not 0 < eps < 1:
-            raise ValueError("eps must lie in (0, 1)")
+        """Smallest grid-hunted u with psi(u) + remainder <= eps (monotone
+        bisection), so the untruncated ruin probability at u is at most
+        eps up to the float rounding of psi."""
+        if not self.remainder < eps < 1:
+            raise ValueError(f"eps must lie in ({self.remainder:.3g}, 1)")
         lo, hi = 0.0, 1.0
-        while self.psi(hi) > eps:
+        while self.psi(hi) + self.remainder > eps:
             lo, hi = hi, hi * 2
             if hi > 1e6:
                 raise ValueError("tail level out of reach")
         for _ in range(60):
             mid = (lo + hi) / 2
-            if self.psi(mid) > eps:
+            if self.psi(mid) + self.remainder > eps:
                 lo = mid
             else:
                 hi = mid

@@ -181,3 +181,37 @@ def test_cli_brownian(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["structural_ok"] is True
+
+
+@pytest.mark.parametrize("flag, value", [("--paths", "0"), ("--dt", "0"),
+                                         ("--time-cap", "0"),
+                                         ("--time-cap", "-1")])
+def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
+    out = tmp_path / "bd.json"
+    args = ["brownian", "--epsilon", "0.25", "--dt", "0.001", "--paths",
+            "10", "--seed", "5", "--time-cap", "5", "--out", str(out)]
+    args[args.index(flag) + 1] = value
+    assert main(args) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["verify", "--models-seed-range", "5..1"], "--models-seed-range"),
+    (["crosscheck", "--seeds", "3..2"], "--seeds"),
+    (["psi", "--mu", "2", "--u", "0,-1"], "--u"),
+    (["psi", "--mu", "2", "--u", "0", "--mc-paths", "0"], "--mc-paths"),
+    (["example1", "--mu", "2", "--a", "1", "--paths", "0", "--seed", "1"],
+     "--paths"),
+    (["example2", "--mu", "2", "--a", "1", "--paths", "-3", "--seed", "1"],
+     "--paths"),
+])
+def test_cli_rejects_out_of_range_flags(args, flag, capsys):
+    assert main(args) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_cli_rejects_malformed_thread_setting(monkeypatch, capsys):
+    monkeypatch.setenv("ENLAB_THREADS", "two")
+    assert main(["psi", "--mu", "2", "--u", "0", "--mc-paths", "100"]) == 2
+    assert "ENLAB_THREADS" in capsys.readouterr().err

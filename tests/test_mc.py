@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from enlab import brownian_demo as bd
 from enlab.brownian_demo import brownian_demo, simulate_ladder_path
 from enlab.errors import EnlabError
 from enlab.poisson_mc import (
@@ -119,15 +120,23 @@ def test_example1_report(model):
 
 
 def test_thread_count_env(monkeypatch):
+    from enlab.errors import UsageError
     from enlab.poisson_mc import thread_count
 
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     monkeypatch.delenv("ENLAB_THREADS", raising=False)
     assert thread_count() == 1
     monkeypatch.setenv("ENLAB_THREADS", "6")
     assert thread_count() == 6
     assert thread_count(2) == 2   # explicit argument wins
+    # both sources are clamped to the core count
+    assert thread_count(1000) == 8
+    assert thread_count(0) == 1
+    monkeypatch.setenv("ENLAB_THREADS", "64")
+    assert thread_count() == 8
     monkeypatch.setenv("ENLAB_THREADS", "junk")
-    assert thread_count() == 1
+    with pytest.raises(UsageError, match="ENLAB_THREADS"):
+        thread_count()
 
 
 def test_example1_deterministic_across_threads(model):
@@ -223,6 +232,173 @@ def test_ladder_guards():
         simulate_ladder_path(1.5, 1e-4, 1, 0, 10.0)
     with pytest.raises(EnlabError):
         simulate_ladder_path(0.5, 1e-2, 1, 0, 10.0)
+    with pytest.raises(EnlabError):
+        simulate_ladder_path(0.5, 0.0, 1, 0, 10.0)
+    with pytest.raises(EnlabError):   # eps rounds onto one: 32 of 32 steps
+        simulate_ladder_path(0.999, 1e-3, 1, 0, 10.0)
+    with pytest.raises(EnlabError):
+        simulate_ladder_path(0.5, 1e-4, 1, 0, 0.0)
+    with pytest.raises(EnlabError):
+        brownian_demo(0.25, 1e-3, paths=0, seed=1)
+
+
+def _reference_ladder(steps, k_eps, k_one, cap):
+    """Plain step-by-step scan of an explicit +-1 sequence: the 1-based
+    steps of the up-passages, the returns and the first visit to one."""
+    ups, returns = [], []
+    pos, above = 0, False   # above: passed eps since the latest return
+    for n, step in enumerate(steps[:cap], start=1):
+        pos += step
+        if not above and pos == k_eps:
+            ups.append(n)
+            above = True
+        elif above and pos == 0:
+            returns.append(n)
+            above = False
+        elif above and pos == k_one:
+            return ups, returns, n
+    return ups, returns, None
+
+
+def _packed_blocks(steps, block_bytes):
+    packed = np.packbits(np.asarray(steps) > 0)
+    return (packed[i:i + block_bytes]
+            for i in range(0, packed.size, block_bytes))
+
+
+def _unpacked_steps(bitgen, n_steps):
+    bits = np.unpackbits(bitgen.random_raw(-(-n_steps // 64)).view(np.uint8))
+    return (2 * bits[:n_steps].astype(int) - 1).tolist()
+
+
+def test_ladder_extraction_edge_cases():
+    # k_eps = 2, k_one = 4, one byte (8 steps) per block; the climb to
+    # the up-passage at step 10 starts in the first block, after a
+    # repeated visit to zero at step 8
+    steps = [+1, +1, -1, +1, -1, -1, -1, +1,   # up at 2, return at 6
+             +1, +1, -1, -1, -1, +1, +1, +1,   # up 10, return 12, up 16
+             +1, +1, -1, -1, +1, +1, +1, +1]   # one at 18
+    # the return at step 12 sits exactly on the cap
+    assert bd._ladder_steps(_packed_blocks(steps, 1), 2, 4, 12) == \
+        ([2, 10], [6, 12], None)
+    assert bd._ladder_steps(_packed_blocks(steps, 1), 2, 4, 11) == \
+        ([2, 10], [6], None)
+    # the stop at one (step 18) ends the ladder; later visits are ignored
+    assert bd._ladder_steps(_packed_blocks(steps, 1), 2, 4, 24) == \
+        ([2, 10, 16], [6, 12], 18)
+    assert bd._ladder_steps(_packed_blocks(steps, 1), 2, 4, 17) == \
+        ([2, 10, 16], [6, 12], None)
+    for steps_cap in (11, 12, 17, 18, 24):
+        assert _reference_ladder(steps, 2, 4, steps_cap) == \
+            bd._ladder_steps(_packed_blocks(steps, 3), 2, 4, steps_cap)
+
+
+def test_ladder_extraction_matches_reference_scan():
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        n_bytes = int(rng.integers(1, 48))
+        k_eps = int(rng.integers(1, 5))
+        k_one = k_eps + int(rng.integers(1, 10))
+        steps = (2 * rng.integers(0, 2, 8 * n_bytes) - 1).tolist()
+        cap = int(rng.integers(1, 8 * n_bytes + 1))
+        block_bytes = int(rng.integers(1, 6))
+        assert bd._ladder_steps(_packed_blocks(steps, block_bytes),
+                                k_eps, k_one, cap) == \
+            _reference_ladder(steps, k_eps, k_one, cap)
+
+
+def test_ladder_path_replays_from_its_stream():
+    dt, time_cap = 1e-4, 10.0
+    cap = int(time_cap / dt)
+    outcomes = set()
+    for index in range(12):
+        path = simulate_ladder_path(0.25, dt, 7, index, time_cap)
+        steps = _unpacked_steps(bd._philox(7, bd._STREAM_OUTER, index), cap)
+        ups, returns, hit = _reference_ladder(steps, 25, 100, cap)
+        assert path.up_times == tuple(n * dt for n in ups)
+        assert path.return_times == tuple(n * dt for n in returns)
+        assert path.censored == (hit is None)
+        assert path.first_hit_one == (None if hit is None else hit * dt)
+        outcomes.add(path.censored)
+    assert outcomes == {True, False}
+
+
+def test_ladder_path_independent_of_block_width(monkeypatch):
+    full = [simulate_ladder_path(0.25, 1e-4, 3, i, 50.0) for i in range(6)]
+    monkeypatch.setattr(bd, "_BLOCK", 512)
+    assert [simulate_ladder_path(0.25, 1e-4, 3, i, 50.0)
+            for i in range(6)] == full
+
+
+def test_time_cap_binds_at_the_step():
+    dt = 1e-4
+    paths = [simulate_ladder_path(0.25, dt, 1, i, 100.0) for i in range(40)]
+    assert all(p.censored or p.first_hit_one <= 100.0 for p in paths)
+    index, path = next((i, p) for i, p in enumerate(paths)
+                       if not p.censored and p.first_hit_one > 1.0)
+    hit = round(path.first_hit_one / dt)
+    before = simulate_ladder_path(0.25, dt, 1, index, (hit - 0.5) * dt)
+    assert before.censored and before.first_hit_one is None
+    assert max(before.up_times + before.return_times) <= (hit - 1) * dt
+    assert before.return_times == tuple(
+        v for v in path.return_times if v < hit * dt)
+    at = simulate_ladder_path(0.25, dt, 1, index, (hit + 0.5) * dt)
+    assert at == path
+
+
+def _reference_lockstep(k_eps, k_one, seed, outer_index, inner_paths):
+    """Step-by-step scan of the lockstep rounds: each round hands the
+    walks still running one row of _LOCKSTEP steps each, in order."""
+    width = bd._LOCKSTEP
+    pos = [k_eps] * inner_paths
+    wins = 0
+    for rnd in range(10_000):
+        steps = _unpacked_steps(
+            bd._philox(seed, bd._STREAM_INNER, outer_index, rnd),
+            len(pos) * width)
+        running = []
+        for row, start in enumerate(pos):
+            for step in steps[row * width:(row + 1) * width]:
+                start += step
+                if start in (0, k_one):
+                    wins += start == 0
+                    break
+            else:
+                running.append(start)
+        pos = running
+        if not pos:
+            return wins / inner_paths
+
+
+def test_lockstep_estimate_matches_reference_scan():
+    for outer_index in range(3):
+        assert bd._inner_survival_estimate(8, 32, 5, outer_index, 40) == \
+            _reference_lockstep(8, 32, 5, outer_index, 40)
+
+
+def test_nested_estimate_within_4se_of_lattice_survival():
+    # criterion-8 size: 64 outer indices x 500 inner walks
+    report = brownian_demo(0.25, 1e-4, paths=64, seed=1)
+    p = report.lattice_survival
+    assert p == 0.75
+    pooled = float(report.inner_estimates.mean())
+    se = math.sqrt(p * (1 - p) / (64 * 500))
+    assert abs(pooled - p) <= 4 * se
+
+
+def test_brownian_demo_is_deterministic():
+    one = brownian_demo(0.25, 1e-3, paths=60, seed=9, time_cap=20.0,
+                        nested_outer=6, nested_inner=80)
+    two = brownian_demo(0.25, 1e-3, paths=60, seed=9, time_cap=20.0,
+                        nested_outer=6, nested_inner=80)
+    for name in one.__dataclass_fields__:
+        a, b = getattr(one, name), getattr(two, name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b)
+        elif a != a:   # nan
+            assert b != b
+        else:
+            assert a == b, name
 
 
 def test_brownian_demo_small():

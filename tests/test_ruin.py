@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,45 @@ def test_tail_level():
     level = oracle.tail_level(1e-6)
     assert oracle.psi(level) <= 1e-6
     assert oracle.psi(level * 0.9) > 1e-6
+
+
+def _psi_exact(rho: Fraction, u: Fraction, terms: int) -> Fraction:
+    """(1 - rho) * sum_{k <= terms} rho^k * P(IH_k > u) in exact rationals,
+    from the Irwin-Hall cdf sum_{j <= u} (-1)^j C(k, j) (u - j)^k / k!."""
+    def sf(k: int) -> Fraction:
+        if u >= k:
+            return Fraction(0)
+        cdf = sum((-1) ** j * math.comb(k, j) * (u - j) ** k
+                  for j in range(math.floor(u) + 1))
+        return 1 - cdf / math.factorial(k)
+    return (1 - rho) * sum(rho ** k * sf(k) for k in range(1, terms + 1))
+
+
+@pytest.mark.parametrize("mu", [Fraction(2), Fraction(4)])
+@pytest.mark.parametrize("u", [Fraction(1, 2), Fraction(2)])
+def test_psi_against_exact_irwin_hall(mu, u):
+    oracle = RuinOracle(float(mu))
+    rho = 1 / mu
+    value = Fraction(oracle.psi(float(u)))
+    rounding = 64 * Fraction(math.ulp(float(value)))
+    # the float series is the exact truncated series up to rounding
+    assert abs(value - _psi_exact(rho, u, oracle.terms)) <= rounding
+    # psi + remainder bounds the whole series: 60 more exact terms and
+    # their own geometric remainder
+    more = oracle.terms + 60
+    whole = _psi_exact(rho, u, more) + rho ** (more + 1)
+    assert value + Fraction(oracle.remainder) >= whole - rounding
+    assert value < whole - rounding   # the truncation alone is no bound
+
+
+def test_tail_level_bounds_the_exact_series():
+    # the ruin_mc decision level: the untruncated psi is at most eps
+    oracle = RuinOracle(2.0)
+    level = Fraction(oracle.tail_level(1e-9))
+    more = oracle.terms + 60
+    rho = Fraction(1, 2)
+    assert _psi_exact(rho, level, more) + rho ** (more + 1) \
+        <= Fraction(1e-9)
 
 
 @pytest.mark.parametrize("mu", [1.5, 2.0])
