@@ -16,7 +16,6 @@ from .finite_prob import (
     FiniteFilteredSpace,
     MartingaleReport,
     PredictableProcess,
-    RawIncreasingProcess,
     adapted,
     angle_bracket,
     bracket,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnlabError
+from .errors import EnlabError, UsageError
 
 _BLOCK = 1 << 16     # outer-walk steps per block
 _LOCKSTEP = 256      # steps per round of the nested lockstep walks
@@ -61,13 +61,14 @@ def _philox(seed: int, *key: int) -> np.random.Philox:
 def _levels(eps: float, dt: float) -> tuple[int, int]:
     """Lattice levels (k_eps, k_one) of eps and one."""
     if not 0 < eps < 1:
-        raise EnlabError("eps must lie in (0, 1)")
+        raise UsageError(f"eps must lie in (0, 1), got {eps}", field="eps")
     if not 0 < dt <= 1e-3:
-        raise EnlabError("dt must lie in (0, 1e-3]")
+        raise UsageError(f"dt must lie in (0, 1e-3], got {dt}", field="dt")
     k_eps = max(1, round(eps / math.sqrt(dt)))
     k_one = round(1.0 / math.sqrt(dt))
     if k_eps >= k_one:
-        raise EnlabError(f"eps={eps} rounds onto the level one at dt={dt}")
+        raise UsageError(f"eps={eps} rounds onto the level one at dt={dt}",
+                         field="eps")
     return k_eps, k_one
 
 
@@ -150,7 +151,8 @@ def simulate_ladder_path(eps: float, dt: float, seed: int, path_index: int,
     k_eps, k_one = _levels(eps, dt)
     cap = int(time_cap / dt)
     if cap < 1:
-        raise EnlabError("time_cap must cover at least one step of dt")
+        raise UsageError(f"time_cap={time_cap} must cover at least one step "
+                         f"of dt={dt}", field="time_cap")
     bitgen = _philox(seed, _STREAM_OUTER, path_index)
     blocks = (bitgen.random_raw(_BLOCK // 64).view(np.uint8)
               for _ in itertools.repeat(None))

@@ -20,7 +20,7 @@ from .brownian_demo import brownian_demo
 from .errors import EnlabError, UsageError
 from .harness import run_crosscheck, run_identity_suite
 from .model_io import dump_model, load_model
-from .nupbr import nupbr_check, theorem2_crosscheck, verify_witness
+from .nupbr import nupbr_check, verify_witness
 from .poisson_mc import (
     PoissonModel,
     example1_run,
@@ -28,9 +28,8 @@ from .poisson_mc import (
     ruin_mc,
     thread_count,
 )
-from .random_times import analyze, enlarge, generate_honest_model
+from .random_times import analyze, generate_honest_model
 from .ruin import RuinOracle
-from .finite_prob import AdaptedProcess
 
 
 def _seed_range(text: str) -> range:
@@ -76,8 +75,8 @@ def _summary(status: int, line: str) -> int:
 
 
 def cmd_gen(args) -> int:
-    space, tau, asset = generate_honest_model(args.seed, args.depth,
-                                              args.branching)
+    space, tau, asset, _ = generate_honest_model(args.seed, args.depth,
+                                                 args.branching)
     dump_model(space, tau, asset, args.out)
     return _summary(0, f"gen seed={args.seed} outcomes={len(space.outcomes)} "
                        f"-> {args.out}")
@@ -97,11 +96,8 @@ def cmd_verify(args) -> int:
 def cmd_nupbr(args) -> int:
     space, tau, asset = load_model(args.model)
     analysis = analyze(space, tau)
-    enlarged = enlarge(space, analysis)
-    after = AdaptedProcess(
-        {o: [asset.at(o, t) - asset.at(o, min(t, tau[o]))
-             for t in range(space.horizon + 1)]
-         for o in space.outcomes}, "G")
+    enlarged = analysis.enlarged
+    after = analysis.after_part(asset)
     base = nupbr_check(asset, space)
     after_verdict = nupbr_check(after, space, enlarged)
     sound = (verify_witness(base, asset, space)
@@ -186,9 +182,16 @@ def cmd_psi(args) -> int:
                     f"{float(np.max(np.abs(pk - freq) / np.maximum(se, 1e-300))):.2f}")
 
 
+_BROWNIAN_FLAGS = {"eps": "--epsilon", "dt": "--dt", "time_cap": "--time-cap"}
+
+
 def cmd_brownian(args) -> int:
-    report = brownian_demo(args.epsilon, args.dt, args.paths, args.seed,
-                           time_cap=args.time_cap)
+    try:
+        report = brownian_demo(args.epsilon, args.dt, args.paths, args.seed,
+                               time_cap=args.time_cap)
+    except UsageError as exc:
+        raise UsageError(f"argument {_BROWNIAN_FLAGS[exc.field]}: {exc}"
+                         ) from exc
     payload = {"eps": report.eps, "dt": report.dt, "paths": report.n_paths,
                "censored": report.n_censored,
                "structural_ok": report.structural_ok,

@@ -23,18 +23,16 @@ from .finite_prob import (
     ZERO,
     AdaptedProcess,
     Block,
-    Filtration,
-    FiniteFilteredSpace,
     MartingaleReport,
     PredictableProcess,
     angle_bracket,
-    bracket,
     compensator,
+    cond_average,
     is_martingale,
     require_martingale,
     stochastic_exponential,
 )
-from .random_times import RandomTimeAnalysis, enlarge
+from .random_times import RandomTimeAnalysis
 
 
 def _require_class_h(analysis: RandomTimeAnalysis) -> None:
@@ -73,37 +71,12 @@ def after_atoms(analysis: RandomTimeAnalysis) -> list[AfterAtom]:
     return out
 
 
-def _cond_on(space: FiniteFilteredSpace, members: Iterable[str],
-             values) -> Fraction:
-    total = ZERO
-    weight = ZERO
-    for o in members:
-        p = space.prob[o]
-        weight += p
-        total += p * values(o)
-    return total / weight
-
-
-def _after_indicator_integral(analysis: RandomTimeAnalysis,
-                              increments) -> AdaptedProcess:
-    """Pathwise sum of increments(o, t) over the strictly-after region."""
-    space = analysis.space
-    out = {}
-    for o in space.outcomes:
-        acc = [ZERO]
-        for t in range(1, space.horizon + 1):
-            step = increments(o, t) if analysis.strictly_after(o, t) else ZERO
-            acc.append(acc[-1] + step)
-        out[o] = acc
-    return AdaptedProcess(out, "G")
-
-
 # ---------------------------------------------------------------------------
 # Martingale transform into the enlarged filtration
 # ---------------------------------------------------------------------------
 
-def hat_transform(mart: AdaptedProcess, analysis: RandomTimeAnalysis,
-                  enlarged: Filtration | None = None) -> AdaptedProcess:
+def hat_transform(mart: AdaptedProcess, analysis: RandomTimeAnalysis
+                  ) -> AdaptedProcess:
     """Strictly-after part of a base martingale plus the drift repair
     against the fundamental martingale; the result is checked to be a
     martingale of the enlarged filtration and that check is a hard
@@ -121,9 +94,9 @@ def hat_transform(mart: AdaptedProcess, analysis: RandomTimeAnalysis,
                                 f"at ({o}, {t})")
         return mart.delta(o, t) + sharp.delta(o, t) / gap
 
-    hat = _after_indicator_integral(analysis, increments)
-    enlarged = enlarged or enlarge(space, analysis)
-    require_martingale(hat, space, enlarged, what="hat_transform output")
+    hat = analysis.after_integral(increments)
+    require_martingale(hat, space, analysis.enlarged,
+                       what="hat_transform output")
     return hat
 
 
@@ -140,8 +113,7 @@ class CompensatorComparison:
     equal: bool
 
 
-def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis,
-                        enlarged: Filtration | None = None
+def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
                         ) -> CompensatorComparison:
     """Enlarged compensator of the strictly-after part of a base
     finite-variation process, against its closed-form expression through
@@ -154,10 +126,9 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis,
     """
     _require_class_h(analysis)
     space = analysis.space
-    enlarged = enlarged or enlarge(space, analysis)
+    enlarged = analysis.enlarged
 
-    after_v = _after_indicator_integral(analysis, v.delta)
-    direct = compensator(after_v, space, enlarged)
+    direct = compensator(analysis.after_part(v), space, enlarged)
 
     # base-compensator of (1 - inclusive survival) . V, rescaled after tau
     weighted = AdaptedProcess(
@@ -165,8 +136,7 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis,
                       for t in range(1, space.horizon + 1))
          for o in space.outcomes})
     inner = compensator(weighted, space)
-    via_formula = _after_indicator_integral(
-        analysis,
+    via_formula = analysis.after_integral(
         lambda o, t: inner.delta(o, t) / (1 - analysis.survival.at(o, t - 1)))
 
     def incl_gap(o: str, t: int) -> Fraction:
@@ -176,8 +146,8 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis,
                                 f"tau at ({o}, {t})")
         return gap
 
-    u_process = _after_indicator_integral(
-        analysis, lambda o, t: v.delta(o, t) / incl_gap(o, t))
+    u_process = analysis.after_integral(
+        lambda o, t: v.delta(o, t) / incl_gap(o, t))
     u_direct = compensator(u_process, space, enlarged)
 
     gated = AdaptedProcess(
@@ -186,8 +156,7 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis,
             for t in range(1, space.horizon + 1))
          for o in space.outcomes})
     gated_comp = compensator(gated, space)
-    u_via_formula = _after_indicator_integral(
-        analysis,
+    u_via_formula = analysis.after_integral(
         lambda o, t: gated_comp.delta(o, t) / (1 - analysis.survival.at(o, t - 1)))
 
     equal = (direct.values == via_formula.values
@@ -245,8 +214,8 @@ def proj_identity_check(mart: AdaptedProcess, analysis: RandomTimeAnalysis
     for atom in after_atoms(analysis):
         t = atom.t
         gap_left = 1 - analysis.survival.at(atom.base[0], t - 1)
-        base_avg = lambda f: _cond_on(space, atom.base, f)
-        after_avg = lambda f: _cond_on(space, atom.members, f)
+        base_avg = lambda f: cond_average(space, atom.base, f)
+        after_avg = lambda f: cond_average(space, atom.members, f)
 
         def guarded(o, t=t):
             gap = 1 - incl.at(o, t)
@@ -343,8 +312,6 @@ class CharTuple:
     drift: dict[tuple[int, Block], Fraction]
     kernel: dict[tuple[int, Block], dict[Fraction, Fraction]]
     clock: str  # "t" or "after_tau"
-    beta: Fraction = ZERO       # loading on the (absent) continuous part
-    residual: AdaptedProcess | None = None  # fundamental mart minus start
 
     def check(self) -> None:
         for key, law in self.kernel.items():
@@ -388,11 +355,7 @@ def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                     law[x] = law.get(x, ZERO) + space.prob[o] / mass
             base_kernel[key] = law
             base_drift[key] = sum(x * p for x, p in law.items())
-    residual = analysis.fundamental_martingale - AdaptedProcess(
-        {o: [analysis.fundamental_martingale.at(o, 0)] * (space.horizon + 1)
-         for o in space.outcomes})
-    char_base = CharTuple(base_drift, base_kernel, clock="t",
-                          residual=residual)
+    char_base = CharTuple(base_drift, base_kernel, clock="t")
     char_base.check()
 
     direct = {}
@@ -438,8 +401,7 @@ class DeflatorBundle:
     pre_tau_zero_ok: bool
 
 
-def build_deflator(analysis: RandomTimeAnalysis,
-                   enlarged: Filtration | None = None) -> DeflatorBundle:
+def build_deflator(analysis: RandomTimeAnalysis) -> DeflatorBundle:
     """Assemble the deflator: strictly-after transform of the fundamental
     martingale, the squared-increment weight normalized by both survival
     gaps, minus its enlarged compensator.  Certifies 1 + increment > 0
@@ -449,11 +411,10 @@ def build_deflator(analysis: RandomTimeAnalysis,
     """
     _require_class_h(analysis)
     space = analysis.space
-    enlarged = enlarged or enlarge(space, analysis)
     fund = analysis.fundamental_martingale
     incl = analysis.survival_incl
 
-    hat = hat_transform(fund, analysis, enlarged)
+    hat = hat_transform(fund, analysis)
 
     def weight_increment(o: str, t: int) -> Fraction:
         d = fund.delta(o, t)
@@ -463,8 +424,8 @@ def build_deflator(analysis: RandomTimeAnalysis,
             raise DivisionGuard(f"survival gap vanished after tau at ({o}, {t})")
         return d * d / (gap_left * gap_incl)
 
-    weight = _after_indicator_integral(analysis, weight_increment)
-    weight_comp = compensator(weight, space, enlarged)
+    weight = analysis.after_integral(weight_increment)
+    weight_comp = compensator(weight, space, analysis.enlarged)
 
     driver_vals = {}
     for o in space.outcomes:
@@ -483,8 +444,8 @@ def build_deflator(analysis: RandomTimeAnalysis,
     pinned_proj = {}  # base predictable projection of the pinned indicator
     for t in range(1, space.horizon + 1):
         for base in space.filtration.partitions[t - 1]:
-            value = _cond_on(space, base,
-                             lambda o: ONE if incl.at(o, t) == 1 else ZERO)
+            value = cond_average(space, base,
+                                 lambda o: ONE if incl.at(o, t) == 1 else ZERO)
             for o in base:
                 pinned_proj[(o, t)] = value
 
@@ -525,8 +486,7 @@ class DeflatorVerifyReport:
 
 
 def deflator_verify(mart: AdaptedProcess, bundle: DeflatorBundle,
-                    analysis: RandomTimeAnalysis,
-                    enlarged: Filtration | None = None) -> DeflatorVerifyReport:
+                    analysis: RandomTimeAnalysis) -> DeflatorVerifyReport:
     """Empirical harvest of the deflator theorem on one base martingale:
     hypothesis = the jump-set part of the martingale is itself a base
     martingale; conclusion = deflator times the strictly-after part is an
@@ -536,7 +496,6 @@ def deflator_verify(mart: AdaptedProcess, bundle: DeflatorBundle,
     """
     space = analysis.space
     require_martingale(mart, space, what="deflator_verify input")
-    enlarged = enlarged or enlarge(space, analysis)
 
     jump_part_vals = {}
     for o in space.outcomes:
@@ -547,8 +506,8 @@ def deflator_verify(mart: AdaptedProcess, bundle: DeflatorBundle,
         jump_part_vals[o] = acc
     hypothesis = is_martingale(AdaptedProcess(jump_part_vals), space)
 
-    after_part = _after_indicator_integral(analysis, mart.delta)
-    conclusion = is_martingale(bundle.deflator * after_part, space, enlarged)
+    conclusion = is_martingale(bundle.deflator * analysis.after_part(mart),
+                               space, analysis.enlarged)
 
     return DeflatorVerifyReport(hypothesis.ok, conclusion.ok,
                                 hypothesis, conclusion)

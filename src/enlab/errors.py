@@ -40,10 +40,6 @@ class NotPredictable(InvariantError):
     invariant = "NotPredictable"
 
 
-class NotIncreasing(InvariantError):
-    invariant = "NotIncreasing"
-
-
 class SchemaError(EnlabError):
     """Malformed model file. ``field`` points at the offending entry."""
 
@@ -54,7 +50,11 @@ class SchemaError(EnlabError):
 
 class UsageError(EnlabError):
     """A run setting from outside the program is malformed; the command
-    line exits with status 2."""
+    line exits with status 2.  ``field`` names the offending parameter."""
+
+    def __init__(self, message: str, field: str = ""):
+        self.field = field
+        super().__init__(message)
 
 
 class DimensionMismatch(EnlabError):

@@ -27,7 +27,6 @@ from .errors import (
     InternalCheckFailed,
     NonRefiningFiltration,
     NotAdapted,
-    NotIncreasing,
     NotPredictable,
     ProbabilityNotOne,
     SchemaError,
@@ -229,23 +228,6 @@ class PredictableProcess(AdaptedProcess):
     """Value at t is known at t - 1 (at 0 for t = 0)."""
 
 
-@dataclass(frozen=True)
-class RawIncreasingProcess:
-    """Entrywise nondecreasing grid, with no adaptedness requirement."""
-
-    values: Values
-
-    @staticmethod
-    def build(values, space: FiniteFilteredSpace) -> "RawIncreasingProcess":
-        vals = _as_values(values, space.outcomes, space.horizon)
-        for outcome, row in vals.items():
-            for t in range(1, len(row)):
-                if row[t] < row[t - 1]:
-                    raise NotIncreasing(
-                        f"raw process decreases at ({outcome}, {t})")
-        return RawIncreasingProcess(vals)
-
-
 def _check_block_constant(values: Values, partition: Partition, t: int,
                           what: str, exc) -> None:
     for block in partition:
@@ -303,6 +285,19 @@ def cond_exp(x: Mapping[str, Fraction], t: int, space: FiniteFilteredSpace,
         for outcome in block:
             out[outcome] = value
     return out
+
+
+def cond_average(space: FiniteFilteredSpace, members: Iterable[str],
+                 values) -> Fraction:
+    """Conditional average of values(outcome) on the event `members`
+    under the reference measure."""
+    total = ZERO
+    weight = ZERO
+    for o in members:
+        p = space.prob[o]
+        weight += p
+        total += p * values(o)
+    return total / weight
 
 
 def optional_projection(v, space: FiniteFilteredSpace,

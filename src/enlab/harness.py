@@ -12,11 +12,9 @@ collapsed checks agree with the full operations on sampled elements.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .enlargement import (
@@ -33,24 +31,14 @@ from .errors import EnlabError
 from .finite_prob import (
     ONE,
     ZERO,
-    AdaptedProcess,
     bracket,
     compensator,
+    cond_average,
     is_martingale,
 )
 from .model_io import dump_model
-from .nupbr import theorem2_crosscheck, transform, verify_witness
-from .random_times import analyze, enlarge, generate_honest_model
-
-
-def _cond(space, members, f) -> Fraction:
-    total = ZERO
-    weight = ZERO
-    for o in members:
-        p = space.prob[o]
-        weight += p
-        total += p * f(o)
-    return total / weight
+from .nupbr import theorem2_crosscheck, verify_witness
+from .random_times import generate_honest_model
 
 
 def check_transfer_basis(analysis) -> list[dict]:
@@ -76,20 +64,21 @@ def check_transfer_basis(analysis) -> list[dict]:
             ind = lambda o, c=child: ONE if o in c else ZERO
             checks.append((
                 "after_indicator",
-                _cond(space, members, ind),
-                _cond(space, base,
-                      lambda o: (1 - incl.at(o, t)) * ind(o)) / gap))
+                cond_average(space, members, ind),
+                cond_average(space, base,
+                             lambda o: (1 - incl.at(o, t)) * ind(o)) / gap))
             checks.append((
                 "after_indicator_over_gap",
-                _cond(space, members,
-                      lambda o: ind(o) / (1 - incl.at(o, t))),
-                _cond(space, base,
-                      lambda o: ind(o) if incl.at(o, t) < 1 else ZERO) / gap))
+                cond_average(space, members,
+                             lambda o: ind(o) / (1 - incl.at(o, t))),
+                cond_average(space, base,
+                             lambda o: ind(o) if incl.at(o, t) < 1 else ZERO)
+                / gap))
         checks.append((
             "after_one_over_gap",
-            _cond(space, members, lambda o: 1 / (1 - incl.at(o, t))),
-            _cond(space, base,
-                  lambda o: ONE if incl.at(o, t) < 1 else ZERO) / gap))
+            cond_average(space, members, lambda o: 1 / (1 - incl.at(o, t))),
+            cond_average(space, base,
+                         lambda o: ONE if incl.at(o, t) < 1 else ZERO) / gap))
         for name, lhs, rhs in checks:
             if lhs != rhs:
                 violations.append({"identity": name, "t": t,
@@ -98,7 +87,7 @@ def check_transfer_basis(analysis) -> list[dict]:
     return violations
 
 
-def check_hat_basis(analysis, enlarged) -> list[dict]:
+def check_hat_basis(analysis) -> list[dict]:
     """Martingale property of the hat transform for every single-
     increment indicator-difference martingale of the tree.
 
@@ -122,9 +111,9 @@ def check_hat_basis(analysis, enlarged) -> list[dict]:
         for child in children[:-1]:
             p_child = sum(space.prob[o] for o in child) / base_mass
             elem = lambda o, c=child, p=p_child: (ONE if o in c else ZERO) - p
-            drift_repair = _cond(space, base,
-                                 lambda o: elem(o) * fund.delta(o, t)) / gap
-            enlarged_drift = _cond(space, members, elem) + drift_repair
+            drift_repair = cond_average(
+                space, base, lambda o: elem(o) * fund.delta(o, t)) / gap
+            enlarged_drift = cond_average(space, members, elem) + drift_repair
             if enlarged_drift != 0:
                 violations.append({"identity": "hat_basis_martingale",
                                    "t": t, "atom": list(members),
@@ -155,9 +144,21 @@ class ModelReport:
                 "counterexample": self.counterexample}
 
 
-def run_model_identities(space, tau, asset) -> ModelReport:
-    analysis = analyze(space, tau)
-    enlarged = enlarge(space, analysis)
+def _holds(check, *args) -> bool:
+    """Run a hard-asserting operation; False when it raises."""
+    try:
+        check(*args)
+    except EnlabError:
+        return False
+    return True
+
+
+def _status(ok: bool) -> str:
+    return "ok" if ok else "violated"
+
+
+def run_model_identities(analysis, asset) -> ModelReport:
+    space = analysis.space
     identities: dict[str, str] = {}
     counterexample = None
 
@@ -170,49 +171,42 @@ def run_model_identities(space, tau, asset) -> ModelReport:
     record("fundamental_martingale",
            [] if is_martingale(analysis.fundamental_martingale, space).ok
            else [{"identity": "fundamental_martingale"}])
-    record("hat_basis", check_hat_basis(analysis, enlarged))
+    record("hat_basis", check_hat_basis(analysis))
     record("transfer_basis", check_transfer_basis(analysis))
 
-    # full operations on whole processes; each hard-asserts internally
+    # full operations on whole processes; each hard-asserts internally.
+    # build_deflator runs the hat transform of the fundamental martingale;
+    # only when the deflator fails is that transform re-run on its own,
+    # to tell whether the failure was the transform's.
     mart = asset - compensator(asset, space)
     try:
-        hat_transform(mart, analysis, enlarged)
-        hat_transform(analysis.fundamental_martingale, analysis, enlarged)
-        identities["hat_full"] = "ok"
+        bundle = build_deflator(analysis)
     except EnlabError:
-        identities["hat_full"] = "violated"
-    try:
-        g_compensator_after(bracket(asset, asset), analysis, enlarged)
-        identities["g_compensator"] = "ok"
-    except EnlabError:
-        identities["g_compensator"] = "violated"
-    try:
-        proj_identity_check(mart, analysis)
-        identities["proj_identities"] = "ok"
-    except EnlabError:
-        identities["proj_identities"] = "violated"
-    try:
-        jump_functionals(asset, analysis)
-        identities["jump_set_identity"] = "ok"
-    except EnlabError:
-        identities["jump_set_identity"] = "violated"
-    try:
-        g_characteristics(asset, analysis)
-        identities["jump_characteristics"] = "ok"
-    except EnlabError:
-        identities["jump_characteristics"] = "violated"
+        bundle = None
+    fund_hat_ok = bundle is not None or _holds(
+        hat_transform, analysis.fundamental_martingale, analysis)
+    identities["hat_full"] = _status(
+        _holds(hat_transform, mart, analysis) and fund_hat_ok)
+    identities["g_compensator"] = _status(
+        _holds(g_compensator_after, bracket(asset, asset), analysis))
+    identities["proj_identities"] = _status(
+        _holds(proj_identity_check, mart, analysis))
+    identities["jump_set_identity"] = _status(
+        _holds(jump_functionals, asset, analysis))
+    identities["jump_characteristics"] = _status(
+        _holds(g_characteristics, asset, analysis))
 
     deflator = {"positivity": False, "pre_tau_zero": False}
     harvest = {"hypothesis": False, "conclusion": False}
-    try:
-        bundle = build_deflator(analysis, enlarged)
+    if bundle is not None:
         deflator = {"positivity": bundle.positivity_ok,
                     "pre_tau_zero": bundle.pre_tau_zero_ok}
-        verdict = deflator_verify(mart, bundle, analysis, enlarged)
-        harvest = {"hypothesis": verdict.hypothesis_holds,
-                   "conclusion": verdict.conclusion_holds}
-    except EnlabError:
-        pass
+        try:
+            verdict = deflator_verify(mart, bundle, analysis)
+            harvest = {"hypothesis": verdict.hypothesis_holds,
+                       "conclusion": verdict.conclusion_holds}
+        except EnlabError:
+            pass
 
     return ModelReport(model_id="", honest=analysis.honest,
                        class_h=analysis.class_h, identities=identities,
@@ -248,8 +242,8 @@ def run_identity_suite(seeds, depth: int = 5, branching: int = 3,
     start = time.time()
 
     def one(seed: int) -> dict:
-        space, tau, asset = generate_honest_model(seed, depth, branching)
-        report = run_model_identities(space, tau, asset)
+        _, _, asset, analysis = generate_honest_model(seed, depth, branching)
+        report = run_model_identities(analysis, asset)
         report.model_id = f"seed-{seed}"
         return report.to_json() | {"ok": report.ok}
 
@@ -280,19 +274,14 @@ def run_crosscheck(seeds, depth: int = 5, branching: int = 3,
     start = time.time()
 
     def one(seed: int) -> dict:
-        space, tau, asset = generate_honest_model(seed, depth, branching)
-        analysis = analyze(space, tau)
-        enlarged = enlarge(space, analysis)
+        space, tau, asset, analysis = generate_honest_model(seed, depth,
+                                                            branching)
         report = theorem2_crosscheck(asset, analysis)
-        after = AdaptedProcess(
-            {o: [asset.at(o, t) - asset.at(o, min(t, tau[o]))
-                 for t in range(space.horizon + 1)]
-             for o in space.outcomes}, "G")
-        bundle = transform(asset, analysis)
         witnesses_ok = (
-            verify_witness(report.after_g, after, space, enlarged)
-            and verify_witness(report.scaled_f, bundle.scaled, space)
-            and verify_witness(report.indicator_f, bundle.indicator_scaled,
+            verify_witness(report.after_g, report.after, space,
+                           analysis.enlarged)
+            and verify_witness(report.scaled_f, report.scaled, space)
+            and verify_witness(report.indicator_f, report.indicator_scaled,
                                space))
         row = {"seed": seed, "a": report.a, "b": report.b, "c": report.c,
                "agree": report.agree, "jump_set_size": report.jump_set_size,

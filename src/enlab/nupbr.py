@@ -37,8 +37,8 @@ from .finite_prob import (
     FiniteFilteredSpace,
     is_martingale,
 )
-from .random_times import RandomTimeAnalysis, enlarge
-from .enlargement import jump_functionals
+from .random_times import RandomTimeAnalysis
+from .enlargement import after_atoms, jump_functionals
 from .simplex import solve_nonneg_equalities
 
 NodeKey = tuple[int, Block]
@@ -296,14 +296,9 @@ def verify_witness(verdict: NupbrVerdict, x, space: FiniteFilteredSpace,
 
 @dataclass(frozen=True)
 class TransformBundle:
-    jump_counter: AdaptedProcess     # running count of pinned-at-one times
     purged: AdaptedProcess           # asset minus its jump-set jumps
     scaled: AdaptedProcess           # (1 - survival_left) . purged
     indicator_scaled: AdaptedProcess  # 1{survival_left < 1} . purged
-    pinned_mart: AdaptedProcess      # compensated count of dead-fibre jumps
-    pinned_purged: AdaptedProcess    # gated asset minus [asset, pinned_mart]
-    alive_intensity: dict            # alive_prob-weighted gated jump kernel
-    alive_support_intensity: dict    # gated kernel restricted to alive fibres
 
 
 def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
@@ -314,7 +309,7 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
         raise NotClassH("transform requires a class-H time")
     space = analysis.space
     T = space.horizon
-    jf = jump_functionals(asset, analysis)
+    jump_functionals(asset, analysis)  # hard-asserts the jump-set identities
 
     purged_vals = {}
     scaled_vals = {}
@@ -335,8 +330,6 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
         scaled_vals[o] = scaled
         gated_vals[o] = gated
     purged = AdaptedProcess(purged_vals)
-    scaled = AdaptedProcess(scaled_vals)
-    indicator_scaled = AdaptedProcess(gated_vals)
 
     # pathwise invariant: purging only touches the stopped part
     for o in space.outcomes:
@@ -351,8 +344,24 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
             if analysis.in_jump_set(o, t) and purged.delta(o, t) != 0:
                 raise InternalCheckFailed("purged asset jumps on the jump set")
 
-    # compensated count of jumps on dead fibres (alive_prob = 0) below
-    # the survival-left barrier, and the asset with those jumps removed
+    return TransformBundle(purged=purged, scaled=AdaptedProcess(scaled_vals),
+                           indicator_scaled=AdaptedProcess(gated_vals))
+
+
+@dataclass(frozen=True)
+class PinnedDiagnostics:
+    pinned_mart: AdaptedProcess      # compensated count of dead-fibre jumps
+    pinned_purged: AdaptedProcess    # gated asset minus [asset, pinned_mart]
+
+
+def pinned_diagnostics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
+                       ) -> PinnedDiagnostics:
+    """Compensated count of the asset's jumps on dead fibres (alive_prob =
+    0) below the survival-left barrier, and the gated asset with those
+    jumps removed."""
+    space = analysis.space
+    T = space.horizon
+    jf = jump_functionals(asset, analysis)
     dead = {key for key in jf.support if jf.alive_prob[key] == 0}
     fkernel: dict[tuple[int, Block], dict[Fraction, Fraction]] = {}
     for (t, base, xval) in jf.support:
@@ -360,8 +369,6 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
         hit = sum(space.prob[o] for o in base if asset.delta(o, t) == xval)
         fkernel.setdefault((t, base), {})[xval] = hit / mass
 
-    alive_intensity = {}
-    alive_support_intensity = {}
     pinned_vals = {}
     for o in space.outcomes:
         acc = [ZERO]
@@ -380,14 +387,6 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
         pinned_vals[o] = acc
     pinned_mart = AdaptedProcess(pinned_vals)
 
-    for key in jf.support:
-        t, base, xval = key
-        left = analysis.survival.at(base[0], t - 1)
-        if left < 1:
-            alive_intensity[key] = jf.alive_prob[key] * fkernel[(t, base)][xval]
-            if jf.alive_prob[key] > 0:
-                alive_support_intensity[key] = fkernel[(t, base)][xval]
-
     pinned_purged_vals = {}
     for o in space.outcomes:
         acc = [ZERO]
@@ -397,13 +396,7 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
             step -= asset.delta(o, t) * pinned_mart.delta(o, t)
             acc.append(acc[-1] + step)
         pinned_purged_vals[o] = acc
-    pinned_purged = AdaptedProcess(pinned_purged_vals)
-
-    return TransformBundle(
-        jump_counter=analysis.jump_counter, purged=purged, scaled=scaled,
-        indicator_scaled=indicator_scaled, pinned_mart=pinned_mart,
-        pinned_purged=pinned_purged, alive_intensity=alive_intensity,
-        alive_support_intensity=alive_support_intensity)
+    return PinnedDiagnostics(pinned_mart, AdaptedProcess(pinned_purged_vals))
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +405,15 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
 
 @dataclass(frozen=True)
 class CrosscheckReport:
+    """The three verdicts, each with the process it judged."""
+
     after_g: NupbrVerdict        # after-part under the enlarged filtration
     scaled_f: NupbrVerdict       # gap-scaled purged asset under the base one
     indicator_f: NupbrVerdict    # indicator-gated purged asset, base one
     jump_set_size: int
+    after: AdaptedProcess
+    scaled: AdaptedProcess
+    indicator_scaled: AdaptedProcess
 
     @property
     def a(self) -> bool:
@@ -440,16 +438,14 @@ def theorem2_crosscheck(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     the discrete engine only reports whether they agree."""
     space = analysis.space
     bundle = transform(asset, analysis)
-    enlarged = enlarge(space, analysis)
-    after = AdaptedProcess(
-        {o: [asset.at(o, t) - asset.at(o, min(t, analysis.tau[o]))
-             for t in range(space.horizon + 1)]
-         for o in space.outcomes}, "G")
+    after = analysis.after_part(asset)
     return CrosscheckReport(
-        after_g=nupbr_check(after, space, enlarged),
+        after_g=nupbr_check(after, space, analysis.enlarged),
         scaled_f=nupbr_check(bundle.scaled, space),
         indicator_f=nupbr_check(bundle.indicator_scaled, space),
-        jump_set_size=len(analysis.jump_set))
+        jump_set_size=len(analysis.jump_set),
+        after=after, scaled=bundle.scaled,
+        indicator_scaled=bundle.indicator_scaled)
 
 
 @dataclass(frozen=True)
@@ -471,19 +467,15 @@ class CorollaryReport:
 def corollary_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                     ) -> CorollaryReport:
     space = analysis.space
-    enlarged = enlarge(space, analysis)
     disjoint = all(
         not (asset.delta(o, t) != 0 and analysis.in_jump_set(o, t))
         for o in space.outcomes for t in range(1, space.horizon + 1))
-    after = AdaptedProcess(
-        {o: [asset.at(o, t) - asset.at(o, min(t, analysis.tau[o]))
-             for t in range(space.horizon + 1)]
-         for o in space.outcomes}, "G")
     return CorollaryReport(
         asset_nupbr_f=nupbr_check(asset, space).satisfied,
         jumps_disjoint_from_jump_set=disjoint,
         jump_set_empty=not analysis.jump_set,
-        after_nupbr_g=nupbr_check(after, space, enlarged).satisfied)
+        after_nupbr_g=nupbr_check(analysis.after_part(asset), space,
+                                  analysis.enlarged).satisfied)
 
 
 @dataclass(frozen=True)
@@ -506,8 +498,6 @@ def levy_condition_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     dead-fibre reduction; the two routes are compared exactly."""
     space = analysis.space
     jf = jump_functionals(asset, analysis)
-    from .enlargement import after_atoms
-
     after_reachable = {(a.t, a.base) for a in after_atoms(analysis)}
     witnesses = []
     for key in jf.support:
@@ -545,7 +535,6 @@ class WitnessConditionsRow:
     node: NodeKey
     density_positive: bool
     drift_equation: bool
-    integrable: bool
 
 
 @dataclass(frozen=True)
@@ -554,7 +543,7 @@ class WitnessConditionsReport:
 
     @property
     def ok(self) -> bool:
-        return all(r.density_positive and r.drift_equation and r.integrable
+        return all(r.density_positive and r.drift_equation
                    for r in self.rows)
 
 
@@ -565,7 +554,7 @@ def witness_conditions_check(x, space: FiniteFilteredSpace,
     """Recast node weights as a jump-law density and verify the
     martingale-density drift equation node by node (identity truncation,
     no continuous part).  The two integrability conditions are finite
-    sums here and recorded as trivially satisfied."""
+    sums here, so they hold trivially and are not recorded."""
     if not verdict.satisfied:
         raise InvalidWitness("witness conditions need a satisfied verdict")
     components = _components(x)
@@ -574,8 +563,8 @@ def witness_conditions_check(x, space: FiniteFilteredSpace,
     for (t, atom), weights in sorted(verdict.witness.node_weights.items()):
         children = _node_children(space, f, t, atom)
         vectors = _child_increments(components, children, t)
-        probs = _cond_probs(space, atom, children)
-        # group children by jump value; density = weight mass / prob mass
+        # group children by jump value; the density (weight mass over
+        # probability mass) is positive exactly when the weight mass is
         by_value: dict[tuple, list[int]] = {}
         for i, v in enumerate(vectors):
             by_value.setdefault(v, []).append(i)
@@ -583,7 +572,6 @@ def witness_conditions_check(x, space: FiniteFilteredSpace,
         drift = [ZERO] * len(components)
         for value, idxs in by_value.items():
             q_mass = sum(weights[i] for i in idxs)
-            p_mass = sum(probs[i] for i in idxs)
             if any(c != 0 for c in value):
                 if q_mass <= 0:
                     density_positive = False
@@ -591,5 +579,5 @@ def witness_conditions_check(x, space: FiniteFilteredSpace,
                     drift[k] += c * q_mass
         drift_equation = all(v == 0 for v in drift)
         rows.append(WitnessConditionsRow((t, atom), density_positive,
-                                         drift_equation, True))
+                                         drift_equation))
     return WitnessConditionsReport(tuple(rows))

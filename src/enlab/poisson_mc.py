@@ -614,7 +614,6 @@ def ruin_mc(mu: float, us, n_paths: int, seed: int,
     u_dec = oracle.tail_level(decision_eps)
 
     def work(chunk_index: int, rows: int):
-        parts: list[np.ndarray] = []
         runmax = np.full(rows, -np.inf)
         offset_k = 0
         offset_t = np.zeros(rows)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import GenerationExhausted, InvariantError, SchemaError
@@ -65,7 +66,8 @@ class RandomTimeMap:
 
 @dataclass(frozen=True)
 class RandomTimeAnalysis:
-    """Everything the enlargement calculus needs about one random time."""
+    """Everything the enlargement calculus needs about one random time:
+    the one context per model that every check shares."""
 
     space: FiniteFilteredSpace
     tau: RandomTimeMap
@@ -92,6 +94,28 @@ class RandomTimeAnalysis:
     def strictly_after(self, outcome: str, t: int) -> bool:
         """True when the increment at t lies strictly after tau (t-1 >= tau)."""
         return t - 1 >= self.tau[outcome]
+
+    @cached_property
+    def enlarged(self) -> Filtration:
+        """The base filtration progressively enlarged by the time, built
+        on first use."""
+        return enlarge(self.space, self)
+
+    def after_integral(self, increments) -> AdaptedProcess:
+        """Pathwise sum of increments(o, t) over the strictly-after region,
+        tagged with the enlarged filtration."""
+        out = {}
+        for o in self.space.outcomes:
+            acc = [ZERO]
+            for t in range(1, self.space.horizon + 1):
+                step = increments(o, t) if self.strictly_after(o, t) else ZERO
+                acc.append(acc[-1] + step)
+            out[o] = acc
+        return AdaptedProcess(out, "G")
+
+    def after_part(self, x: AdaptedProcess) -> AdaptedProcess:
+        """The after-part x - x^tau of a process."""
+        return self.after_integral(x.delta)
 
 
 def _honest_closed(space: FiniteFilteredSpace, tau: RandomTimeMap) -> bool:
@@ -267,7 +291,8 @@ def _grow_tree(rng: SplitMix64, depth: int, branching: int):
 
 def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1,
                           max_retries: int = 32):
-    """Random model (space, tau, asset) with an honest class-H time.
+    """Random model (space, tau, asset, analysis) with an honest class-H
+    time; the analysis is the one the class-H check ran on.
 
     The time is the last visit of an adapted walk to a level set, with
     sup of the empty set taken as 0, which is honest by construction.
@@ -311,7 +336,7 @@ def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1,
 
         analysis = analyze(space, tau)
         if analysis.honest and analysis.class_h:
-            return space, tau, asset
+            return space, tau, asset, analysis
     raise GenerationExhausted(f"no class-H model after {max_retries} retries")
 
 

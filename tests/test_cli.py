@@ -173,6 +173,17 @@ def test_reports_validate_against_shipped_schemas(tmp_path):
     jsonschema.validate(payload["base"], verdict_schema)
     jsonschema.validate(payload["after"], verdict_schema)
 
+    csv = tmp_path / "crosscheck.csv"
+    assert main(["crosscheck", "--seeds", "1..4", "--depth", "3",
+                 "--branching", "3", "--csv", str(csv)]) == 0
+    header, *rows = csv.read_text().splitlines()
+    row_schema = json.loads((schemas / "crosscheck.schema.json").read_text())
+    assert len(rows) == 4
+    for row in rows:
+        jsonschema.validate(
+            dict(zip(header.split(","), map(int, row.split(",")))),
+            row_schema)
+
 
 def test_cli_brownian(tmp_path):
     out = tmp_path / "bd.json"
@@ -185,7 +196,11 @@ def test_cli_brownian(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [("--paths", "0"), ("--dt", "0"),
                                          ("--time-cap", "0"),
-                                         ("--time-cap", "-1")])
+                                         ("--time-cap", "-1"),
+                                         ("--epsilon", "1.5"),
+                                         ("--dt", "0.01"),
+                                         ("--epsilon", "0.999"),
+                                         ("--time-cap", "0.0005")])
 def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
     out = tmp_path / "bd.json"
     args = ["brownian", "--epsilon", "0.25", "--dt", "0.001", "--paths",

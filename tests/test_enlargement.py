@@ -26,7 +26,7 @@ from enlab.enlargement import (
     jump_functionals,
     proj_identity_check,
 )
-from enlab.random_times import RandomTimeMap, analyze, enlarge, generate_honest_model
+from enlab.random_times import RandomTimeMap, analyze, generate_honest_model
 
 Q = Fraction
 
@@ -216,18 +216,16 @@ def _basis_martingales(space):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_hat_transform_martingale_for_all_basis(seed):
-    space, tau, _ = generate_honest_model(seed, depth=4, branching=3)
-    analysis = analyze(space, tau)
-    enlarged = enlarge(space, analysis)
+    space, _, _, analysis = generate_honest_model(seed, depth=4, branching=3)
     for mart in _basis_martingales(space):
-        hat_transform(mart, analysis, enlarged)  # hard-asserts internally
+        hat_transform(mart, analysis)  # hard-asserts internally
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_transfer_identities_on_models(seed):
-    space, tau, asset = generate_honest_model(seed, depth=4, branching=3)
-    analysis = analyze(space, tau)
+    space, _, asset, analysis = generate_honest_model(seed, depth=4,
+                                                      branching=3)
     g_compensator_after(bracket(asset, asset), analysis)
     proj_identity_check(_mart(asset, space), analysis)
     jump_functionals(asset, analysis)

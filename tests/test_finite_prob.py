@@ -235,7 +235,7 @@ def test_is_martingale(tree_space, walk, tent_analysis):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_projection_consistency(seed):
-    space, tau, _ = generate_honest_model(seed, depth=3, branching=3)
+    space, tau, _, _ = generate_honest_model(seed, depth=3, branching=3)
     raw = {o: [Q((hash((o, t)) % 7) - 3) for t in range(space.horizon + 1)]
            for o in space.outcomes}
     for proj in (optional_projection(raw, space),
@@ -249,7 +249,7 @@ def test_projection_consistency(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_compensator_yields_martingale(seed):
-    space, tau, asset = generate_honest_model(seed, depth=3, branching=3)
+    space, tau, asset, _ = generate_honest_model(seed, depth=3, branching=3)
     fv = bracket(asset, asset)
     assert is_martingale(fv - compensator(fv, space), space).ok
 
@@ -258,7 +258,7 @@ def test_compensator_yields_martingale(seed):
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_yoeurp_identity(seed):
     # compensator of a predictable-integrand martingale integral is zero
-    space, tau, asset = generate_honest_model(seed, depth=3, branching=3)
+    space, tau, asset, _ = generate_honest_model(seed, depth=3, branching=3)
     mart = asset - compensator(asset, space)
     integrand = predictable(
         {o: [Q(0)] + [mart.at(o, t - 1) for t in range(1, space.horizon + 1)]
@@ -271,6 +271,6 @@ def test_yoeurp_identity(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_dual_optional_identity_on_adapted(seed):
-    space, tau, asset = generate_honest_model(seed, depth=3, branching=3)
+    space, tau, asset, _ = generate_honest_model(seed, depth=3, branching=3)
     inc = bracket(asset, asset)  # adapted, nondecreasing
     assert dual_optional_projection(inc, space).values == inc.values

@@ -14,7 +14,7 @@ from enlab.harness import (
     run_identity_suite,
     run_model_identities,
 )
-from enlab.random_times import analyze, enlarge, generate_honest_model
+from enlab.random_times import enlarge, generate_honest_model
 
 Q = Fraction
 
@@ -46,7 +46,7 @@ def test_crosscheck_archives_nothing_without_disagreement(tmp_path):
 
 
 def test_model_report_on_curated(tree_space, tent_analysis, walk):
-    report = run_model_identities(tree_space, tent_analysis.tau, walk)
+    report = run_model_identities(tent_analysis, walk)
     assert report.ok
     assert report.honest and report.class_h
 
@@ -57,10 +57,9 @@ def test_collapsed_hat_check_agrees_with_operation(seed):
     """Dual route: the collapsed per-atom drift condition used by the
     harness must coincide with running the real transform on the
     explicit basis martingale and testing it atom by atom."""
-    space, tau, _ = generate_honest_model(seed, depth=4, branching=3)
-    analysis = analyze(space, tau)
+    space, _, _, analysis = generate_honest_model(seed, depth=4, branching=3)
     enlarged = enlarge(space, analysis)
-    assert check_hat_basis(analysis, enlarged) == []
+    assert check_hat_basis(analysis) == []
     f = space.filtration
     checked = 0
     for atom in after_atoms(analysis):
@@ -77,7 +76,7 @@ def test_collapsed_hat_check_agrees_with_operation(seed):
                 if o in base else Q(0)
             vals[o] = [Q(0)] * t + [step] * (space.horizon + 1 - t)
         basis_mart = AdaptedProcess(vals)
-        hat = hat_transform(basis_mart, analysis, enlarged)  # hard-asserts
+        hat = hat_transform(basis_mart, analysis)  # hard-asserts
         assert is_martingale(hat, space, enlarged).ok
         # sparsity: the transform moves only at the basis increment time
         for o in space.outcomes:
@@ -92,6 +91,5 @@ def test_collapsed_hat_check_agrees_with_operation(seed):
 @settings(max_examples=12, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_collapsed_transfer_check_matches_identities(seed):
-    space, tau, _ = generate_honest_model(seed, depth=4, branching=3)
-    analysis = analyze(space, tau)
+    _, _, _, analysis = generate_honest_model(seed, depth=4, branching=3)
     assert check_transfer_basis(analysis) == []

@@ -18,12 +18,13 @@ from enlab.nupbr import (
     corollary_check,
     levy_condition_check,
     nupbr_check,
+    pinned_diagnostics,
     theorem2_crosscheck,
     transform,
     verify_witness,
     witness_conditions_check,
 )
-from enlab.random_times import analyze, enlarge, generate_honest_model
+from enlab.random_times import enlarge, generate_honest_model
 from enlab.rng import SplitMix64
 from enlab.simplex import solve_nonneg_equalities
 
@@ -129,7 +130,8 @@ def test_transform_stop(tree_space, walk, stop_analysis):
     for o in tree_space.outcomes:
         assert bundle.scaled.delta(o, 1) == 0
         assert bundle.scaled.delta(o, 2) == walk.delta(o, 2)
-    assert all(v == 0 for row in bundle.pinned_mart.values.values()
+    pinned = pinned_diagnostics(walk, stop_analysis)
+    assert all(v == 0 for row in pinned.pinned_mart.values.values()
                for v in row)
 
 
@@ -144,7 +146,8 @@ def test_transform_tent(tree_space, walk, tent_analysis):
     assert bundle.scaled.delta("du", 2) == 0
     assert bundle.scaled.delta("dd", 2) == Q(-1, 2)
     # pinned-jump martingale really is one
-    assert is_martingale(bundle.pinned_mart, tree_space).ok
+    pinned = pinned_diagnostics(walk, tent_analysis)
+    assert is_martingale(pinned.pinned_mart, tree_space).ok
 
 
 def test_crosscheck_stop_all_true(tree_space, walk, stop_analysis):
@@ -192,8 +195,8 @@ def test_fully_alive_model_has_null_pinned_martingale():
     from enlab.enlargement import jump_functionals
 
     for seed in range(1, 200):
-        space, tau, asset = generate_honest_model(seed, depth=4, branching=3)
-        analysis = analyze(space, tau)
+        _, _, asset, analysis = generate_honest_model(seed, depth=4,
+                                                      branching=3)
         jf = jump_functionals(asset, analysis)
         # fully alive: unit alive probability on every fibre below the
         # barrier, i.e. the asset never jumps together with the pinning
@@ -204,9 +207,10 @@ def test_fully_alive_model_has_null_pinned_martingale():
         report = levy_condition_check(asset, analysis)
         assert report.equivalent and report.dead_support_empty
         bundle = transform(asset, analysis)
-        assert all(v == 0 for row in bundle.pinned_mart.values.values()
+        pinned = pinned_diagnostics(asset, analysis)
+        assert all(v == 0 for row in pinned.pinned_mart.values.values()
                    for v in row)
-        assert bundle.pinned_purged.values == bundle.indicator_scaled.values
+        assert pinned.pinned_purged.values == bundle.indicator_scaled.values
         return
     raise AssertionError("no fully alive model found in the seed range")
 
@@ -235,8 +239,8 @@ def test_witness_conditions(tree_space, walk, stop_analysis, tent_analysis):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_witness_soundness_on_models(seed):
-    space, tau, asset = generate_honest_model(seed, depth=4, branching=3)
-    analysis = analyze(space, tau)
+    space, tau, asset, analysis = generate_honest_model(seed, depth=4,
+                                                        branching=3)
     report = theorem2_crosscheck(asset, analysis)
     enlarged = enlarge(space, analysis)
     after = AdaptedProcess(
@@ -253,8 +257,8 @@ def test_witness_soundness_on_models(seed):
 def test_predictable_nonconstant_after_part_fails(seed):
     # a predictable finite-variation process moving after the time is
     # never viable: the node increment is deterministic and nonzero
-    space, tau, _ = generate_honest_model(seed, depth=4, branching=3)
-    analysis = analyze(space, tau)
+    space, tau, _, analysis = generate_honest_model(seed, depth=4,
+                                                    branching=3)
     enlarged = enlarge(space, analysis)
     rng = SplitMix64(seed)
     moved = False
@@ -280,8 +284,7 @@ def test_predictable_nonconstant_after_part_fails(seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_transform_after_part_invariant(seed):
-    space, tau, asset = generate_honest_model(seed, depth=4, branching=3)
-    analysis = analyze(space, tau)
+    _, _, asset, analysis = generate_honest_model(seed, depth=4, branching=3)
     transform(asset, analysis)  # pathwise invariant asserted inside
     levy_condition_check(asset, analysis)  # route agreement asserted inside
 

@@ -108,7 +108,7 @@ def test_generator_determinism():
 
 
 def test_generator_vector_asset():
-    space, tau, asset = generate_honest_model(17, depth=3, branching=3, d=2)
+    space, tau, asset, _ = generate_honest_model(17, depth=3, branching=3, d=2)
     assert isinstance(asset, list) and len(asset) == 2
     analysis = analyze(space, tau)
     assert analysis.honest and analysis.class_h
@@ -127,7 +127,7 @@ def test_generator_bounds():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_generated_models_are_honest_class_h(seed):
-    space, tau, _ = generate_honest_model(seed, depth=4, branching=3)
+    space, tau, _, _ = generate_honest_model(seed, depth=4, branching=3)
     analysis = analyze(space, tau)
     assert analysis.honest and analysis.class_h
 
@@ -137,7 +137,7 @@ def test_generated_models_are_honest_class_h(seed):
 def test_stopping_times_are_honest_class_h_with_zero_survival(seed):
     # first-visit times are stopping times; they must land in the class
     # with survival exactly zero at the time
-    space, _, asset = generate_honest_model(seed, depth=4, branching=3)
+    space, _, asset, _ = generate_honest_model(seed, depth=4, branching=3)
     level = asset.values[space.outcomes[0]][0]
     tau_map = {}
     for o in space.outcomes:
@@ -155,7 +155,7 @@ def test_stopping_times_are_honest_class_h_with_zero_survival(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_survival_increment_identity_and_bounds(seed):
-    space, tau, _ = generate_honest_model(seed, depth=4, branching=3)
+    space, tau, _, _ = generate_honest_model(seed, depth=4, branching=3)
     a = analyze(space, tau)
     for o in space.outcomes:
         for t in range(1, space.horizon + 1):
@@ -168,7 +168,7 @@ def test_survival_increment_identity_and_bounds(seed):
 def test_open_interval_equality_after_tau(seed):
     # strictly after the time, the two supermartingales agree on every
     # path whose current atom holds no outcome exiting exactly now
-    space, tau, _ = generate_honest_model(seed, depth=4, branching=3)
+    space, tau, _, _ = generate_honest_model(seed, depth=4, branching=3)
     a = analyze(space, tau)
     f = space.filtration
     for o in space.outcomes:
@@ -185,7 +185,7 @@ def test_left_survival_gap_bounded_below(seed):
     # finite-horizon form of the local lower bound on 1 - survival_left:
     # over the finitely many atoms with survival < 1 the gap has a
     # strictly positive minimum
-    space, tau, _ = generate_honest_model(seed, depth=4, branching=3)
+    space, tau, _, _ = generate_honest_model(seed, depth=4, branching=3)
     a = analyze(space, tau)
     gaps = [1 - a.survival.at(o, t)
             for o in space.outcomes for t in range(space.horizon + 1)
