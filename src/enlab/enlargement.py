@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import DivisionGuard, InternalCheckFailed, NotClassH, NotHonest
 from .finite_prob import (
@@ -131,10 +130,10 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
     direct = compensator(analysis.after_part(v), space, enlarged)
 
     # base-compensator of (1 - inclusive survival) . V, rescaled after tau
-    weighted = AdaptedProcess(
-        {o: _cumulate((1 - analysis.survival_incl.at(o, t)) * v.delta(o, t)
-                      for t in range(1, space.horizon + 1))
-         for o in space.outcomes})
+    weighted = AdaptedProcess.from_increments(
+        space.outcomes, space.horizon,
+        lambda o, t: (1 - analysis.survival_incl.at(o, t)) * v.delta(o, t),
+        "F")
     inner = compensator(weighted, space)
     via_formula = analysis.after_integral(
         lambda o, t: inner.delta(o, t) / (1 - analysis.survival.at(o, t - 1)))
@@ -150,11 +149,10 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
         lambda o, t: v.delta(o, t) / incl_gap(o, t))
     u_direct = compensator(u_process, space, enlarged)
 
-    gated = AdaptedProcess(
-        {o: _cumulate(
-            (v.delta(o, t) if analysis.survival_incl.at(o, t) < 1 else ZERO)
-            for t in range(1, space.horizon + 1))
-         for o in space.outcomes})
+    gated = AdaptedProcess.from_increments(
+        space.outcomes, space.horizon,
+        lambda o, t: (v.delta(o, t) if analysis.survival_incl.at(o, t) < 1
+                      else ZERO), "F")
     gated_comp = compensator(gated, space)
     u_via_formula = analysis.after_integral(
         lambda o, t: gated_comp.delta(o, t) / (1 - analysis.survival.at(o, t - 1)))
@@ -165,13 +163,6 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
         raise InternalCheckFailed("compensator transfer mismatch")
     return CompensatorComparison(direct, via_formula, u_direct, u_via_formula,
                                  equal)
-
-
-def _cumulate(increments: Iterable[Fraction]) -> list[Fraction]:
-    acc = [ZERO]
-    for step in increments:
-        acc.append(acc[-1] + step)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +339,7 @@ def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
         for base in space.filtration.partitions[t - 1]:
             key = (t, base)
             law = {}
-            mass = sum(space.prob[o] for o in base)
+            mass = space.filtration.mass(t - 1, base)
             for o in base:
                 x = asset.delta(o, t)
                 if x != 0:
@@ -365,12 +356,12 @@ def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     for atom in after_atoms(analysis):
         t, base, members = atom.t, atom.base, atom.members
         left_gap = 1 - analysis.survival.at(base[0], t - 1)
+        mass = sum(space.prob[o] for o in members)
         law = {}
         for x, p in sorted(base_kernel[(t, base)].items()):
             density = 1 - jf.mart_mean[(t, base, x)] / left_gap
             law[x] = density * p
             via_formula[(t, members, x)] = law[x]
-            mass = sum(space.prob[o] for o in members)
             direct[(t, members, x)] = sum(
                 space.prob[o] for o in members if asset.delta(o, t) == x) / mass
             if law[x] < 0:
@@ -427,19 +418,9 @@ def build_deflator(analysis: RandomTimeAnalysis) -> DeflatorBundle:
     weight = analysis.after_integral(weight_increment)
     weight_comp = compensator(weight, space, analysis.enlarged)
 
-    driver_vals = {}
-    for o in space.outcomes:
-        acc = [ZERO]
-        for t in range(1, space.horizon + 1):
-            if analysis.strictly_after(o, t):
-                gap_left = 1 - analysis.survival.at(o, t - 1)
-                step = (hat.delta(o, t) / gap_left
-                        + weight.delta(o, t) - weight_comp.delta(o, t))
-            else:
-                step = ZERO
-            acc.append(acc[-1] + step)
-        driver_vals[o] = acc
-    driver = AdaptedProcess(driver_vals, "G")
+    driver = analysis.after_integral(
+        lambda o, t: (hat.delta(o, t) / (1 - analysis.survival.at(o, t - 1))
+                      + weight.delta(o, t) - weight_comp.delta(o, t)))
 
     pinned_proj = {}  # base predictable projection of the pinned indicator
     for t in range(1, space.horizon + 1):
@@ -497,14 +478,7 @@ def deflator_verify(mart: AdaptedProcess, bundle: DeflatorBundle,
     space = analysis.space
     require_martingale(mart, space, what="deflator_verify input")
 
-    jump_part_vals = {}
-    for o in space.outcomes:
-        acc = [ZERO]
-        for t in range(1, space.horizon + 1):
-            step = mart.delta(o, t) if analysis.in_jump_set(o, t) else ZERO
-            acc.append(acc[-1] + step)
-        jump_part_vals[o] = acc
-    hypothesis = is_martingale(AdaptedProcess(jump_part_vals), space)
+    hypothesis = is_martingale(analysis.jump_part(mart), space)
 
     conclusion = is_martingale(bundle.deflator * analysis.after_part(mart),
                                space, analysis.enlarged)

@@ -57,14 +57,15 @@ def _refines(fine: Partition, coarse: Partition) -> bool:
 
 
 class Filtration:
-    """A partition per time, with cached atom lookups and atom weights.
+    """A partition per time, with cached atom lookups, atom weights and
+    the tree of child atoms.
 
     ``label`` is "F" for the base filtration and "G" for a progressively
     enlarged one; the label travels with processes so that adaptedness is
     checked against the intended filtration.
     """
 
-    __slots__ = ("label", "partitions", "block_of", "weights")
+    __slots__ = ("label", "partitions", "block_of", "weights", "_children")
 
     def __init__(self, label: str, partitions: Sequence[Partition],
                  prob: Mapping[str, Fraction]):
@@ -88,6 +89,12 @@ class Filtration:
                 weights.append(w)
             self.block_of.append(lookup)
             self.weights.append(weights)
+        self._children: list[tuple[tuple[Block, ...], ...]] = []
+        for t in range(1, len(self.partitions)):
+            kids: list[list[Block]] = [[] for _ in self.partitions[t - 1]]
+            for block in self.partitions[t]:
+                kids[self.block_of[t - 1][block[0]]].append(block)
+            self._children.append(tuple(map(tuple, kids)))
 
     @property
     def horizon(self) -> int:
@@ -95,6 +102,14 @@ class Filtration:
 
     def block(self, t: int, outcome: str) -> Block:
         return self.partitions[t][self.block_of[t][outcome]]
+
+    def children(self, t: int, atom: Block) -> tuple[Block, ...]:
+        """The atoms at t + 1 inside the time-t atom, in partition order."""
+        return self._children[t][self.block_of[t][atom[0]]]
+
+    def mass(self, t: int, atom: Block) -> Fraction:
+        """Reference probability of the time-t atom."""
+        return self.weights[t][self.block_of[t][atom[0]]]
 
 
 @dataclass(frozen=True)
@@ -179,6 +194,13 @@ def _as_values(obj, outcomes: Sequence[str], horizon: int) -> Values:
     return out
 
 
+def _running_sum(start: Fraction, steps: Iterable[Fraction]) -> list[Fraction]:
+    acc = [start]
+    for step in steps:
+        acc.append(acc[-1] + step)
+    return acc
+
+
 @dataclass(frozen=True)
 class AdaptedProcess:
     """outcome x time grid of rationals, constant on the atoms of the
@@ -186,6 +208,15 @@ class AdaptedProcess:
 
     values: Values
     filtration_label: str = "F"
+
+    @classmethod
+    def from_increments(cls, outcomes: Iterable[str], horizon: int, step,
+                        label: str):
+        """X_0 = 0 and X_t = X_{t-1} + step(o, t) on every outcome: the one
+        constructor of processes from their increments."""
+        return cls({o: _running_sum(ZERO, (step(o, t)
+                                           for t in range(1, horizon + 1)))
+                    for o in outcomes}, label)
 
     def at(self, outcome: str, t: int) -> Fraction:
         return self.values[outcome][t]
@@ -300,17 +331,27 @@ def cond_average(space: FiniteFilteredSpace, members: Iterable[str],
     return total / weight
 
 
+def _cond_rows(column, space: FiniteFilteredSpace, f: Filtration,
+               lag: int = 0, start: int = 0) -> Values:
+    """Row o lists E[column(., t) | partition at max(t - lag, 0)] at o for
+    t = start..T: the one loop of conditional expectations behind every
+    projection and compensator."""
+    out: Values = {o: [] for o in space.outcomes}
+    for t in range(start, space.horizon + 1):
+        col = cond_exp({o: column(o, t) for o in space.outcomes},
+                       max(t - lag, 0), space, f)
+        for o in space.outcomes:
+            out[o].append(col[o])
+    return out
+
+
 def optional_projection(v, space: FiniteFilteredSpace,
                         filtration: Filtration | None = None) -> AdaptedProcess:
     """(^o V)_t = E[V_t | partition at t], for every t."""
     f = filtration or space.filtration
     vals = _as_values(v, space.outcomes, space.horizon)
-    out: Values = {o: [] for o in space.outcomes}
-    for t in range(space.horizon + 1):
-        col = cond_exp({o: vals[o][t] for o in space.outcomes}, t, space, f)
-        for o in space.outcomes:
-            out[o].append(col[o])
-    return AdaptedProcess(out, f.label)
+    return AdaptedProcess(_cond_rows(lambda o, t: vals[o][t], space, f),
+                          f.label)
 
 
 def predictable_projection(v, space: FiniteFilteredSpace,
@@ -319,13 +360,8 @@ def predictable_projection(v, space: FiniteFilteredSpace,
     """(^p V)_t = E[V_t | partition at t-1] for t >= 1, at 0 for t = 0."""
     f = filtration or space.filtration
     vals = _as_values(v, space.outcomes, space.horizon)
-    out: Values = {o: [] for o in space.outcomes}
-    for t in range(space.horizon + 1):
-        col = cond_exp({o: vals[o][t] for o in space.outcomes},
-                       max(t - 1, 0), space, f)
-        for o in space.outcomes:
-            out[o].append(col[o])
-    return PredictableProcess(out, f.label)
+    return PredictableProcess(
+        _cond_rows(lambda o, t: vals[o][t], space, f, lag=1), f.label)
 
 
 def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
@@ -334,13 +370,10 @@ def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
     the value at 0 is V_0.  V minus the result is a martingale of the
     tagged filtration."""
     f = filtration or space.filtration
-    out: Values = {o: [v.values[o][0]] for o in space.outcomes}
-    for t in range(1, space.horizon + 1):
-        col = cond_exp({o: v.values[o][t] - v.values[o][t - 1]
-                        for o in space.outcomes}, t - 1, space, f)
-        for o in space.outcomes:
-            out[o].append(out[o][t - 1] + col[o])
-    return PredictableProcess(out, f.label)
+    steps = _cond_rows(v.delta, space, f, lag=1, start=1)
+    return PredictableProcess(
+        {o: _running_sum(v.values[o][0], steps[o]) for o in space.outcomes},
+        f.label)
 
 
 def dual_optional_projection(v, space: FiniteFilteredSpace,
@@ -349,18 +382,13 @@ def dual_optional_projection(v, space: FiniteFilteredSpace,
     """Dual optional projection: increment at t is E[dV_t | t], and the
     value at 0 is E[V_0 | time-0 partition].  Identity on adapted input."""
     f = filtration or space.filtration
-    vals = v.values if hasattr(v, "values") and not isinstance(v, dict) else v
-    vals = _as_values(vals, space.outcomes, space.horizon)
-    out: Values = {o: [] for o in space.outcomes}
-    col0 = cond_exp({o: vals[o][0] for o in space.outcomes}, 0, space, f)
-    for o in space.outcomes:
-        out[o].append(col0[o])
-    for t in range(1, space.horizon + 1):
-        col = cond_exp({o: vals[o][t] - vals[o][t - 1]
-                        for o in space.outcomes}, t, space, f)
-        for o in space.outcomes:
-            out[o].append(out[o][t - 1] + col[o])
-    return AdaptedProcess(out, f.label)
+    vals = _as_values(v, space.outcomes, space.horizon)
+    steps = _cond_rows(
+        lambda o, t: (vals[o][t] - vals[o][t - 1]) if t else vals[o][0],
+        space, f)
+    return AdaptedProcess(
+        {o: _running_sum(row[0], row[1:]) for o, row in steps.items()},
+        f.label)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +397,9 @@ def dual_optional_projection(v, space: FiniteFilteredSpace,
 
 def bracket(x: AdaptedProcess, y: AdaptedProcess) -> AdaptedProcess:
     """Covariation [X, Y]_t = sum_{s<=t} dX_s dY_s, starting at 0."""
-    out: Values = {}
-    for o, row in x.values.items():
-        other = y.values[o]
-        acc = [ZERO]
-        for t in range(1, len(row)):
-            acc.append(acc[-1] + (row[t] - row[t - 1]) * (other[t] - other[t - 1]))
-        out[o] = acc
-    return AdaptedProcess(out, x.filtration_label)
+    return AdaptedProcess.from_increments(
+        x.values, x.horizon, lambda o, t: x.delta(o, t) * y.delta(o, t),
+        x.filtration_label)
 
 
 def angle_bracket(x: AdaptedProcess, y: AdaptedProcess,
@@ -402,18 +425,11 @@ def stochastic_integral(h, x) -> AdaptedProcess:
     xs = _component_list(x)
     if len(hs) != len(xs):
         raise DimensionMismatch(f"{len(hs)} integrands vs {len(xs)} integrators")
-    outcomes = list(xs[0].values)
-    horizon = xs[0].horizon
-    out: Values = {}
-    for o in outcomes:
-        acc = [ZERO]
-        for t in range(1, horizon + 1):
-            step = ZERO
-            for hc, xc in zip(hs, xs):
-                step += hc.values[o][t] * (xc.values[o][t] - xc.values[o][t - 1])
-            acc.append(acc[-1] + step)
-        out[o] = acc
-    return AdaptedProcess(out, xs[0].filtration_label)
+    return AdaptedProcess.from_increments(
+        xs[0].values, xs[0].horizon,
+        lambda o, t: sum((hc.at(o, t) * xc.delta(o, t)
+                          for hc, xc in zip(hs, xs)), ZERO),
+        xs[0].filtration_label)
 
 
 def stochastic_exponential(x: AdaptedProcess) -> AdaptedProcess:

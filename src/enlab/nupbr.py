@@ -36,6 +36,8 @@ from .finite_prob import (
     Filtration,
     FiniteFilteredSpace,
     is_martingale,
+    is_positive,
+    stochastic_exponential,
 )
 from .random_times import RandomTimeAnalysis
 from .enlargement import after_atoms, jump_functionals
@@ -89,28 +91,11 @@ class NupbrVerdict:
                 "filtration": self.filtration_label}
 
 
-def _node_children(space: FiniteFilteredSpace, filtration: Filtration,
-                   t: int, atom: Block) -> list[Block]:
-    seen = []
-    indices = set()
-    for o in atom:
-        i = filtration.block_of[t][o]
-        if i not in indices:
-            indices.add(i)
-            seen.append(filtration.partitions[t][i])
-    return sorted(seen, key=lambda b: b[0])
-
-
-def _child_increments(components: list[AdaptedProcess], children: list[Block],
+def _child_increments(components: list[AdaptedProcess],
+                      children: tuple[Block, ...],
                       t: int) -> list[tuple[Fraction, ...]]:
     return [tuple(c.delta(child[0], t) for c in components)
             for child in children]
-
-
-def _cond_probs(space: FiniteFilteredSpace, atom: Block,
-                children: list[Block]) -> list[Fraction]:
-    mass = sum(space.prob[o] for o in atom)
-    return [sum(space.prob[o] for o in child) / mass for child in children]
 
 
 def _scalar_node_weights(vectors, probs) -> tuple[Fraction, ...] | None:
@@ -214,9 +199,10 @@ def nupbr_check(x, space: FiniteFilteredSpace,
     node_weights: dict[NodeKey, tuple[Fraction, ...]] = {}
     for t in range(1, space.horizon + 1):
         for atom in f.partitions[t - 1]:
-            children = _node_children(space, f, t, atom)
+            children = f.children(t - 1, atom)
             vectors = _child_increments(components, children, t)
-            probs = _cond_probs(space, atom, children)
+            mass = f.mass(t - 1, atom)
+            probs = [f.mass(t, child) / mass for child in children]
             weights = (_scalar_node_weights(vectors, probs) if scalar
                        else _lp_node_weights(vectors, probs))
             if weights is None:
@@ -243,18 +229,21 @@ def assemble_deflator_process(witness: DeflatorWitness,
                               space: FiniteFilteredSpace,
                               filtration: Filtration) -> AdaptedProcess:
     """Multiply the node weights into the strictly positive martingale
-    carrying the verdict: along each path, the running product of
-    weight/conditional-probability."""
-    values = {o: [ONE] for o in space.outcomes}
+    carrying the verdict: the stochastic exponential of the node density
+    (weight over conditional probability) minus one."""
+    f = filtration
+    density = []  # density[t - 1][i]: on the i-th atom at t
     for t in range(1, space.horizon + 1):
-        for atom in filtration.partitions[t - 1]:
-            children = _node_children(space, filtration, t, atom)
-            probs = _cond_probs(space, atom, children)
-            weights = witness.node_weights[(t, atom)]
-            for child, w, p in zip(children, weights, probs):
-                for o in child:
-                    values[o].append(values[o][t - 1] * w / p)
-    return AdaptedProcess(values, filtration.label)
+        row = [ZERO] * len(f.partitions[t])
+        for atom in f.partitions[t - 1]:
+            mass = f.mass(t - 1, atom)
+            for child, w in zip(f.children(t - 1, atom),
+                                witness.node_weights[(t, atom)]):
+                row[f.block_of[t][child[0]]] = w * mass / f.mass(t, child)
+        density.append(row)
+    return stochastic_exponential(AdaptedProcess.from_increments(
+        space.outcomes, space.horizon,
+        lambda o, t: density[t - 1][f.block_of[t][o]] - 1, f.label))
 
 
 def verify_witness(verdict: NupbrVerdict, x, space: FiniteFilteredSpace,
@@ -273,7 +262,7 @@ def verify_witness(verdict: NupbrVerdict, x, space: FiniteFilteredSpace,
         if not isinstance(witness, DeflatorWitness):
             raise InvalidWitness("satisfied verdict without deflator witness")
         deflator = assemble_deflator_process(witness, space, f)
-        if not all(v > 0 for row in deflator.values.values() for v in row):
+        if not is_positive(deflator):
             return False
         if not is_martingale(deflator, space, f).ok:
             return False
@@ -283,7 +272,7 @@ def verify_witness(verdict: NupbrVerdict, x, space: FiniteFilteredSpace,
     witness = verdict.witness
     if not isinstance(witness, ArbitrageWitness):
         raise InvalidWitness("failed verdict without arbitrage witness")
-    children = _node_children(space, f, witness.t, witness.atom)
+    children = f.children(witness.t - 1, witness.atom)
     vectors = _child_increments(components, children, witness.t)
     gains = [sum(a * b for a, b in zip(witness.direction, v))
              for v in vectors]
@@ -311,25 +300,15 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     T = space.horizon
     jump_functionals(asset, analysis)  # hard-asserts the jump-set identities
 
-    purged_vals = {}
-    scaled_vals = {}
-    gated_vals = {}
-    for o in space.outcomes:
-        purged = [asset.at(o, 0)]
-        scaled = [ZERO]
-        gated = [ZERO]
-        for t in range(1, T + 1):
-            step = asset.delta(o, t)
-            if analysis.in_jump_set(o, t):
-                step = ZERO
-            purged.append(purged[-1] + step)
-            left_gap = 1 - analysis.survival.at(o, t - 1)
-            scaled.append(scaled[-1] + left_gap * step)
-            gated.append(gated[-1] + (step if left_gap > 0 else ZERO))
-        purged_vals[o] = purged
-        scaled_vals[o] = scaled
-        gated_vals[o] = gated
-    purged = AdaptedProcess(purged_vals)
+    purged = asset - analysis.jump_part(asset)
+    scaled = AdaptedProcess.from_increments(
+        space.outcomes, T,
+        lambda o, t: (1 - analysis.survival.at(o, t - 1)) * purged.delta(o, t),
+        "F")
+    indicator_scaled = AdaptedProcess.from_increments(
+        space.outcomes, T,
+        lambda o, t: (purged.delta(o, t) if analysis.survival.at(o, t - 1) < 1
+                      else ZERO), "F")
 
     # pathwise invariant: purging only touches the stopped part
     for o in space.outcomes:
@@ -344,8 +323,8 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
             if analysis.in_jump_set(o, t) and purged.delta(o, t) != 0:
                 raise InternalCheckFailed("purged asset jumps on the jump set")
 
-    return TransformBundle(purged=purged, scaled=AdaptedProcess(scaled_vals),
-                           indicator_scaled=AdaptedProcess(gated_vals))
+    return TransformBundle(purged=purged, scaled=scaled,
+                           indicator_scaled=indicator_scaled)
 
 
 @dataclass(frozen=True)
@@ -360,43 +339,33 @@ def pinned_diagnostics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     0) below the survival-left barrier, and the gated asset with those
     jumps removed."""
     space = analysis.space
-    T = space.horizon
+    f = space.filtration
     jf = jump_functionals(asset, analysis)
     dead = {key for key in jf.support if jf.alive_prob[key] == 0}
     fkernel: dict[tuple[int, Block], dict[Fraction, Fraction]] = {}
     for (t, base, xval) in jf.support:
-        mass = sum(space.prob[o] for o in base)
         hit = sum(space.prob[o] for o in base if asset.delta(o, t) == xval)
-        fkernel.setdefault((t, base), {})[xval] = hit / mass
+        fkernel.setdefault((t, base), {})[xval] = hit / f.mass(t - 1, base)
 
-    pinned_vals = {}
-    for o in space.outcomes:
-        acc = [ZERO]
-        for t in range(1, T + 1):
-            base = space.filtration.block(t - 1, o)
-            left_gap = 1 - analysis.survival.at(o, t - 1)
-            step = ZERO
-            xval = asset.delta(o, t)
-            if left_gap > 0 and xval != 0 and (t, base, xval) in dead:
-                step += ONE
-            if left_gap > 0:
-                for x, p in fkernel.get((t, base), {}).items():
-                    if (t, base, x) in dead:
-                        step -= p
-            acc.append(acc[-1] + step)
-        pinned_vals[o] = acc
-    pinned_mart = AdaptedProcess(pinned_vals)
+    def pinned_step(o: str, t: int) -> Fraction:
+        if analysis.survival.at(o, t - 1) >= 1:
+            return ZERO
+        base = f.block(t - 1, o)
+        xval = asset.delta(o, t)
+        step = ONE if xval != 0 and (t, base, xval) in dead else ZERO
+        for x, p in fkernel.get((t, base), {}).items():
+            if (t, base, x) in dead:
+                step -= p
+        return step
 
-    pinned_purged_vals = {}
-    for o in space.outcomes:
-        acc = [ZERO]
-        for t in range(1, T + 1):
-            left_gap = 1 - analysis.survival.at(o, t - 1)
-            step = (asset.delta(o, t) if left_gap > 0 else ZERO)
-            step -= asset.delta(o, t) * pinned_mart.delta(o, t)
-            acc.append(acc[-1] + step)
-        pinned_purged_vals[o] = acc
-    return PinnedDiagnostics(pinned_mart, AdaptedProcess(pinned_purged_vals))
+    pinned_mart = AdaptedProcess.from_increments(
+        space.outcomes, space.horizon, pinned_step, "F")
+    pinned_purged = AdaptedProcess.from_increments(
+        space.outcomes, space.horizon,
+        lambda o, t: ((asset.delta(o, t)
+                       if analysis.survival.at(o, t - 1) < 1 else ZERO)
+                      - asset.delta(o, t) * pinned_mart.delta(o, t)), "F")
+    return PinnedDiagnostics(pinned_mart, pinned_purged)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +530,7 @@ def witness_conditions_check(x, space: FiniteFilteredSpace,
     f = filtration or space.filtration
     rows = []
     for (t, atom), weights in sorted(verdict.witness.node_weights.items()):
-        children = _node_children(space, f, t, atom)
+        children = f.children(t - 1, atom)
         vectors = _child_increments(components, children, t)
         # group children by jump value; the density (weight mass over
         # probability mass) is positive exactly when the weight mass is

@@ -34,9 +34,9 @@ from .finite_prob import (
     adapted,
     build_space,
     compensator,
-    cond_exp,
     dual_optional_projection,
     is_martingale,
+    optional_projection,
 )
 from .rng import SplitMix64
 
@@ -75,7 +75,6 @@ class RandomTimeAnalysis:
     survival_incl: AdaptedProcess     # P(tau >= t | time-t atom)
     occurrence_proj: AdaptedProcess   # dual optional projection of 1[t >= tau]
     fundamental_martingale: AdaptedProcess  # survival + occurrence_proj
-    jump_counter: AdaptedProcess      # running count of pinned-at-one times
     jump_set: tuple[tuple[int, Block], ...]
     honest: bool
     class_h: bool
@@ -103,19 +102,24 @@ class RandomTimeAnalysis:
 
     def after_integral(self, increments) -> AdaptedProcess:
         """Pathwise sum of increments(o, t) over the strictly-after region,
-        tagged with the enlarged filtration."""
-        out = {}
-        for o in self.space.outcomes:
-            acc = [ZERO]
-            for t in range(1, self.space.horizon + 1):
-                step = increments(o, t) if self.strictly_after(o, t) else ZERO
-                acc.append(acc[-1] + step)
-            out[o] = acc
-        return AdaptedProcess(out, "G")
+        tagged with the enlarged filtration; increments is evaluated only
+        there."""
+        return AdaptedProcess.from_increments(
+            self.space.outcomes, self.space.horizon,
+            lambda o, t: (increments(o, t) if self.strictly_after(o, t)
+                          else ZERO), "G")
 
     def after_part(self, x: AdaptedProcess) -> AdaptedProcess:
         """The after-part x - x^tau of a process."""
         return self.after_integral(x.delta)
+
+    def jump_part(self, x: AdaptedProcess) -> AdaptedProcess:
+        """Pathwise sum of the increments of x on the jump set, tagged
+        with the base filtration."""
+        return AdaptedProcess.from_increments(
+            self.space.outcomes, self.space.horizon,
+            lambda o, t: x.delta(o, t) if self.in_jump_set(o, t) else ZERO,
+            "F")
 
 
 def _honest_closed(space: FiniteFilteredSpace, tau: RandomTimeMap) -> bool:
@@ -139,17 +143,12 @@ def _is_stopping_time(space: FiniteFilteredSpace, tau: RandomTimeMap) -> bool:
 def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysis:
     """Derive all associated objects; flags report, never throw."""
     T = space.horizon
-    survival_cols = []
-    incl_cols = []
-    for t in range(T + 1):
-        survival_cols.append(cond_exp(
-            {o: ONE if tau[o] > t else ZERO for o in space.outcomes}, t, space))
-        incl_cols.append(cond_exp(
-            {o: ONE if tau[o] >= t else ZERO for o in space.outcomes}, t, space))
-    survival = AdaptedProcess(
-        {o: [survival_cols[t][o] for t in range(T + 1)] for o in space.outcomes})
-    survival_incl = AdaptedProcess(
-        {o: [incl_cols[t][o] for t in range(T + 1)] for o in space.outcomes})
+    survival = optional_projection(
+        {o: [ONE if tau[o] > t else ZERO for t in range(T + 1)]
+         for o in space.outcomes}, space)
+    survival_incl = optional_projection(
+        {o: [ONE if tau[o] >= t else ZERO for t in range(T + 1)]
+         for o in space.outcomes}, space)
 
     occurrence = {o: [ONE if t >= tau[o] else ZERO for t in range(T + 1)]
                   for o in space.outcomes}
@@ -164,15 +163,6 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
                 jump_set.append((t, block))
     jump_set_t = tuple(jump_set)
 
-    counter_vals = {}
-    for o in space.outcomes:
-        acc = [ZERO]
-        for t in range(1, T + 1):
-            hit = (survival_incl.at(o, t) == 1 and survival.at(o, t - 1) < 1)
-            acc.append(acc[-1] + (ONE if hit else ZERO))
-        counter_vals[o] = acc
-    jump_counter = AdaptedProcess(counter_vals)
-
     honest = _honest_closed(space, tau)
     class_h = honest and all(
         survival.at(o, tau[o]) < 1 for o in space.outcomes)
@@ -181,7 +171,7 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
     analysis = RandomTimeAnalysis(
         space=space, tau=tau, survival=survival, survival_incl=survival_incl,
         occurrence_proj=occurrence_proj, fundamental_martingale=fundamental,
-        jump_counter=jump_counter, jump_set=jump_set_t, honest=honest,
+        jump_set=jump_set_t, honest=honest,
         class_h=class_h, is_stopping_time=stopping)
     _check_analysis_invariants(analysis)
     return analysis

@@ -77,7 +77,6 @@ class RuinOracle:
     mu: float
     series_tolerance: float = 1e-12
     max_terms: int = 10_000
-    _cache: dict = field(default_factory=dict, repr=False)
     remainder: float = field(init=False, repr=False)
     terms: int = field(init=False, repr=False)
 

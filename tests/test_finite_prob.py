@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,8 @@ from enlab.finite_prob import (
     stochastic_exponential,
     stochastic_integral,
 )
-from enlab.random_times import generate_honest_model
+from enlab.model_io import load_model
+from enlab.random_times import analyze, enlarge, generate_honest_model
 
 from .conftest import TREE
 
@@ -274,3 +276,56 @@ def test_dual_optional_identity_on_adapted(seed):
     space, tau, asset, _ = generate_honest_model(seed, depth=3, branching=3)
     inc = bracket(asset, asset)  # adapted, nondecreasing
     assert dual_optional_projection(inc, space).values == inc.values
+
+
+# ---------------------------------------------------------------------------
+# The atom tree and the increment constructor against brute force
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+TREE_MODELS = ["stop.json", "tent.json"] + [f"seed-{s}" for s in range(1, 21)]
+
+
+def _model(name):
+    if name.startswith("seed-"):
+        space, tau, asset, _ = generate_honest_model(
+            int(name.removeprefix("seed-")), depth=5, branching=3)
+        return space, tau, asset
+    return load_model(FIXTURES / name)
+
+
+@pytest.mark.parametrize("name", TREE_MODELS)
+def test_filtration_tree_against_brute_force(name):
+    space, tau, _ = _model(name)
+    for f in (space.filtration, enlarge(space, analyze(space, tau))):
+        for t in range(f.horizon + 1):
+            for atom in f.partitions[t]:
+                assert f.mass(t, atom) == sum(space.prob[o] for o in atom)
+                if t == f.horizon:
+                    continue
+                # a child is a block at t + 1 inside the atom; partition
+                # order is the order of the blocks' first outcomes
+                brute = [b for b in f.partitions[t + 1] if set(b) <= set(atom)]
+                assert list(f.children(t, atom)) == \
+                    sorted(brute, key=lambda b: b[0])
+                assert sorted(o for c in brute for o in c) == sorted(atom)
+
+
+@pytest.mark.parametrize("name", TREE_MODELS)
+def test_from_increments_against_reference_loop(name):
+    space, _, asset = _model(name)
+
+    def step(o, t):
+        return asset.delta(o, t) * t + Q(1, len(o) + t)
+
+    expected = {}
+    for o in space.outcomes:
+        row = [Q(0)]
+        for t in range(1, space.horizon + 1):
+            row.append(row[-1] + step(o, t))
+        expected[o] = row
+    built = AdaptedProcess.from_increments(space.outcomes, space.horizon,
+                                           step, "G")
+    assert built.values == expected
+    assert list(built.values) == list(space.outcomes)
+    assert built.filtration_label == "G"

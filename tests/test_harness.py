@@ -5,7 +5,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enlab import harness
 from enlab.enlargement import after_atoms, hat_transform
+from enlab.errors import InternalCheckFailed
 from enlab.finite_prob import AdaptedProcess, is_martingale
 from enlab.harness import (
     check_hat_basis,
@@ -93,3 +95,47 @@ def test_collapsed_hat_check_agrees_with_operation(seed):
 def test_collapsed_transfer_check_matches_identities(seed):
     _, _, _, analysis = generate_honest_model(seed, depth=4, branching=3)
     assert check_transfer_basis(analysis) == []
+
+
+IDENTITY_KEYS = [
+    "fundamental_martingale", "hat_basis", "transfer_basis", "hat_full",
+    "g_compensator", "proj_identities", "jump_set_identity",
+    "jump_characteristics"]
+
+
+def test_jump_rows_run_jump_functionals_only_on_failure(monkeypatch):
+    """The jump-set row is decided by g_characteristics, which runs
+    jump_functionals first; jump_functionals runs on its own only when
+    g_characteristics raises, and the rows read as a separate run of
+    each check would make them."""
+    _, _, asset, analysis = generate_honest_model(3, depth=5, branching=3)
+    real = harness.jump_functionals
+    alone = []
+
+    def counted(*args):
+        alone.append(args)
+        return real(*args)
+
+    def raising(*args):
+        raise InternalCheckFailed("forced failure")
+
+    monkeypatch.setattr(harness, "jump_functionals", counted)
+    report = run_model_identities(analysis, asset)
+    assert list(report.identities) == IDENTITY_KEYS
+    assert report.identities["jump_set_identity"] == "ok"
+    assert report.identities["jump_characteristics"] == "ok"
+    assert alone == []
+
+    monkeypatch.setattr(harness, "g_characteristics", raising)
+    report = run_model_identities(analysis, asset)
+    assert list(report.identities) == IDENTITY_KEYS
+    assert report.identities["jump_set_identity"] == "ok"
+    assert report.identities["jump_characteristics"] == "violated"
+    assert len(alone) == 1
+
+    monkeypatch.setattr(harness, "jump_functionals", raising)
+    report = run_model_identities(analysis, asset)
+    assert list(report.identities) == IDENTITY_KEYS
+    assert report.identities["jump_set_identity"] == "violated"
+    assert report.identities["jump_characteristics"] == "violated"
+    assert not report.ok

@@ -191,3 +191,47 @@ def test_left_survival_gap_bounded_below(seed):
             for o in space.outcomes for t in range(space.horizon + 1)
             if a.survival.at(o, t) < 1]
     assert gaps and min(gaps) > 0
+
+
+# ---------------------------------------------------------------------------
+# The jump part and the gate of the after integral
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_jump_part_against_reference_loop(seed):
+    space, _, asset, a = generate_honest_model(seed, depth=5, branching=3)
+    f = space.filtration
+    jump_set = set(a.jump_set)
+    expected = {}
+    for o in space.outcomes:
+        row = [Q(0)]
+        for t in range(1, space.horizon + 1):
+            hit = (t, f.block(t, o)) in jump_set
+            row.append(row[-1] + (asset.delta(o, t) if hit else 0))
+        expected[o] = row
+    part = a.jump_part(asset)
+    assert part.values == expected
+    assert part.filtration_label == "F"
+
+
+def test_jump_part_on_tent(tree_space, tent_analysis, walk):
+    # the jump set is {(2, ud), (2, du)}, where the walk steps back to 0
+    part = tent_analysis.jump_part(walk)
+    assert part.values == {"uu": [0, 0, 0], "ud": [0, 0, -1],
+                           "du": [0, 0, 1], "dd": [0, 0, 0]}
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_after_integral_evaluates_only_strictly_after(seed):
+    space, tau, _, a = generate_honest_model(seed, depth=5, branching=3)
+
+    def step(o, t):
+        assert t - 1 >= tau[o], f"evaluated before the time at ({o}, {t})"
+        return Q(t)
+
+    after = a.after_integral(step)
+    for o in space.outcomes:
+        assert after.values[o] == [
+            Q(sum(s for s in range(1, t + 1) if s - 1 >= tau[o]))
+            for t in range(space.horizon + 1)]
+    assert after.filtration_label == "G"
