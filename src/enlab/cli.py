@@ -2,14 +2,17 @@
 
 Exit codes: 0 all hard checks passed, 1 a hard check failed (the report
 points at the first failure), 2 usage error.  Reports are JSON, tabular
-Monte Carlo output is CSV.  ENLAB_THREADS caps worker threads (clamped
-to the core count); results are independent of its value.
+Monte Carlo output is CSV.  --threads (on the commands that run worker
+threads: verify, crosscheck, example1, example2, psi), else
+ENLAB_THREADS, caps worker threads (clamped to the core count); results
+are independent of its value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -192,10 +195,12 @@ def cmd_brownian(args) -> int:
     except UsageError as exc:
         raise UsageError(f"argument {_BROWNIAN_FLAGS[exc.field]}: {exc}"
                          ) from exc
+    # NaN when every path is censored; JSON has no NaN, so it reads null
+    last = report.mean_last_return
     payload = {"eps": report.eps, "dt": report.dt, "paths": report.n_paths,
                "censored": report.n_censored,
                "structural_ok": report.structural_ok,
-               "mean_last_return": report.mean_last_return,
+               "mean_last_return": None if math.isnan(last) else last,
                "inner_mean": float(report.inner_estimates.mean()),
                "lattice_survival": report.lattice_survival,
                "frac_near_one": report.frac_near_one,
@@ -215,10 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, threads=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--threads", type=int, default=None)
+        if threads:
+            p.add_argument("--threads", type=int, default=None)
         return p
 
     p = add("gen", cmd_gen, help="generate a model file")
@@ -227,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branching", type=int, default=3)
     p.add_argument("--out", required=True)
 
-    p = add("verify", cmd_verify, help="run the exact identity suite")
+    p = add("verify", cmd_verify, threads=True,
+            help="run the exact identity suite")
     p.add_argument("--models-seed-range", type=_seed_range, default="1..500")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--branching", type=int, default=3)
@@ -237,21 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out")
 
-    p = add("crosscheck", cmd_crosscheck, help="three-way theorem harness")
+    p = add("crosscheck", cmd_crosscheck, threads=True,
+            help="three-way theorem harness")
     p.add_argument("--seeds", type=_seed_range, default="1..1000")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--branching", type=int, default=3)
     p.add_argument("--csv")
     p.add_argument("--fixtures-dir")
 
-    p = add("example1", cmd_example1, help="after-time arbitrage strategy run")
+    p = add("example1", cmd_example1, threads=True,
+            help="after-time arbitrage strategy run")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--paths", type=_positive(int), default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv")
 
-    p = add("example2", cmd_example2, help="deflator martingale run")
+    p = add("example2", cmd_example2, threads=True,
+            help="deflator martingale run")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--paths", type=_positive(int), default=100_000)
@@ -259,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", type=_floats, default=(1.0, 2.0, 5.0))
     p.add_argument("--csv")
 
-    p = add("psi", cmd_psi, help="ruin probability with MC cross-check")
+    p = add("psi", cmd_psi, threads=True,
+            help="ruin probability with MC cross-check")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--u", type=_reserves, required=True)
     p.add_argument("--mc-paths", type=_positive(int), default=200_000)

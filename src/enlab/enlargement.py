@@ -109,7 +109,6 @@ class CompensatorComparison:
     via_formula: AdaptedProcess
     u_direct: PredictableProcess
     u_via_formula: AdaptedProcess
-    equal: bool
 
 
 def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
@@ -157,17 +156,57 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
     u_via_formula = analysis.after_integral(
         lambda o, t: gated_comp.delta(o, t) / (1 - analysis.survival.at(o, t - 1)))
 
-    equal = (direct.values == via_formula.values
-             and u_direct.values == u_via_formula.values)
-    if not equal:
+    if (direct.values != via_formula.values
+            or u_direct.values != u_via_formula.values):
         raise InternalCheckFailed("compensator transfer mismatch")
-    return CompensatorComparison(direct, via_formula, u_direct, u_via_formula,
-                                 equal)
+    return CompensatorComparison(direct, via_formula, u_direct, u_via_formula)
 
 
 # ---------------------------------------------------------------------------
-# Predictable projection identities on the after region
+# Transfer identities on the after region
 # ---------------------------------------------------------------------------
+
+def transfer_rows(analysis: RandomTimeAnalysis, atom: AfterAtom, integrands,
+                  names: tuple[str, str, str]
+                  ) -> list[tuple[str, Fraction, Fraction]]:
+    """The transfer identities on one after-atom A inside its base atom B,
+    as (identity, lhs, rhs) triples.  With gap = 1 - survival_left on B
+    and incl the inclusive survival at the step, each integrand g gives
+
+        names[0]:  avg_A(g)              = avg_B((1 - incl) g) / gap
+        names[1]:  avg_A(g / (1 - incl)) = avg_B(g 1{incl < 1}) / gap
+
+    and names[2] is the g = 1 case of the second, once per atom.  A unit
+    inclusive survival on A trips the division guard.
+    """
+    space = analysis.space
+    t, base, members = atom.t, atom.base, atom.members
+    gap = 1 - analysis.survival.at(base[0], t - 1)
+    # 1 - incl >= 0, positive exactly where incl < 1
+    incl_gaps = {o: 1 - analysis.survival_incl.at(o, t) for o in base}
+    weighted, over_gap, one_over_gap = names
+
+    def incl_gap(o: str) -> Fraction:
+        if incl_gaps[o] == 0:
+            raise DivisionGuard(f"inclusive survival one at ({o}, {t})")
+        return incl_gaps[o]
+
+    rows = []
+    for g in integrands:
+        rows.append((
+            weighted, cond_average(space, members, g),
+            cond_average(space, base, lambda o: incl_gaps[o] * g(o)) / gap))
+        rows.append((
+            over_gap,
+            cond_average(space, members, lambda o: g(o) / incl_gap(o)),
+            cond_average(space, base,
+                         lambda o: g(o) if incl_gaps[o] > 0 else ZERO) / gap))
+    rows.append((
+        one_over_gap, cond_average(space, members, lambda o: 1 / incl_gap(o)),
+        cond_average(space, base,
+                     lambda o: ONE if incl_gaps[o] > 0 else ZERO) / gap))
+    return rows
+
 
 @dataclass(frozen=True)
 class ProjIdentityRow:
@@ -177,64 +216,30 @@ class ProjIdentityRow:
     rhs: Fraction
     identity: str
 
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
 
 @dataclass(frozen=True)
 class ProjIdentityReport:
     rows: tuple[ProjIdentityRow, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
 
 def proj_identity_check(mart: AdaptedProcess, analysis: RandomTimeAnalysis
                         ) -> ProjIdentityReport:
-    """Pointwise projection identities on every after-tau predictable
-    atom: the enlarged projections of dM/(1 - inclusive), of
-    1/(1 - inclusive), and of (1 - inclusive) dM, each against the base
-    projection form divided (or multiplied) by the left survival gap.
+    """The transfer identities for the increment of a base martingale on
+    every after-tau predictable atom: the enlarged projections of dM, of
+    dM/(1 - inclusive) and of 1/(1 - inclusive), each against its base
+    form divided by the left survival gap.
     """
     _require_class_h(analysis)
-    space = analysis.space
-    incl = analysis.survival_incl
     rows = []
     for atom in after_atoms(analysis):
-        t = atom.t
-        gap_left = 1 - analysis.survival.at(atom.base[0], t - 1)
-        base_avg = lambda f: cond_average(space, atom.base, f)
-        after_avg = lambda f: cond_average(space, atom.members, f)
-
-        def guarded(o, t=t):
-            gap = 1 - incl.at(o, t)
-            if gap == 0:
-                raise DivisionGuard(f"inclusive survival one at ({o}, {t})")
-            return gap
-
-        rows.append(ProjIdentityRow(
-            t, atom.members,
-            lhs=after_avg(lambda o: mart.delta(o, t) / guarded(o)),
-            rhs=base_avg(lambda o: mart.delta(o, t)
-                         if incl.at(o, t) < 1 else ZERO) / gap_left,
-            identity="jump_over_gap"))
-        rows.append(ProjIdentityRow(
-            t, atom.members,
-            lhs=after_avg(lambda o: 1 / guarded(o)),
-            rhs=base_avg(lambda o: ONE if incl.at(o, t) < 1 else ZERO) / gap_left,
-            identity="one_over_gap"))
-        rows.append(ProjIdentityRow(
-            t, atom.members,
-            lhs=after_avg(lambda o: mart.delta(o, t)),
-            rhs=base_avg(lambda o: (1 - incl.at(o, t)) * mart.delta(o, t))
-            / gap_left,
-            identity="weighted_jump"))
-    report = ProjIdentityReport(tuple(rows))
-    if not report.ok:
+        increments = {o: mart.delta(o, atom.t) for o in atom.base}
+        for name, lhs, rhs in transfer_rows(
+                analysis, atom, (increments.__getitem__,),
+                ("weighted_jump", "jump_over_gap", "one_over_gap")):
+            rows.append(ProjIdentityRow(atom.t, atom.members, lhs, rhs, name))
+    if any(r.lhs != r.rhs for r in rows):
         raise InternalCheckFailed("projection identity mismatch")
-    return report
+    return ProjIdentityReport(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +251,14 @@ class JumpFunctionals:
     """Per (t, base atom at t-1, jump size): conditional mean of the
     fundamental-martingale increment on the jump fibre (mart_mean) and
     the conditional probability that the inclusive supermartingale is
-    below one there (alive_prob)."""
+    below one there (alive_prob).  Per (t, base atom): the base jump law
+    P(dS = x | B) over the nonzero sizes x, in increasing order (law;
+    empty where the asset does not jump)."""
 
     mart_mean: dict[tuple[int, Block, Fraction], Fraction]
     alive_prob: dict[tuple[int, Block, Fraction], Fraction]
     support: tuple[tuple[int, Block, Fraction], ...]
+    law: dict[tuple[int, Block], dict[Fraction, Fraction]]
 
 
 def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
@@ -261,6 +269,7 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     mart_mean = {}
     alive_prob = {}
     support = []
+    law = {}
     for t in range(1, space.horizon + 1):
         for base in space.filtration.partitions[t - 1]:
             fibres: dict[Fraction, list[str]] = {}
@@ -269,10 +278,13 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                 if x != 0:
                     fibres.setdefault(x, []).append(o)
             left = analysis.survival.at(base[0], t - 1)
+            base_mass = space.filtration.mass(t - 1, base)
+            base_law = law[(t, base)] = {}
             for x, members in sorted(fibres.items()):
                 key = (t, base, x)
                 support.append(key)
                 mass = sum(space.prob[o] for o in members)
+                base_law[x] = mass / base_mass
                 mean = sum(space.prob[o] * fund.delta(o, t)
                            for o in members) / mass
                 alive = sum(space.prob[o] for o in members
@@ -289,20 +301,19 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                 if alive == 0 and any(incl.at(o, t) != 1 for o in members):
                     raise InternalCheckFailed(
                         f"dead fibre not pinned at one at {key}")
-    return JumpFunctionals(mart_mean, alive_prob, tuple(support))
+    return JumpFunctionals(mart_mean, alive_prob, tuple(support), law)
 
 
 @dataclass(frozen=True)
 class CharTuple:
     """Predictable characteristics on the un-truncated convention
     (identity truncation): drift per unit time step equals the first
-    moment of the jump kernel, there is no continuous part, and the
-    clock is the step counter (restricted after the time for the
-    enlarged tuple)."""
+    moment of the jump kernel and there is no continuous part.  The
+    clock is the step counter, restricted after the time for the
+    enlarged tuple, whose keys are after-atoms."""
 
     drift: dict[tuple[int, Block], Fraction]
     kernel: dict[tuple[int, Block], dict[Fraction, Fraction]]
-    clock: str  # "t" or "after_tau"
 
     def check(self) -> None:
         for key, law in self.kernel.items():
@@ -319,7 +330,6 @@ class GCharReport:
     via_formula: dict[tuple[int, Block, Fraction], Fraction]
     char_base: CharTuple
     char_enlarged: CharTuple
-    equal: bool
 
 
 def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
@@ -333,20 +343,8 @@ def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     space = analysis.space
     jf = jump_functionals(asset, analysis)
 
-    base_drift = {}
-    base_kernel = {}
-    for t in range(1, space.horizon + 1):
-        for base in space.filtration.partitions[t - 1]:
-            key = (t, base)
-            law = {}
-            mass = space.filtration.mass(t - 1, base)
-            for o in base:
-                x = asset.delta(o, t)
-                if x != 0:
-                    law[x] = law.get(x, ZERO) + space.prob[o] / mass
-            base_kernel[key] = law
-            base_drift[key] = sum(x * p for x, p in law.items())
-    char_base = CharTuple(base_drift, base_kernel, clock="t")
+    char_base = CharTuple({key: sum(x * p for x, p in law.items())
+                           for key, law in jf.law.items()}, jf.law)
     char_base.check()
 
     direct = {}
@@ -358,7 +356,7 @@ def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
         left_gap = 1 - analysis.survival.at(base[0], t - 1)
         mass = sum(space.prob[o] for o in members)
         law = {}
-        for x, p in sorted(base_kernel[(t, base)].items()):
+        for x, p in jf.law[(t, base)].items():
             density = 1 - jf.mart_mean[(t, base, x)] / left_gap
             law[x] = density * p
             via_formula[(t, members, x)] = law[x]
@@ -368,13 +366,12 @@ def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                 raise InternalCheckFailed("negative enlarged kernel density")
         g_kernel[(t, members)] = law
         g_drift[(t, members)] = sum(x * p for x, p in law.items())
-    char_enlarged = CharTuple(g_drift, g_kernel, clock="after_tau")
+    char_enlarged = CharTuple(g_drift, g_kernel)
     char_enlarged.check()
 
-    equal = direct == via_formula
-    if not equal:
+    if direct != via_formula:
         raise InternalCheckFailed("enlarged jump compensator mismatch")
-    return GCharReport(direct, via_formula, char_base, char_enlarged, equal)
+    return GCharReport(direct, via_formula, char_base, char_enlarged)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +385,6 @@ class DeflatorBundle:
     weight_comp: PredictableProcess    # its enlarged compensator
     driver: AdaptedProcess             # enlarged local-martingale driver
     deflator: AdaptedProcess           # stochastic exponential of the driver
-    positivity_ok: bool
-    pre_tau_zero_ok: bool
 
 
 def build_deflator(analysis: RandomTimeAnalysis) -> DeflatorBundle:
@@ -430,13 +425,12 @@ def build_deflator(analysis: RandomTimeAnalysis) -> DeflatorBundle:
             for o in base:
                 pinned_proj[(o, t)] = value
 
-    positivity = True
-    pre_zero = True
     for o in space.outcomes:
         for t in range(1, space.horizon + 1):
             step = driver.delta(o, t)
             if 1 + step <= 0:
-                positivity = False
+                raise InternalCheckFailed(
+                    f"driver increment at or below -1 at ({o}, {t})")
             if analysis.strictly_after(o, t):
                 gap_left = 1 - analysis.survival.at(o, t - 1)
                 gap_incl = 1 - incl.at(o, t)
@@ -445,17 +439,11 @@ def build_deflator(analysis: RandomTimeAnalysis) -> DeflatorBundle:
                     raise InternalCheckFailed(
                         f"driver jump identity fails at ({o}, {t})")
             elif step != 0:
-                pre_zero = False
+                raise InternalCheckFailed(
+                    f"driver moves before the time at ({o}, {t})")
 
-    if not positivity:
-        raise InternalCheckFailed("driver increment at or below -1")
-    if not pre_zero:
-        raise InternalCheckFailed("driver moves before the time")
-
-    deflator = stochastic_exponential(driver)
-    bundle = DeflatorBundle(hat, weight, weight_comp, driver, deflator,
-                            positivity, pre_zero)
-    return bundle
+    return DeflatorBundle(hat, weight, weight_comp, driver,
+                          stochastic_exponential(driver))
 
 
 @dataclass(frozen=True)

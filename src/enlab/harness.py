@@ -26,6 +26,7 @@ from .enlargement import (
     hat_transform,
     jump_functionals,
     proj_identity_check,
+    transfer_rows,
 )
 from .errors import EnlabError
 from .finite_prob import (
@@ -49,39 +50,22 @@ def check_transfer_basis(analysis) -> list[dict]:
     in the past) and each child atom C of B: the direct enlarged
     conditional expectations of I_C, I_C/(1 - incl) and 1/(1 - incl)
     must equal their base-side transfer expressions divided by the left
-    survival gap.  By linearity this is Lemma-level equality for every
-    finite-variation integrand and every martingale.
+    survival gap (`enlargement.transfer_rows`).  By linearity this is
+    Lemma-level equality for every finite-variation integrand and every
+    martingale.
     """
-    space = analysis.space
-    incl = analysis.survival_incl
     violations = []
     for atom in after_atoms(analysis):
-        t, base, members = atom.t, atom.base, atom.members
-        gap = 1 - analysis.survival.at(base[0], t - 1)
-        checks = []
-        for child in space.filtration.children(t - 1, base):
-            ind = lambda o, c=child: ONE if o in c else ZERO
-            checks.append((
-                "after_indicator",
-                cond_average(space, members, ind),
-                cond_average(space, base,
-                             lambda o: (1 - incl.at(o, t)) * ind(o)) / gap))
-            checks.append((
-                "after_indicator_over_gap",
-                cond_average(space, members,
-                             lambda o: ind(o) / (1 - incl.at(o, t))),
-                cond_average(space, base,
-                             lambda o: ind(o) if incl.at(o, t) < 1 else ZERO)
-                / gap))
-        checks.append((
-            "after_one_over_gap",
-            cond_average(space, members, lambda o: 1 / (1 - incl.at(o, t))),
-            cond_average(space, base,
-                         lambda o: ONE if incl.at(o, t) < 1 else ZERO) / gap))
-        for name, lhs, rhs in checks:
+        indicators = [lambda o, c=child: ONE if o in c else ZERO
+                      for child in analysis.space.filtration.children(
+                          atom.t - 1, atom.base)]
+        for name, lhs, rhs in transfer_rows(
+                analysis, atom, indicators,
+                ("after_indicator", "after_indicator_over_gap",
+                 "after_one_over_gap")):
             if lhs != rhs:
-                violations.append({"identity": name, "t": t,
-                                   "atom": list(members),
+                violations.append({"identity": name, "t": atom.t,
+                                   "atom": list(atom.members),
                                    "lhs": str(lhs), "rhs": str(rhs)})
     return violations
 
@@ -197,11 +181,12 @@ def run_model_identities(analysis, asset) -> ModelReport:
         chars_ok or _holds(jump_functionals, asset, analysis))
     identities["jump_characteristics"] = _status(chars_ok)
 
-    deflator = {"positivity": False, "pre_tau_zero": False}
+    # build_deflator raises unless the driver is positive and zero
+    # before the time, so both deflator rows read whether it returned
+    deflator = {"positivity": bundle is not None,
+                "pre_tau_zero": bundle is not None}
     harvest = {"hypothesis": False, "conclusion": False}
     if bundle is not None:
-        deflator = {"positivity": bundle.positivity_ok,
-                    "pre_tau_zero": bundle.pre_tau_zero_ok}
         try:
             verdict = deflator_verify(mart, bundle, analysis)
             harvest = {"hypothesis": verdict.hypothesis_holds,

@@ -342,10 +342,6 @@ def pinned_diagnostics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     f = space.filtration
     jf = jump_functionals(asset, analysis)
     dead = {key for key in jf.support if jf.alive_prob[key] == 0}
-    fkernel: dict[tuple[int, Block], dict[Fraction, Fraction]] = {}
-    for (t, base, xval) in jf.support:
-        hit = sum(space.prob[o] for o in base if asset.delta(o, t) == xval)
-        fkernel.setdefault((t, base), {})[xval] = hit / f.mass(t - 1, base)
 
     def pinned_step(o: str, t: int) -> Fraction:
         if analysis.survival.at(o, t - 1) >= 1:
@@ -353,7 +349,7 @@ def pinned_diagnostics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
         base = f.block(t - 1, o)
         xval = asset.delta(o, t)
         step = ONE if xval != 0 and (t, base, xval) in dead else ZERO
-        for x, p in fkernel.get((t, base), {}).items():
+        for x, p in jf.law[(t, base)].items():
             if (t, base, x) in dead:
                 step -= p
         return step
@@ -451,7 +447,6 @@ def corollary_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
 class LevyConditionReport:
     equivalent: bool
     dead_support_empty: bool     # the reduction route: no dead fibre below barrier
-    routes_agree: bool
     witnesses: tuple
     asset_nupbr_f: bool
 
@@ -484,15 +479,13 @@ def levy_condition_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
         and jf.alive_prob[key] == 0]
     dead_support_empty = not dead_below_barrier
 
-    report = LevyConditionReport(
+    if equivalent != dead_support_empty:
+        raise InternalCheckFailed("support-equivalence routes disagree")
+    return LevyConditionReport(
         equivalent=equivalent,
         dead_support_empty=dead_support_empty,
-        routes_agree=equivalent == dead_support_empty,
         witnesses=tuple(witnesses),
         asset_nupbr_f=nupbr_check(asset, space).satisfied)
-    if not report.routes_agree:
-        raise InternalCheckFailed("support-equivalence routes disagree")
-    return report
 
 
 # ---------------------------------------------------------------------------

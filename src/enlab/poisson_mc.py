@@ -101,32 +101,37 @@ class PoissonPath:
 
 
 def simulate_path(model: PoissonModel, seed: int,
-                  min_time: float = 0.0) -> PoissonPath:
-    """Single-path reference implementation of the chunked engine."""
-    gen = _stream(seed, _STREAM_PATHS, 0, 0)
+                  min_time: float = 0.0, path_index: int = 0) -> PoissonPath:
+    """Single-path reference implementation of the chunked engine: path
+    `path_index` of a run with master seed `seed`, one jump at a time,
+    read from the same row of the same per-round streams."""
+    chunk_index, row = divmod(path_index, CHUNK)
     mu, a = model.mu, model.a
     t = 0.0
     y = 0.0
     last_up = a / mu  # crossing of the initial ascent, updated as found
     jumps: list[float] = []
     censored = False
-    buffer = iter(())
+    gaps = iter(())
+    rnd = 0
     while True:
-        gap = next(buffer, None)
+        gap = next(gaps, None)
         if gap is None:
-            buffer = iter(gen.standard_exponential(COLS))
-            gap = next(buffer)
+            gen = _stream(seed, _STREAM_PATHS, chunk_index, rnd)
+            draws = gen.standard_exponential((row + 1, COLS))
+            gaps = iter(draws[row].tolist())
+            rnd += 1
+            gap = next(gaps)
         t_next = t + gap
         if t_next > model.t_max:
             censored = True
             t = model.t_max
             break
-        y_pre = y + mu * gap
-        if y <= a < y_pre:
+        if y <= a < mu * t_next - len(jumps):  # the pre-jump surplus
             last_up = t + (a - y) / mu
         t = t_next
-        y = y_pre - 1.0
         jumps.append(t)
+        y = mu * t - len(jumps)
         if y - a >= model.u_star and t >= min_time:
             break
     path = PoissonPath(tuple(jumps), t, last_up, censored, seed, mu, a)
@@ -279,7 +284,10 @@ def replay_path(model: PoissonModel, master_seed: int, path_index: int,
     """Rebuild one row of a chunked run, for reproducing any reported
     path from (seed, index) alone."""
     chunk_index, row = divmod(path_index, CHUNK)
-    chunk = _simulate_chunk(model, master_seed, chunk_index, CHUNK, min_time)
+    # each round's stream fills rows in order and a row's stopping point
+    # does not depend on other rows, so rows past `row` are not simulated
+    chunk = _simulate_chunk(model, master_seed, chunk_index, row + 1,
+                            min_time)
     stop = int(chunk.k_stop[row])
     jumps = tuple(float(v) for v in chunk.T[row, :stop + 1])
     return PoissonPath(jumps, float(chunk.T[row, stop]),
@@ -459,9 +467,11 @@ def example2_run(model: PoissonModel, paths: int, seed: int,
     of the asset supported above a+1, at fixed checkpoints.
 
     The deflator is the stochastic exponential of the strategy-weighted
-    transformed asset: between jumps it grows at the tabulated rate,
-    at after-time jumps from above a+1 it is multiplied by one plus the
-    strategy weight, which lies in (-1, 0], keeping it positive.
+    transformed asset.  Between jumps it decays: the tabulated growth
+    rate (p0 - p1)/(1 - p0) is at most zero.  At after-time jumps from
+    above a+1 it is multiplied by one plus the strategy weight
+    (p1 - p0)/(1 - p1), which is positive (the log factor runs from about
+    6e-6 to 0.5 at mu = 2, a = 1), so the deflator stays positive.
     """
     mu, a = model.mu, model.a
     min_time = max(checkpoints)

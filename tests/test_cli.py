@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -147,6 +148,10 @@ def test_cli_psi(tmp_path, capsys):
     assert all(float(v) >= 0 for v in lines[1].split(","))  # plain floats
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def test_reports_validate_against_shipped_schemas(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     schemas = Path(__file__).resolve().parent.parent / "schemas"
@@ -184,6 +189,18 @@ def test_reports_validate_against_shipped_schemas(tmp_path):
             dict(zip(header.split(","), map(int, row.split(",")))),
             row_schema)
 
+    brownian_schema = json.loads(
+        (schemas / "brownian_report.schema.json").read_text())
+    for cap, last_is_null in (("50", False), ("0.002", True)):
+        out = tmp_path / f"brownian-{cap}.json"
+        assert main(["brownian", "--epsilon", "0.25", "--dt", "1e-3",
+                     "--paths", "3", "--seed", "1", "--time-cap", cap,
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=_not_json)
+        jsonschema.validate(payload, brownian_schema)
+        assert (payload["mean_last_return"] is None) == last_is_null
+        assert (payload["censored"] == 3) == last_is_null
+
 
 def test_cli_brownian(tmp_path):
     out = tmp_path / "bd.json"
@@ -220,6 +237,13 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
      "--paths"),
     (["example2", "--mu", "2", "--a", "1", "--paths", "-3", "--seed", "1"],
      "--paths"),
+    # commands that run no worker threads take no --threads
+    (["gen", "--seed", "1", "--out", os.devnull, "--threads", "7"],
+     "--threads"),
+    (["nupbr", "--model", str(FIXTURES / "tent.json"), "--threads", "7"],
+     "--threads"),
+    (["brownian", "--epsilon", "0.25", "--dt", "1e-3", "--paths", "1",
+      "--seed", "1", "--time-cap", "0.002", "--threads", "7"], "--threads"),
 ])
 def test_cli_rejects_out_of_range_flags(args, flag, capsys):
     assert main(args) == 2

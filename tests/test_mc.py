@@ -89,6 +89,32 @@ def test_functionals_at_arbitrary_times(model):
     assert 0.0 <= late["survival"] < 1.0
 
 
+def _same_path(one, two) -> bool:
+    return (one.jump_times == two.jump_times and one.end_time == two.end_time
+            and one.tau_hat == two.tau_hat)
+
+
+def test_simulate_path_is_the_chunk_reference(model):
+    # the scalar loop and the chunked engine read the same row of the
+    # same per-round streams, so uncensored paths agree exactly, also
+    # past the first round of draws and past the first chunk
+    for pid in (0, 1, CHUNK - 1, CHUNK, 2 * CHUNK + 5):
+        ref = simulate_path(model, 31, path_index=pid)
+        assert not ref.censored
+        assert _same_path(ref, replay_path(model, 31, pid))
+    for seed in range(100):
+        ref = simulate_path(model, seed)
+        if not ref.censored:
+            assert _same_path(ref, replay_path(model, seed, 0))
+    # under a short cap, both censor the same paths
+    short = PoissonModel(mu=2.0, a=1.0, t_max=14.0)
+    flags = [(simulate_path(short, 31, path_index=pid).censored,
+              replay_path(short, 31, pid).censored)
+             for pid in range(40)]
+    assert all(one == two for one, two in flags)
+    assert {one for one, _ in flags} == {True, False}
+
+
 def test_replay_matches_vectorized_run(model):
     report = example1_run(model, 3 * CHUNK + 17, seed=77)
     # recompute a handful of wealths from replayed paths, independently

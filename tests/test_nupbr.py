@@ -179,12 +179,11 @@ def test_corollary_check(tree_space, walk, stop_analysis, tent_analysis):
 
 def test_levy_condition(tree_space, walk, stop_analysis, tent_analysis):
     stop = levy_condition_check(walk, stop_analysis)
-    assert stop.equivalent and stop.routes_agree
+    assert stop.equivalent
     assert stop.theorem_hypothesis_holds
 
     tent = levy_condition_check(walk, tent_analysis)
     assert not tent.equivalent
-    assert tent.routes_agree
     assert (2, ("ud", "uu"), Q(-1)) in tent.witnesses
 
 
