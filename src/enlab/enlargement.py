@@ -83,6 +83,7 @@ def hat_transform(mart: AdaptedProcess, analysis: RandomTimeAnalysis
     """
     _require_class_h(analysis)
     space = analysis.space
+    mart = mart.on(space.filtration)
     require_martingale(mart, space, what="hat_transform input")
     sharp = angle_bracket(mart, analysis.fundamental_martingale, space)
 
@@ -125,14 +126,14 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
     _require_class_h(analysis)
     space = analysis.space
     enlarged = analysis.enlarged
+    v = v.on(space.filtration)
 
     direct = compensator(analysis.after_part(v), space, enlarged)
 
     # base-compensator of (1 - inclusive survival) . V, rescaled after tau
     weighted = AdaptedProcess.from_increments(
-        space.outcomes, space.horizon,
-        lambda o, t: (1 - analysis.survival_incl.at(o, t)) * v.delta(o, t),
-        "F")
+        space.filtration,
+        step=lambda o, t: (1 - analysis.survival_incl.at(o, t)) * v.delta(o, t))
     inner = compensator(weighted, space)
     via_formula = analysis.after_integral(
         lambda o, t: inner.delta(o, t) / (1 - analysis.survival.at(o, t - 1)))
@@ -149,15 +150,14 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
     u_direct = compensator(u_process, space, enlarged)
 
     gated = AdaptedProcess.from_increments(
-        space.outcomes, space.horizon,
-        lambda o, t: (v.delta(o, t) if analysis.survival_incl.at(o, t) < 1
-                      else ZERO), "F")
+        space.filtration,
+        step=lambda o, t: (v.delta(o, t) if analysis.survival_incl.at(o, t) < 1
+                           else ZERO))
     gated_comp = compensator(gated, space)
     u_via_formula = analysis.after_integral(
         lambda o, t: gated_comp.delta(o, t) / (1 - analysis.survival.at(o, t - 1)))
 
-    if (direct.values != via_formula.values
-            or u_direct.values != u_via_formula.values):
+    if not (direct.equals(via_formula) and u_direct.equals(u_via_formula)):
         raise InternalCheckFailed("compensator transfer mismatch")
     return CompensatorComparison(direct, via_formula, u_direct, u_via_formula)
 
@@ -176,35 +176,46 @@ def transfer_rows(analysis: RandomTimeAnalysis, atom: AfterAtom, integrands,
         names[0]:  avg_A(g)              = avg_B((1 - incl) g) / gap
         names[1]:  avg_A(g / (1 - incl)) = avg_B(g 1{incl < 1}) / gap
 
-    and names[2] is the g = 1 case of the second, once per atom.  A unit
+    and names[2] is the g = 1 case of the second, once per atom.  Each
+    integrand is a time-t quantity, evaluated once per child atom of A
+    (in the enlarged filtration) and of B (in the base one).  A unit
     inclusive survival on A trips the division guard.
     """
-    space = analysis.space
+    base_f, enlarged = analysis.space.filtration, analysis.enlarged
     t, base, members = atom.t, atom.base, atom.members
     gap = 1 - analysis.survival.at(base[0], t - 1)
-    # 1 - incl >= 0, positive exactly where incl < 1
-    incl_gaps = {o: 1 - analysis.survival_incl.at(o, t) for o in base}
+    look = base_f.block_of[t]
+    children = base_f.children(t - 1, base)
+    after_children = enlarged.children(t - 1, members)
+    # 1 - incl >= 0 on each child of B, positive exactly where incl < 1
+    incl_gaps = {look[c[0]]: 1 - analysis.survival_incl.at(c[0], t)
+                 for c in children}
     weighted, over_gap, one_over_gap = names
 
     def incl_gap(o: str) -> Fraction:
-        if incl_gaps[o] == 0:
+        value = incl_gaps[look[o]]
+        if value == 0:
             raise DivisionGuard(f"inclusive survival one at ({o}, {t})")
-        return incl_gaps[o]
+        return value
+
+    def avg_a(g) -> Fraction:
+        return cond_average(enlarged, t, after_children, g)
+
+    def avg_b_over_gap(g) -> Fraction:
+        return cond_average(base_f, t, children, g) / gap
 
     rows = []
     for g in integrands:
         rows.append((
-            weighted, cond_average(space, members, g),
-            cond_average(space, base, lambda o: incl_gaps[o] * g(o)) / gap))
+            weighted, avg_a(g),
+            avg_b_over_gap(lambda o: incl_gaps[look[o]] * g(o))))
         rows.append((
-            over_gap,
-            cond_average(space, members, lambda o: g(o) / incl_gap(o)),
-            cond_average(space, base,
-                         lambda o: g(o) if incl_gaps[o] > 0 else ZERO) / gap))
+            over_gap, avg_a(lambda o: g(o) / incl_gap(o)),
+            avg_b_over_gap(lambda o: g(o) if incl_gaps[look[o]] > 0
+                           else ZERO)))
     rows.append((
-        one_over_gap, cond_average(space, members, lambda o: 1 / incl_gap(o)),
-        cond_average(space, base,
-                     lambda o: ONE if incl_gaps[o] > 0 else ZERO) / gap))
+        one_over_gap, avg_a(lambda o: 1 / incl_gap(o)),
+        avg_b_over_gap(lambda o: ONE if incl_gaps[look[o]] > 0 else ZERO)))
     return rows
 
 
@@ -230,11 +241,11 @@ def proj_identity_check(mart: AdaptedProcess, analysis: RandomTimeAnalysis
     form divided by the left survival gap.
     """
     _require_class_h(analysis)
+    mart = mart.on(analysis.space.filtration)
     rows = []
     for atom in after_atoms(analysis):
-        increments = {o: mart.delta(o, atom.t) for o in atom.base}
         for name, lhs, rhs in transfer_rows(
-                analysis, atom, (increments.__getitem__,),
+                analysis, atom, (lambda o, t=atom.t: mart.delta(o, t),),
                 ("weighted_jump", "jump_over_gap", "one_over_gap")):
             rows.append(ProjIdentityRow(atom.t, atom.members, lhs, rhs, name))
     if any(r.lhs != r.rhs for r in rows):
@@ -263,32 +274,35 @@ class JumpFunctionals:
 
 def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                      ) -> JumpFunctionals:
-    space = analysis.space
+    f = analysis.space.filtration
+    asset = asset.on(f)
     incl = analysis.survival_incl
     fund = analysis.fundamental_martingale
     mart_mean = {}
     alive_prob = {}
     support = []
     law = {}
-    for t in range(1, space.horizon + 1):
-        for base in space.filtration.partitions[t - 1]:
-            fibres: dict[Fraction, list[str]] = {}
-            for o in base:
-                x = asset.delta(o, t)
+    for t in range(1, f.horizon + 1):
+        for base in f.partitions[t - 1]:
+            # the fibre of a jump size: the children of the base atom
+            # where the asset makes that jump
+            fibres: dict[Fraction, list[Block]] = {}
+            for child in f.children(t - 1, base):
+                x = asset.delta(child[0], t)
                 if x != 0:
-                    fibres.setdefault(x, []).append(o)
+                    fibres.setdefault(x, []).append(child)
             left = analysis.survival.at(base[0], t - 1)
-            base_mass = space.filtration.mass(t - 1, base)
+            base_mass = f.mass(t - 1, base)
             base_law = law[(t, base)] = {}
             for x, members in sorted(fibres.items()):
                 key = (t, base, x)
                 support.append(key)
-                mass = sum(space.prob[o] for o in members)
+                mass = sum(f.mass(t, child) for child in members)
                 base_law[x] = mass / base_mass
-                mean = sum(space.prob[o] * fund.delta(o, t)
-                           for o in members) / mass
-                alive = sum(space.prob[o] for o in members
-                            if incl.at(o, t) < 1) / mass
+                mean = cond_average(f, t, members, lambda o: fund.delta(o, t))
+                alive = cond_average(
+                    f, t, members,
+                    lambda o: ONE if incl.at(o, t) < 1 else ZERO)
                 mart_mean[key] = mean
                 alive_prob[key] = alive
                 # exact set identity on the support:
@@ -298,7 +312,8 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                     raise InternalCheckFailed(f"jump-set identity fails at {key}")
                 if not 0 <= 1 - left - mean <= alive:
                     raise InternalCheckFailed(f"jump-mean bound fails at {key}")
-                if alive == 0 and any(incl.at(o, t) != 1 for o in members):
+                if alive == 0 and any(incl.at(child[0], t) != 1
+                                      for child in members):
                     raise InternalCheckFailed(
                         f"dead fibre not pinned at one at {key}")
     return JumpFunctionals(mart_mean, alive_prob, tuple(support), law)
@@ -340,7 +355,8 @@ def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     asserted.  Also returns both predictable characteristic tuples.
     """
     _require_class_h(analysis)
-    space = analysis.space
+    asset = asset.on(analysis.space.filtration)
+    enlarged = analysis.enlarged
     jf = jump_functionals(asset, analysis)
 
     char_base = CharTuple({key: sum(x * p for x, p in law.items())
@@ -354,14 +370,15 @@ def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     for atom in after_atoms(analysis):
         t, base, members = atom.t, atom.base, atom.members
         left_gap = 1 - analysis.survival.at(base[0], t - 1)
-        mass = sum(space.prob[o] for o in members)
+        children = enlarged.children(t - 1, members)
         law = {}
         for x, p in jf.law[(t, base)].items():
             density = 1 - jf.mart_mean[(t, base, x)] / left_gap
             law[x] = density * p
             via_formula[(t, members, x)] = law[x]
-            direct[(t, members, x)] = sum(
-                space.prob[o] for o in members if asset.delta(o, t) == x) / mass
+            direct[(t, members, x)] = cond_average(
+                enlarged, t, children,
+                lambda o: ONE if asset.delta(o, t) == x else ZERO)
             if law[x] < 0:
                 raise InternalCheckFailed("negative enlarged kernel density")
         g_kernel[(t, members)] = law
@@ -417,24 +434,25 @@ def build_deflator(analysis: RandomTimeAnalysis) -> DeflatorBundle:
         lambda o, t: (hat.delta(o, t) / (1 - analysis.survival.at(o, t - 1))
                       + weight.delta(o, t) - weight_comp.delta(o, t)))
 
-    pinned_proj = {}  # base predictable projection of the pinned indicator
+    base_f = space.filtration
     for t in range(1, space.horizon + 1):
-        for base in space.filtration.partitions[t - 1]:
-            value = cond_average(space, base,
-                                 lambda o: ONE if incl.at(o, t) == 1 else ZERO)
-            for o in base:
-                pinned_proj[(o, t)] = value
-
-    for o in space.outcomes:
-        for t in range(1, space.horizon + 1):
+        # base predictable projection of the pinned indicator, per base
+        # atom at t - 1
+        pinned_proj = [cond_average(base_f, t, base_f.children(t - 1, base),
+                                    lambda o: ONE if incl.at(o, t) == 1
+                                    else ZERO)
+                       for base in base_f.partitions[t - 1]]
+        for block in analysis.enlarged.partitions[t]:
+            o = block[0]
             step = driver.delta(o, t)
-            if 1 + step <= 0:
+            if step <= -1:
                 raise InternalCheckFailed(
                     f"driver increment at or below -1 at ({o}, {t})")
             if analysis.strictly_after(o, t):
                 gap_left = 1 - analysis.survival.at(o, t - 1)
                 gap_incl = 1 - incl.at(o, t)
-                expected = gap_left / gap_incl + pinned_proj[(o, t)]
+                expected = (gap_left / gap_incl
+                            + pinned_proj[base_f.block_of[t - 1][o]])
                 if 1 + step != expected:
                     raise InternalCheckFailed(
                         f"driver jump identity fails at ({o}, {t})")
@@ -464,6 +482,7 @@ def deflator_verify(mart: AdaptedProcess, bundle: DeflatorBundle,
     no discrete counterpart, so the pair is reported as data.
     """
     space = analysis.space
+    mart = mart.on(space.filtration)
     require_martingale(mart, space, what="deflator_verify input")
 
     hypothesis = is_martingale(analysis.jump_part(mart), space)

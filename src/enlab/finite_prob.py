@@ -13,13 +13,34 @@ Conventions, stated once and enforced everywhere:
   the value at time 0 is the initial value (0 for integrals/brackets).
 
 Filtrations are stored as partitions of the outcome set (their atoms),
-one partition per grid time, each refining the previous one.
+one partition per grid time, each refining the previous one, together
+with the tree they form: each atom's parent at t - 1, its children at
+t + 1 and its mass.
+
+Processes are stored on that tree.  A process holds, per time t, one
+value per atom of the ``Filtration`` it is adapted to, with the
+increment from the parent atom kept next to it; ``at(o, t)`` reads the
+node of the atom holding o.  Every operation works node by node: a
+conditional expectation given time t - 1 is the mass-weighted average
+over an atom's children, and a process built from increments evaluates
+its step once per atom, on the atom's first outcome.
+
+Adaptedness is structural.  Outcome rows (``adapted``, ``predictable``,
+``AdaptedProcess(rows)``) are a process on the finest filtration of
+their outcomes, each outcome its own atom.  Binding a process to a
+filtration (``on``) lifts it onto the atoms of a finer filtration as it
+is, and otherwise checks once that it is constant on the atoms, raising
+NotAdapted if not: rows are never read at a representative outcome
+unchecked.  Arithmetic between processes of two filtrations works on the
+atoms of the finer one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -56,45 +77,59 @@ def _refines(fine: Partition, coarse: Partition) -> bool:
     return True
 
 
+def _total(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum of a non-empty iterable, without a leading zero."""
+    return reduce(add, values)
+
+
 class Filtration:
-    """A partition per time, with cached atom lookups, atom weights and
-    the tree of child atoms.
+    """A partition per time with the tree of its atoms: ``block_of[t]``
+    maps an outcome to its atom's index at t, ``up[t][i]`` is the index
+    of the parent at t - 1 of atom i at t, ``kids[t][i]`` the indices of
+    its children at t + 1 (in partition order) and ``weights[t][i]`` its
+    reference probability.
 
     ``label`` is "F" for the base filtration and "G" for a progressively
-    enlarged one; the label travels with processes so that adaptedness is
-    checked against the intended filtration.
+    enlarged one.  ``prob`` may be None for the outcome-row filtration of
+    a process given by rows, which carries no measure.
     """
 
-    __slots__ = ("label", "partitions", "block_of", "weights", "_children")
+    __slots__ = ("label", "outcomes", "partitions", "block_of", "up", "kids",
+                 "weights")
 
     def __init__(self, label: str, partitions: Sequence[Partition],
-                 prob: Mapping[str, Fraction]):
+                 prob: Mapping[str, Fraction] | None,
+                 outcomes: Sequence[str] | None = None):
         self.label = label
+        self.outcomes = tuple(prob if outcomes is None else outcomes)
         self.partitions = tuple(_canonical_partition(p) for p in partitions)
         for t in range(1, len(self.partitions)):
             if not _refines(self.partitions[t], self.partitions[t - 1]):
                 raise NonRefiningFiltration(
                     f"partition at t={t} does not refine t={t - 1} "
                     f"({self.label})")
-        self.block_of: list[dict[str, int]] = []
-        self.weights: list[list[Fraction]] = []
-        for part in self.partitions:
-            lookup = {}
-            weights = []
-            for i, block in enumerate(part):
-                w = ZERO
-                for outcome in block:
-                    lookup[outcome] = i
-                    w += prob[outcome]
-                weights.append(w)
-            self.block_of.append(lookup)
-            self.weights.append(weights)
-        self._children: list[tuple[tuple[Block, ...], ...]] = []
+        self.block_of: list[dict[str, int]] = [
+            {o: i for i, block in enumerate(part) for o in block}
+            for part in self.partitions]
+        self.up: list[tuple[int, ...]] = [()] + [
+            tuple(self.block_of[t - 1][block[0]] for block in part)
+            for t, part in enumerate(self.partitions) if t]
+        kids: list[list[list[int]]] = [[[] for _ in part]
+                                       for part in self.partitions[:-1]]
         for t in range(1, len(self.partitions)):
-            kids: list[list[Block]] = [[] for _ in self.partitions[t - 1]]
-            for block in self.partitions[t]:
-                kids[self.block_of[t - 1][block[0]]].append(block)
-            self._children.append(tuple(map(tuple, kids)))
+            for i, p in enumerate(self.up[t]):
+                kids[t - 1][p].append(i)
+        self.kids = [tuple(map(tuple, row)) for row in kids]
+        self.weights: list[list[Fraction]] | None = None
+        if prob is not None:
+            # leaf masses from the outcomes, every other atom from its
+            # children
+            weights = [[_total(prob[o] for o in block)
+                        for block in self.partitions[-1]]]
+            for row in reversed(self.kids):
+                weights.append([_total(weights[-1][c] for c in kids)
+                                for kids in row])
+            self.weights = weights[::-1]
 
     @property
     def horizon(self) -> int:
@@ -105,11 +140,28 @@ class Filtration:
 
     def children(self, t: int, atom: Block) -> tuple[Block, ...]:
         """The atoms at t + 1 inside the time-t atom, in partition order."""
-        return self._children[t][self.block_of[t][atom[0]]]
+        part = self.partitions[t + 1]
+        return tuple(part[c] for c in self.kids[t][self.block_of[t][atom[0]]])
 
     def mass(self, t: int, atom: Block) -> Fraction:
         """Reference probability of the time-t atom."""
         return self.weights[t][self.block_of[t][atom[0]]]
+
+    def refines(self, other: "Filtration") -> bool:
+        """True when every atom of this filtration lies inside one atom
+        of `other` at the same time."""
+        return len(self.partitions) == len(other.partitions) and all(
+            len({look[o] for o in block}) == 1
+            for part, look in zip(self.partitions, other.block_of)
+            for block in part)
+
+
+def _row_filtration(outcomes: Iterable[str], horizon: int,
+                    label: str) -> Filtration:
+    """The finest filtration of the outcomes: each its own atom."""
+    outcomes = tuple(outcomes)
+    return Filtration(label, [[(o,) for o in outcomes]] * (horizon + 1),
+                      None, outcomes)
 
 
 @dataclass(frozen=True)
@@ -180,13 +232,143 @@ def build_space(description: Mapping) -> FiniteFilteredSpace:
 # ---------------------------------------------------------------------------
 
 Values = dict[str, list[Fraction]]
+Nodes = list[list[Fraction]]
 
 
-def _as_values(obj, outcomes: Sequence[str], horizon: int) -> Values:
-    values = obj.values if hasattr(obj, "values") and not isinstance(obj, dict) else obj
+def _cumulate(f: Filtration, first: list[Fraction], steps: Nodes) -> Nodes:
+    """Node values from the time-0 values and the increments at t >= 1."""
+    nodes = [list(first)]
+    for t in range(1, len(steps)):
+        prev = nodes[-1]
+        nodes.append([prev[p] + s if s else prev[p]
+                      for p, s in zip(f.up[t], steps[t])])
+    return nodes
+
+
+def _differences(f: Filtration, nodes: Nodes) -> Nodes:
+    """Increments from the parent atom (steps[0] is the time-0 value)."""
+    return [nodes[0]] + [
+        [v - nodes[t - 1][p] for v, p in zip(nodes[t], f.up[t])]
+        for t in range(1, len(nodes))]
+
+
+class AdaptedProcess:
+    """Per time, one value per atom of the filtration it is adapted to:
+    ``nodes[t][i]`` on the i-th atom at t and ``steps[t][i]`` its
+    increment from the parent atom (``steps[0]`` is the time-0 value).
+
+    ``AdaptedProcess(rows, label)`` takes outcome rows, outcome -> list
+    over t, as a process on the finest filtration of those outcomes; it
+    is checked against a filtration when bound to it (``on``).
+    """
+
+    __slots__ = ("filtration", "nodes", "steps")
+
+    def __init__(self, values: Mapping[str, Sequence],
+                 filtration_label: str = "F"):
+        outcomes = list(values)
+        horizon = len(values[outcomes[0]]) - 1
+        f = _row_filtration(outcomes, horizon, filtration_label)
+        rows = _rows(values, outcomes, horizon)
+        self._set(f, [[rows[block[0]][t] for block in part]
+                      for t, part in enumerate(f.partitions)])
+
+    def _set(self, f: Filtration, nodes: Nodes,
+             steps: Nodes | None = None) -> None:
+        self.filtration = f
+        self.nodes = nodes
+        self.steps = _differences(f, nodes) if steps is None else steps
+
+    @classmethod
+    def from_nodes(cls, f: Filtration, nodes: Nodes,
+                   steps: Nodes | None = None):
+        """The process with value nodes[t][i] on the i-th atom of f at t;
+        its increments are derived unless given."""
+        x = cls.__new__(cls)
+        x._set(f, nodes, steps)
+        return x
+
+    @classmethod
+    def from_increments(cls, over, horizon: int | None = None, step=None,
+                        label: str | None = None) -> "AdaptedProcess":
+        """X_0 = 0 and X_t = X_{t-1} + step(o, t): the one constructor of
+        processes from their increments.  `over` is the filtration, and
+        step is evaluated once per atom at t, on the atom's first
+        outcome.  A plain outcome sequence (with `horizon` and `label`)
+        stands for outcome rows, each outcome its own atom."""
+        f = (over if isinstance(over, Filtration)
+             else _row_filtration(over, horizon, label))
+        return _integral(f, [[step(block[0], t) for block in part]
+                             for t, part in enumerate(f.partitions) if t])
+
+    def at(self, outcome: str, t: int) -> Fraction:
+        return self.nodes[t][self.filtration.block_of[t][outcome]]
+
+    def delta(self, outcome: str, t: int) -> Fraction:
+        return self.steps[t][self.filtration.block_of[t][outcome]]
+
+    @property
+    def horizon(self) -> int:
+        return len(self.nodes) - 1
+
+    @property
+    def filtration_label(self) -> str:
+        return self.filtration.label
+
+    @property
+    def values(self) -> Values:
+        """Outcome rows, derived from the nodes on every read."""
+        f = self.filtration
+        return {o: [row[look[o]] for row, look in zip(self.nodes, f.block_of)]
+                for o in f.outcomes}
+
+    def on(self, f: Filtration) -> "AdaptedProcess":
+        """This process on the atoms of f: lifted when f refines its own
+        filtration, else checked constant on f's atoms (NotAdapted)."""
+        return _bind(self, f)
+
+    def equals(self, other: "AdaptedProcess") -> bool:
+        """The same value at every outcome and time."""
+        a, b = _common(self, other)
+        return a.nodes == b.nodes
+
+    def stopped(self, stop: Mapping[str, int]) -> "AdaptedProcess":
+        """Pathwise stopping: value frozen from stop[outcome] onward; the
+        result must be adapted, i.e. stop a stopping time."""
+        f = self.filtration
+        rows = {o: [self.at(o, min(t, stop[o])) for t in range(len(self.nodes))]
+                for o in f.outcomes}
+        return AdaptedProcess(rows, f.label).on(f)
+
+    def _combine(self, other, op, linear: bool) -> "AdaptedProcess":
+        a, b = _common(self, other)
+        nodes = [[op(x, y) for x, y in zip(ra, rb)]
+                 for ra, rb in zip(a.nodes, b.nodes)]
+        if not linear:
+            return AdaptedProcess.from_nodes(a.filtration, nodes)
+        steps = [nodes[0]] + [[op(x, y) for x, y in zip(ra, rb)]
+                              for ra, rb in zip(a.steps[1:], b.steps[1:])]
+        return AdaptedProcess.from_nodes(a.filtration, nodes, steps)
+
+    def __add__(self, other: "AdaptedProcess") -> "AdaptedProcess":
+        return self._combine(other, add, True)
+
+    def __sub__(self, other: "AdaptedProcess") -> "AdaptedProcess":
+        return self._combine(other, lambda x, y: x - y, True)
+
+    def __mul__(self, other: "AdaptedProcess") -> "AdaptedProcess":
+        return self._combine(other, lambda x, y: x * y, False)
+
+
+class PredictableProcess(AdaptedProcess):
+    """Value at t is known at t - 1 (at 0 for t = 0)."""
+
+
+def _rows(values, outcomes: Sequence[str], horizon: int) -> Values:
+    rows = values.values if isinstance(values, AdaptedProcess) else values
     out: Values = {}
     for outcome in outcomes:
-        row = [Fraction(v) for v in values[outcome]]
+        row = [Fraction(v) for v in rows[outcome]]
         if len(row) != horizon + 1:
             raise SchemaError(f"process row for {outcome!r} has length "
                               f"{len(row)}, expected {horizon + 1}")
@@ -194,164 +376,139 @@ def _as_values(obj, outcomes: Sequence[str], horizon: int) -> Values:
     return out
 
 
-def _running_sum(start: Fraction, steps: Iterable[Fraction]) -> list[Fraction]:
-    acc = [start]
-    for step in steps:
-        acc.append(acc[-1] + step)
-    return acc
+def _bind(x: AdaptedProcess, f: Filtration, lag: int = 0) -> AdaptedProcess:
+    """x on the atoms of f.  Unless f refines x's filtration, the value
+    at t is first checked constant on f's atoms at max(t - lag, 0): lag 0
+    is adaptedness (NotAdapted), lag 1 predictability (NotPredictable)."""
+    src = x.filtration
+    if src is f and not lag:
+        return x
+    if len(x.nodes) != len(f.partitions):
+        raise SchemaError(f"process of horizon {x.horizon} on a filtration "
+                          f"of horizon {f.horizon}")
+    if lag or not f.refines(src):
+        exc, what = ((NotPredictable, "predictable process") if lag
+                     else (NotAdapted, "process"))
+        for t, (look, row) in enumerate(zip(src.block_of, x.nodes)):
+            for block in f.partitions[max(t - lag, 0)]:
+                v0 = row[look[block[0]]]
+                for outcome in block[1:]:
+                    if row[look[outcome]] != v0:
+                        raise exc(f"{what} not constant on block {block} "
+                                  f"at t={t}")
+
+    def read(rows: Nodes) -> Nodes:
+        return [[row[look[block[0]]] for block in part]
+                for part, look, row in zip(f.partitions, src.block_of, rows)]
+
+    cls = PredictableProcess if lag else type(x)
+    return cls.from_nodes(f, read(x.nodes), read(x.steps))
 
 
-@dataclass(frozen=True)
-class AdaptedProcess:
-    """outcome x time grid of rationals, constant on the atoms of the
-    tagged filtration at every time."""
-
-    values: Values
-    filtration_label: str = "F"
-
-    @classmethod
-    def from_increments(cls, outcomes: Iterable[str], horizon: int, step,
-                        label: str):
-        """X_0 = 0 and X_t = X_{t-1} + step(o, t) on every outcome: the one
-        constructor of processes from their increments."""
-        return cls({o: _running_sum(ZERO, (step(o, t)
-                                           for t in range(1, horizon + 1)))
-                    for o in outcomes}, label)
-
-    def at(self, outcome: str, t: int) -> Fraction:
-        return self.values[outcome][t]
-
-    def delta(self, outcome: str, t: int) -> Fraction:
-        return self.values[outcome][t] - self.values[outcome][t - 1]
-
-    @property
-    def horizon(self) -> int:
-        return len(next(iter(self.values.values()))) - 1
-
-    def stopped(self, stop: Mapping[str, int]) -> "AdaptedProcess":
-        """Pathwise stopping: value frozen from stop[outcome] onward."""
-        out = {}
-        for outcome, row in self.values.items():
-            s = stop[outcome]
-            out[outcome] = [row[min(t, s)] for t in range(len(row))]
-        return AdaptedProcess(out, self.filtration_label)
-
-    def __add__(self, other: "AdaptedProcess") -> "AdaptedProcess":
-        return AdaptedProcess(
-            {o: [a + b for a, b in zip(row, other.values[o])]
-             for o, row in self.values.items()},
-            self.filtration_label)
-
-    def __sub__(self, other: "AdaptedProcess") -> "AdaptedProcess":
-        return AdaptedProcess(
-            {o: [a - b for a, b in zip(row, other.values[o])]
-             for o, row in self.values.items()},
-            self.filtration_label)
-
-    def __mul__(self, other: "AdaptedProcess") -> "AdaptedProcess":
-        return AdaptedProcess(
-            {o: [a * b for a, b in zip(row, other.values[o])]
-             for o, row in self.values.items()},
-            self.filtration_label)
-
-
-class PredictableProcess(AdaptedProcess):
-    """Value at t is known at t - 1 (at 0 for t = 0)."""
-
-
-def _check_block_constant(values: Values, partition: Partition, t: int,
-                          what: str, exc) -> None:
-    for block in partition:
-        v0 = values[block[0]][t]
-        for outcome in block[1:]:
-            if values[outcome][t] != v0:
-                raise exc(f"{what} not constant on block {block} at t={t}")
+def _common(*xs: AdaptedProcess) -> list[AdaptedProcess]:
+    """The processes on one filtration, the finest among theirs."""
+    f = xs[0].filtration
+    for x in xs[1:]:
+        if x.filtration is not f and not f.refines(x.filtration):
+            f = x.filtration
+    return [x.on(f) for x in xs]
 
 
 def adapted(values, space: FiniteFilteredSpace,
             filtration: Filtration | None = None) -> AdaptedProcess:
-    """Build an AdaptedProcess, checking measurability."""
+    """Bind outcome rows (or a process) to a filtration, checking that
+    they are constant on its atoms."""
     f = filtration or space.filtration
-    vals = _as_values(values, space.outcomes, space.horizon)
-    for t in range(space.horizon + 1):
-        _check_block_constant(vals, f.partitions[t], t, "process", NotAdapted)
-    return AdaptedProcess(vals, f.label)
+    rows = _rows(values, space.outcomes, space.horizon)
+    return _bind(AdaptedProcess(rows, f.label), f)
 
 
 def predictable(values, space: FiniteFilteredSpace,
                 filtration: Filtration | None = None) -> PredictableProcess:
     f = filtration or space.filtration
-    vals = _as_values(values, space.outcomes, space.horizon)
-    _check_block_constant(vals, f.partitions[0], 0, "predictable process",
-                          NotPredictable)
-    for t in range(1, space.horizon + 1):
-        _check_block_constant(vals, f.partitions[t - 1], t,
-                              "predictable process", NotPredictable)
-    return PredictableProcess(vals, f.label)
+    rows = _rows(values, space.outcomes, space.horizon)
+    return _bind(AdaptedProcess(rows, f.label), f, lag=1)
 
 
 def constant_process(c, space: FiniteFilteredSpace,
                      filtration: Filtration | None = None) -> AdaptedProcess:
-    row = [Fraction(c)] * (space.horizon + 1)
-    return AdaptedProcess({o: list(row) for o in space.outcomes},
-                          (filtration or space.filtration).label)
+    f = filtration or space.filtration
+    value = Fraction(c)
+    nodes = [[value] * len(part) for part in f.partitions]
+    steps = [nodes[0]] + [[ZERO] * len(part) for part in f.partitions[1:]]
+    return AdaptedProcess.from_nodes(f, nodes, steps)
 
 
 # ---------------------------------------------------------------------------
 # Projections and compensators
 # ---------------------------------------------------------------------------
 
+def _average(weights: Sequence[Fraction], idxs: Sequence[int], value,
+             mass: Fraction | None = None) -> Fraction:
+    """sum w[i] value(i) / sum w[i] over the atoms idxs, with value
+    evaluated once per atom; `mass` is the denominator when known.  The
+    one conditional average over atoms: cond_average, the compensator
+    and the drift test all reduce to it."""
+    if len(idxs) == 1:
+        return value(idxs[0])
+    total = None
+    for i in idxs:
+        v = value(i)
+        if v:
+            term = weights[i] * v
+            total = term if total is None else total + term
+    if total is None:
+        return ZERO
+    return total / (_total(weights[i] for i in idxs) if mass is None
+                    else mass)
+
+
+def cond_average(f: Filtration, t: int, atoms: Iterable[Block],
+                 values) -> Fraction:
+    """Conditional average of values(outcome) over the union of the given
+    time-t atoms of f, under the reference measure; values is evaluated
+    once per atom, on its first outcome."""
+    look = f.block_of[t]
+    return _average(f.weights[t], [look[atom[0]] for atom in atoms],
+                    lambda i: values(f.partitions[t][i][0]))
+
+
+def _outcome_means(column: Mapping[str, Fraction], t: int,
+                   space: FiniteFilteredSpace,
+                   f: Filtration) -> list[Fraction]:
+    """E[column | atom] for each atom at t of an outcome-indexed column."""
+    return [_total(space.prob[o] * column[o] for o in block) / weight
+            for block, weight in zip(f.partitions[t], f.weights[t])]
+
+
 def cond_exp(x: Mapping[str, Fraction], t: int, space: FiniteFilteredSpace,
              filtration: Filtration | None = None) -> dict[str, Fraction]:
     """Conditional expectation of an outcome-indexed vector given the
     partition at time t.  Exact: block average weighted by the reference
-    measure."""
+    measure.  The one reader of outcome-level input, behind the
+    projections of outcome rows."""
     f = filtration or space.filtration
-    out: dict[str, Fraction] = {}
-    for block, weight in zip(f.partitions[t], f.weights[t]):
-        total = ZERO
-        for outcome in block:
-            total += space.prob[outcome] * x[outcome]
-        value = total / weight
-        for outcome in block:
-            out[outcome] = value
-    return out
+    means = _outcome_means(x, t, space, f)
+    return {o: means[f.block_of[t][o]] for o in space.outcomes}
 
 
-def cond_average(space: FiniteFilteredSpace, members: Iterable[str],
-                 values) -> Fraction:
-    """Conditional average of values(outcome) on the event `members`
-    under the reference measure."""
-    total = ZERO
-    weight = ZERO
-    for o in members:
-        p = space.prob[o]
-        weight += p
-        total += p * values(o)
-    return total / weight
-
-
-def _cond_rows(column, space: FiniteFilteredSpace, f: Filtration,
-               lag: int = 0, start: int = 0) -> Values:
-    """Row o lists E[column(., t) | partition at max(t - lag, 0)] at o for
-    t = start..T: the one loop of conditional expectations behind every
-    projection and compensator."""
-    out: Values = {o: [] for o in space.outcomes}
-    for t in range(start, space.horizon + 1):
-        col = cond_exp({o: column(o, t) for o in space.outcomes},
-                       max(t - lag, 0), space, f)
-        for o in space.outcomes:
-            out[o].append(col[o])
-    return out
+def _project(v, space: FiniteFilteredSpace, f: Filtration,
+             lag: int) -> Nodes:
+    """Node values E[V_t | atoms at max(t - lag, 0)] of outcome rows."""
+    rows = _rows(v, space.outcomes, space.horizon)
+    nodes = []
+    for t in range(space.horizon + 1):
+        means = _outcome_means({o: rows[o][t] for o in space.outcomes},
+                               max(t - lag, 0), space, f)
+        nodes.append([means[p] for p in f.up[t]] if lag and t else means)
+    return nodes
 
 
 def optional_projection(v, space: FiniteFilteredSpace,
                         filtration: Filtration | None = None) -> AdaptedProcess:
-    """(^o V)_t = E[V_t | partition at t], for every t."""
+    """(^o V)_t = E[V_t | partition at t], for every t, of outcome rows."""
     f = filtration or space.filtration
-    vals = _as_values(v, space.outcomes, space.horizon)
-    return AdaptedProcess(_cond_rows(lambda o, t: vals[o][t], space, f),
-                          f.label)
+    return AdaptedProcess.from_nodes(f, _project(v, space, f, 0))
 
 
 def predictable_projection(v, space: FiniteFilteredSpace,
@@ -359,9 +516,7 @@ def predictable_projection(v, space: FiniteFilteredSpace,
                            ) -> PredictableProcess:
     """(^p V)_t = E[V_t | partition at t-1] for t >= 1, at 0 for t = 0."""
     f = filtration or space.filtration
-    vals = _as_values(v, space.outcomes, space.horizon)
-    return PredictableProcess(
-        _cond_rows(lambda o, t: vals[o][t], space, f, lag=1), f.label)
+    return PredictableProcess.from_nodes(f, _project(v, space, f, 1))
 
 
 def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
@@ -370,10 +525,16 @@ def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
     the value at 0 is V_0.  V minus the result is a martingale of the
     tagged filtration."""
     f = filtration or space.filtration
-    steps = _cond_rows(v.delta, space, f, lag=1, start=1)
-    return PredictableProcess(
-        {o: _running_sum(v.values[o][0], steps[o]) for o in space.outcomes},
-        f.label)
+    v = v.on(f)
+    nodes, steps = [v.nodes[0]], [v.nodes[0]]
+    for t in range(1, len(f.partitions)):
+        row = v.steps[t].__getitem__
+        drift = [_average(f.weights[t], kids, row, mass)
+                 for kids, mass in zip(f.kids[t - 1], f.weights[t - 1])]
+        level = [a + d if d else a for a, d in zip(nodes[-1], drift)]
+        steps.append([drift[p] for p in f.up[t]])
+        nodes.append([level[p] for p in f.up[t]])
+    return PredictableProcess.from_nodes(f, nodes, steps)
 
 
 def dual_optional_projection(v, space: FiniteFilteredSpace,
@@ -382,24 +543,37 @@ def dual_optional_projection(v, space: FiniteFilteredSpace,
     """Dual optional projection: increment at t is E[dV_t | t], and the
     value at 0 is E[V_0 | time-0 partition].  Identity on adapted input."""
     f = filtration or space.filtration
-    vals = _as_values(v, space.outcomes, space.horizon)
-    steps = _cond_rows(
-        lambda o, t: (vals[o][t] - vals[o][t - 1]) if t else vals[o][0],
-        space, f)
-    return AdaptedProcess(
-        {o: _running_sum(row[0], row[1:]) for o, row in steps.items()},
-        f.label)
+    rows = _rows(v, space.outcomes, space.horizon)
+    steps = [_outcome_means(
+        {o: (row[t] - row[t - 1]) if t else row[0] for o, row in rows.items()},
+        t, space, f) for t in range(space.horizon + 1)]
+    return AdaptedProcess.from_nodes(f, _cumulate(f, steps[0], steps), steps)
 
 
 # ---------------------------------------------------------------------------
 # Brackets, integrals, exponential
 # ---------------------------------------------------------------------------
 
+def _integral(f: Filtration, increments: Nodes) -> AdaptedProcess:
+    """X_0 = 0 with increments[t - 1][i] on the i-th atom at t >= 1."""
+    first = [ZERO] * len(f.partitions[0])
+    steps = [first, *increments]
+    return AdaptedProcess.from_nodes(f, _cumulate(f, first, steps), steps)
+
+
+def _dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """sum a * b over the pairs, skipping zero factors."""
+    terms = [a * b for a, b in pairs if a and b]
+    return _total(terms) if terms else ZERO
+
+
 def bracket(x: AdaptedProcess, y: AdaptedProcess) -> AdaptedProcess:
     """Covariation [X, Y]_t = sum_{s<=t} dX_s dY_s, starting at 0."""
-    return AdaptedProcess.from_increments(
-        x.values, x.horizon, lambda o, t: x.delta(o, t) * y.delta(o, t),
-        x.filtration_label)
+    x, y = _common(x, y)
+    return _integral(x.filtration, [[a * b if a and b else ZERO
+                                     for a, b in zip(ra, rb)]
+                                    for ra, rb in zip(x.steps[1:],
+                                                      y.steps[1:])])
 
 
 def angle_bracket(x: AdaptedProcess, y: AdaptedProcess,
@@ -425,11 +599,13 @@ def stochastic_integral(h, x) -> AdaptedProcess:
     xs = _component_list(x)
     if len(hs) != len(xs):
         raise DimensionMismatch(f"{len(hs)} integrands vs {len(xs)} integrators")
-    return AdaptedProcess.from_increments(
-        xs[0].values, xs[0].horizon,
-        lambda o, t: sum((hc.at(o, t) * xc.delta(o, t)
-                          for hc, xc in zip(hs, xs)), ZERO),
-        xs[0].filtration_label)
+    both = _common(*xs, *hs)
+    xs, hs = both[:len(xs)], both[len(xs):]
+    f = xs[0].filtration
+    return _integral(f, [
+        [_dot((hc.nodes[t][i], xc.steps[t][i]) for hc, xc in zip(hs, xs))
+         for i in range(len(part))]
+        for t, part in enumerate(f.partitions) if t])
 
 
 def stochastic_exponential(x: AdaptedProcess) -> AdaptedProcess:
@@ -438,17 +614,22 @@ def stochastic_exponential(x: AdaptedProcess) -> AdaptedProcess:
     Strict positivity holds exactly when every 1 + dX_s > 0; that is
     reported by is_positive(), not enforced here.
     """
-    out: Values = {}
-    for o, row in x.values.items():
-        acc = [ONE]
-        for t in range(1, len(row)):
-            acc.append(acc[-1] * (ONE + row[t] - row[t - 1]))
-        out[o] = acc
-    return AdaptedProcess(out, x.filtration_label)
+    f = x.filtration
+    nodes = [[ONE] * len(f.partitions[0])]
+    steps = [nodes[0]]
+    for t in range(1, len(f.partitions)):
+        prev = nodes[-1]
+        # E_t = E_{t-1} (1 + dX_t), kept as E_{t-1} + E_{t-1} dX_t
+        step = [prev[p] * d if d else ZERO
+                for p, d in zip(f.up[t], x.steps[t])]
+        steps.append(step)
+        nodes.append([prev[p] + s if s else prev[p]
+                      for p, s in zip(f.up[t], step)])
+    return AdaptedProcess.from_nodes(f, nodes, steps)
 
 
 def is_positive(x: AdaptedProcess) -> bool:
-    return all(v > 0 for row in x.values.values() for v in row)
+    return all(v > 0 for row in x.nodes for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +655,14 @@ def is_martingale(x: AdaptedProcess, space: FiniteFilteredSpace,
     conditional expectation on that atom, not the unnormalized sum.
     """
     f = filtration or space.filtration
-    for t in range(1, space.horizon + 1):
-        for block, weight in zip(f.partitions[t - 1], f.weights[t - 1]):
-            total = ZERO
-            for o in block:
-                row = x.values[o]
-                total += space.prob[o] * (row[t] - row[t - 1])
-            if total != 0:
-                return MartingaleReport(False, t, block, total / weight)
+    x = x.on(f)
+    for t in range(1, len(f.partitions)):
+        row = x.steps[t].__getitem__
+        for block, kids, mass in zip(f.partitions[t - 1], f.kids[t - 1],
+                                     f.weights[t - 1]):
+            drift = _average(f.weights[t], kids, row, mass)
+            if drift:
+                return MartingaleReport(False, t, block, drift)
     return MartingaleReport(True)
 
 

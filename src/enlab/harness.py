@@ -54,11 +54,13 @@ def check_transfer_basis(analysis) -> list[dict]:
     Lemma-level equality for every finite-variation integrand and every
     martingale.
     """
+    f = analysis.space.filtration
     violations = []
     for atom in after_atoms(analysis):
-        indicators = [lambda o, c=child: ONE if o in c else ZERO
-                      for child in analysis.space.filtration.children(
-                          atom.t - 1, atom.base)]
+        look = f.block_of[atom.t]
+        indicators = [lambda o, i=look[child[0]], look=look:
+                      ONE if look[o] == i else ZERO
+                      for child in f.children(atom.t - 1, atom.base)]
         for name, lhs, rhs in transfer_rows(
                 analysis, atom, indicators,
                 ("after_indicator", "after_indicator_over_gap",
@@ -78,9 +80,8 @@ def check_hat_basis(analysis) -> list[dict]:
     has the single increment f + E[f dm | B]/gap on the after-atom, so
     the enlarged drift condition is one equation per basis element.
     """
-    space = analysis.space
     fund = analysis.fundamental_martingale
-    f = space.filtration
+    f = analysis.space.filtration
     violations = []
     for atom in after_atoms(analysis):
         t, base, members = atom.t, atom.base, atom.members
@@ -91,12 +92,18 @@ def check_hat_basis(analysis) -> list[dict]:
             # the increment is trivial: hat increment is a constant with
             # zero base mean, hence zero
             continue
+        after_children = analysis.enlarged.children(t - 1, members)
+        look = f.block_of[t]
         for child in children[:-1]:
             p_child = f.mass(t, child) / base_mass
-            elem = lambda o, c=child, p=p_child: (ONE if o in c else ZERO) - p
+            inside, outside = ONE - p_child, -p_child
+            elem = lambda o, i=look[child[0]]: (inside if look[o] == i
+                                                 else outside)
             drift_repair = cond_average(
-                space, base, lambda o: elem(o) * fund.delta(o, t)) / gap
-            enlarged_drift = cond_average(space, members, elem) + drift_repair
+                f, t, children, lambda o: elem(o) * fund.delta(o, t)) / gap
+            enlarged_drift = (cond_average(analysis.enlarged, t,
+                                           after_children, elem)
+                              + drift_repair)
             if enlarged_drift != 0:
                 violations.append({"identity": "hat_basis_martingale",
                                    "t": t, "atom": list(members),

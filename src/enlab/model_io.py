@@ -86,7 +86,8 @@ def dump_model(space: FiniteFilteredSpace, tau: RandomTimeMap,
         "horizon": space.horizon,
         "partitions": [[list(block) for block in part]
                        for part in space.filtration.partitions],
-        "S": {o: [str(v) for v in asset.values[o]] for o in space.outcomes},
+        "S": {o: [str(asset.at(o, t)) for t in range(space.horizon + 1)]
+              for o in space.outcomes},
         "tau": {o: tau[o] for o in space.outcomes},
     }
     if path is not None:

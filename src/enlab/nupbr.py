@@ -194,6 +194,7 @@ def nupbr_check(x, space: FiniteFilteredSpace,
     if len(components) > 4:
         raise DimensionTooLarge(f"dimension {len(components)} exceeds 4")
     f = filtration or space.filtration
+    components = [c.on(f) for c in components]
     scalar = len(components) == 1
 
     node_weights: dict[NodeKey, tuple[Fraction, ...]] = {}
@@ -242,8 +243,7 @@ def assemble_deflator_process(witness: DeflatorWitness,
                 row[f.block_of[t][child[0]]] = w * mass / f.mass(t, child)
         density.append(row)
     return stochastic_exponential(AdaptedProcess.from_increments(
-        space.outcomes, space.horizon,
-        lambda o, t: density[t - 1][f.block_of[t][o]] - 1, f.label))
+        f, step=lambda o, t: density[t - 1][f.block_of[t][o]] - 1))
 
 
 def verify_witness(verdict: NupbrVerdict, x, space: FiniteFilteredSpace,
@@ -255,8 +255,8 @@ def verify_witness(verdict: NupbrVerdict, x, space: FiniteFilteredSpace,
     Arbitrage side: the one-step wealth of the direction is nonnegative
     with positive expectation on the named atom.
     """
-    components = _components(x)
     f = filtration or space.filtration
+    components = [c.on(f) for c in _components(x)]
     if verdict.satisfied:
         witness = verdict.witness
         if not isinstance(witness, DeflatorWitness):
@@ -296,72 +296,35 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
         raise NotHonest("transform requires an honest time")
     if not analysis.class_h:
         raise NotClassH("transform requires a class-H time")
-    space = analysis.space
-    T = space.horizon
+    f = analysis.space.filtration
+    asset = asset.on(f)
     jump_functionals(asset, analysis)  # hard-asserts the jump-set identities
 
     purged = asset - analysis.jump_part(asset)
     scaled = AdaptedProcess.from_increments(
-        space.outcomes, T,
-        lambda o, t: (1 - analysis.survival.at(o, t - 1)) * purged.delta(o, t),
-        "F")
+        f, step=lambda o, t: ((1 - analysis.survival.at(o, t - 1))
+                              * purged.delta(o, t)))
     indicator_scaled = AdaptedProcess.from_increments(
-        space.outcomes, T,
-        lambda o, t: (purged.delta(o, t) if analysis.survival.at(o, t - 1) < 1
-                      else ZERO), "F")
+        f, step=lambda o, t: (purged.delta(o, t)
+                              if analysis.survival.at(o, t - 1) < 1 else ZERO))
 
-    # pathwise invariant: purging only touches the stopped part
-    for o in space.outcomes:
-        stop = analysis.tau[o]
-        for t in range(T + 1):
-            lhs = purged.at(o, t) - purged.at(o, min(t, stop))
-            rhs = asset.at(o, t) - asset.at(o, min(t, stop))
-            if lhs != rhs:
+    # pathwise invariant: purging only touches the stopped part, i.e. no
+    # increment strictly after the time changes (an event of the
+    # enlarged atoms), and the purged asset does not move on the jump set
+    for t in range(1, f.horizon + 1):
+        for block in analysis.enlarged.partitions[t]:
+            o = block[0]
+            if (analysis.strictly_after(o, t)
+                    and purged.delta(o, t) != asset.delta(o, t)):
                 raise InternalCheckFailed("purged after-part differs from "
                                           f"the asset's at ({o}, {t})")
-        for t in range(1, T + 1):
+        for block in f.partitions[t]:
+            o = block[0]
             if analysis.in_jump_set(o, t) and purged.delta(o, t) != 0:
                 raise InternalCheckFailed("purged asset jumps on the jump set")
 
     return TransformBundle(purged=purged, scaled=scaled,
                            indicator_scaled=indicator_scaled)
-
-
-@dataclass(frozen=True)
-class PinnedDiagnostics:
-    pinned_mart: AdaptedProcess      # compensated count of dead-fibre jumps
-    pinned_purged: AdaptedProcess    # gated asset minus [asset, pinned_mart]
-
-
-def pinned_diagnostics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
-                       ) -> PinnedDiagnostics:
-    """Compensated count of the asset's jumps on dead fibres (alive_prob =
-    0) below the survival-left barrier, and the gated asset with those
-    jumps removed."""
-    space = analysis.space
-    f = space.filtration
-    jf = jump_functionals(asset, analysis)
-    dead = {key for key in jf.support if jf.alive_prob[key] == 0}
-
-    def pinned_step(o: str, t: int) -> Fraction:
-        if analysis.survival.at(o, t - 1) >= 1:
-            return ZERO
-        base = f.block(t - 1, o)
-        xval = asset.delta(o, t)
-        step = ONE if xval != 0 and (t, base, xval) in dead else ZERO
-        for x, p in jf.law[(t, base)].items():
-            if (t, base, x) in dead:
-                step -= p
-        return step
-
-    pinned_mart = AdaptedProcess.from_increments(
-        space.outcomes, space.horizon, pinned_step, "F")
-    pinned_purged = AdaptedProcess.from_increments(
-        space.outcomes, space.horizon,
-        lambda o, t: ((asset.delta(o, t)
-                       if analysis.survival.at(o, t - 1) < 1 else ZERO)
-                      - asset.delta(o, t) * pinned_mart.delta(o, t)), "F")
-    return PinnedDiagnostics(pinned_mart, pinned_purged)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +395,11 @@ class CorollaryReport:
 def corollary_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                     ) -> CorollaryReport:
     space = analysis.space
-    disjoint = all(
-        not (asset.delta(o, t) != 0 and analysis.in_jump_set(o, t))
-        for o in space.outcomes for t in range(1, space.horizon + 1))
+    asset = asset.on(space.filtration)
+    disjoint = not any(
+        asset.delta(block[0], t) != 0 and analysis.in_jump_set(block[0], t)
+        for t, part in enumerate(space.filtration.partitions) if t
+        for block in part)
     return CorollaryReport(
         asset_nupbr_f=nupbr_check(asset, space).satisfied,
         jumps_disjoint_from_jump_set=disjoint,
@@ -486,60 +451,3 @@ def levy_condition_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
         dead_support_empty=dead_support_empty,
         witnesses=tuple(witnesses),
         asset_nupbr_f=nupbr_check(asset, space).satisfied)
-
-
-# ---------------------------------------------------------------------------
-# Deflator-witness structure conditions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WitnessConditionsRow:
-    node: NodeKey
-    density_positive: bool
-    drift_equation: bool
-
-
-@dataclass(frozen=True)
-class WitnessConditionsReport:
-    rows: tuple[WitnessConditionsRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.density_positive and r.drift_equation
-                   for r in self.rows)
-
-
-def witness_conditions_check(x, space: FiniteFilteredSpace,
-                             verdict: NupbrVerdict,
-                             filtration: Filtration | None = None
-                             ) -> WitnessConditionsReport:
-    """Recast node weights as a jump-law density and verify the
-    martingale-density drift equation node by node (identity truncation,
-    no continuous part).  The two integrability conditions are finite
-    sums here, so they hold trivially and are not recorded."""
-    if not verdict.satisfied:
-        raise InvalidWitness("witness conditions need a satisfied verdict")
-    components = _components(x)
-    f = filtration or space.filtration
-    rows = []
-    for (t, atom), weights in sorted(verdict.witness.node_weights.items()):
-        children = f.children(t - 1, atom)
-        vectors = _child_increments(components, children, t)
-        # group children by jump value; the density (weight mass over
-        # probability mass) is positive exactly when the weight mass is
-        by_value: dict[tuple, list[int]] = {}
-        for i, v in enumerate(vectors):
-            by_value.setdefault(v, []).append(i)
-        density_positive = True
-        drift = [ZERO] * len(components)
-        for value, idxs in by_value.items():
-            q_mass = sum(weights[i] for i in idxs)
-            if any(c != 0 for c in value):
-                if q_mass <= 0:
-                    density_positive = False
-                for k, c in enumerate(value):
-                    drift[k] += c * q_mass
-        drift_equation = all(v == 0 for v in drift)
-        rows.append(WitnessConditionsRow((t, atom), density_positive,
-                                         drift_equation))
-    return WitnessConditionsReport(tuple(rows))

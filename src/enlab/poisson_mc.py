@@ -282,16 +282,21 @@ def _simulate_chunk(model: PoissonModel, master_seed: int, chunk_index: int,
 def replay_path(model: PoissonModel, master_seed: int, path_index: int,
                 min_time: float = 0.0) -> PoissonPath:
     """Rebuild one row of a chunked run, for reproducing any reported
-    path from (seed, index) alone."""
+    path from (seed, index) alone.  A censored path ends at the cap: its
+    stopping column is the first jump past t_max, which it leaves out,
+    as simulate_path does."""
     chunk_index, row = divmod(path_index, CHUNK)
     # each round's stream fills rows in order and a row's stopping point
     # does not depend on other rows, so rows past `row` are not simulated
     chunk = _simulate_chunk(model, master_seed, chunk_index, row + 1,
                             min_time)
     stop = int(chunk.k_stop[row])
-    jumps = tuple(float(v) for v in chunk.T[row, :stop + 1])
-    return PoissonPath(jumps, float(chunk.T[row, stop]),
-                       float(chunk.tau_hat[row]), bool(chunk.censored[row]),
+    censored = bool(chunk.censored[row])
+    end = stop if censored else stop + 1
+    jumps = tuple(float(v) for v in chunk.T[row, :end])
+    return PoissonPath(jumps,
+                       model.t_max if censored else float(chunk.T[row, stop]),
+                       float(chunk.tau_hat[row]), censored,
                        master_seed, model.mu, model.a)
 
 

@@ -31,12 +31,9 @@ from .finite_prob import (
     Block,
     Filtration,
     FiniteFilteredSpace,
-    adapted,
     build_space,
     compensator,
-    dual_optional_projection,
     is_martingale,
-    optional_projection,
 )
 from .rng import SplitMix64
 
@@ -105,21 +102,21 @@ class RandomTimeAnalysis:
         tagged with the enlarged filtration; increments is evaluated only
         there."""
         return AdaptedProcess.from_increments(
-            self.space.outcomes, self.space.horizon,
-            lambda o, t: (increments(o, t) if self.strictly_after(o, t)
-                          else ZERO), "G")
+            self.enlarged,
+            step=lambda o, t: (increments(o, t) if self.strictly_after(o, t)
+                               else ZERO))
 
     def after_part(self, x: AdaptedProcess) -> AdaptedProcess:
-        """The after-part x - x^tau of a process."""
-        return self.after_integral(x.delta)
+        """The after-part x - x^tau of a base process."""
+        return self.after_integral(x.on(self.space.filtration).delta)
 
     def jump_part(self, x: AdaptedProcess) -> AdaptedProcess:
-        """Pathwise sum of the increments of x on the jump set, tagged
-        with the base filtration."""
+        """Pathwise sum of the increments of a base process on the jump
+        set, tagged with the base filtration."""
+        x = x.on(self.space.filtration)
         return AdaptedProcess.from_increments(
-            self.space.outcomes, self.space.horizon,
-            lambda o, t: x.delta(o, t) if self.in_jump_set(o, t) else ZERO,
-            "F")
+            self.space.filtration,
+            step=lambda o, t: x.delta(o, t) if self.in_jump_set(o, t) else ZERO)
 
 
 def _honest_closed(space: FiniteFilteredSpace, tau: RandomTimeMap) -> bool:
@@ -141,27 +138,44 @@ def _is_stopping_time(space: FiniteFilteredSpace, tau: RandomTimeMap) -> bool:
 
 
 def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysis:
-    """Derive all associated objects; flags report, never throw."""
-    T = space.horizon
-    survival = optional_projection(
-        {o: [ONE if tau[o] > t else ZERO for t in range(T + 1)]
-         for o in space.outcomes}, space)
-    survival_incl = optional_projection(
-        {o: [ONE if tau[o] >= t else ZERO for t in range(T + 1)]
-         for o in space.outcomes}, space)
+    """Derive all associated objects; flags report, never throw.
 
-    occurrence = {o: [ONE if t >= tau[o] else ZERO for t in range(T + 1)]
-                  for o in space.outcomes}
-    occurrence_proj = dual_optional_projection(occurrence, space)
+    One pass over the outcomes puts each outcome's mass on its atom at
+    its time: hit[t][i] = P(tau = t, atom i at t).  The masses of
+    {tau > t} and {tau >= t} on an atom then sum over its children.
+    """
+    f = space.filtration
+    T = space.horizon
+    hit = [[ZERO] * len(part) for part in f.partitions]
+    for o in space.outcomes:
+        hit[tau[o]][f.block_of[tau[o]][o]] += space.prob[o]
+    alive = [[ZERO] * len(f.partitions[T])]    # P(tau > t, atom)
+    alive_incl = [hit[T]]                      # P(tau >= t, atom)
+    for t in range(T - 1, -1, -1):
+        alive.insert(0, [sum((alive_incl[0][c] for c in kids), ZERO)
+                         for kids in f.kids[t]])
+        alive_incl.insert(0, [a + h for a, h in zip(alive[0], hit[t])])
+
+    def conditional(masses):
+        return [[m / w for m, w in zip(row, weights)]
+                for row, weights in zip(masses, f.weights)]
+
+    surv, incl, occurrence = (conditional(alive), conditional(alive_incl),
+                              conditional(hit))
+    # the dual optional projection of 1[t >= tau] has the increment
+    # E[1(tau = t) | atom at t] at t, and that value at 0
+    for t in range(1, T + 1):
+        occurrence[t] = [occurrence[t - 1][p] + d
+                         for p, d in zip(f.up[t], occurrence[t])]
+    survival = AdaptedProcess.from_nodes(f, surv)
+    survival_incl = AdaptedProcess.from_nodes(f, incl)
+    occurrence_proj = AdaptedProcess.from_nodes(f, occurrence)
     fundamental = survival + occurrence_proj
 
-    jump_set = []
-    for t in range(1, T + 1):
-        for block in space.filtration.partitions[t]:
-            rep = block[0]
-            if survival_incl.at(rep, t) == 1 and survival.at(rep, t - 1) < 1:
-                jump_set.append((t, block))
-    jump_set_t = tuple(jump_set)
+    jump_set_t = tuple(
+        (t, block) for t in range(1, T + 1)
+        for block, i, p in zip(f.partitions[t], incl[t], f.up[t])
+        if i == 1 and surv[t - 1][p] < 1)
 
     honest = _honest_closed(space, tau)
     class_h = honest and all(
@@ -181,18 +195,19 @@ def _check_analysis_invariants(a: RandomTimeAnalysis) -> None:
     space = a.space
     if not is_martingale(a.fundamental_martingale, space).ok:
         raise InvariantError("fundamental martingale has drift")
-    for o in space.outcomes:
-        for t in range(space.horizon + 1):
+    for t, part in enumerate(space.filtration.partitions):
+        for block in part:
+            o = block[0]
             z = a.survival.at(o, t)
             zi = a.survival_incl.at(o, t)
             if not (0 <= z <= 1 and 0 <= zi <= 1):
                 raise InvariantError(f"supermartingale outside [0,1] at ({o},{t})")
-            if t >= 1:
-                # inclusive value equals left limit plus martingale increment
-                if zi != a.survival.at(o, t - 1) + a.fundamental_martingale.delta(o, t):
-                    raise InvariantError("survival/martingale increment identity")
-        if a.survival.at(o, space.horizon) != 0:
-            raise InvariantError("survival does not vanish at the horizon")
+            # inclusive value equals left limit plus martingale increment
+            if t >= 1 and zi != (a.survival.at(o, t - 1)
+                                 + a.fundamental_martingale.delta(o, t)):
+                raise InvariantError("survival/martingale increment identity")
+            if t == space.horizon and z != 0:
+                raise InvariantError("survival does not vanish at the horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +252,7 @@ def enlarge(space: FiniteFilteredSpace, analysis: RandomTimeAnalysis) -> Filtrat
 # ---------------------------------------------------------------------------
 
 _BRANCH_WEIGHTS = (1, 2, 2, 3, 3, 3)  # children counts drawn from {1,2,3}-ish
-_INCREMENTS = (-2, -1, -1, 0, 1, 1, 2)
+_INCREMENTS = tuple(map(Fraction, (-2, -1, -1, 0, 1, 1, 2)))
 
 
 def _grow_tree(rng: SplitMix64, depth: int, branching: int):
@@ -305,12 +320,13 @@ def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1,
 
         # driver walk for the last-visit time
         driver = _random_walk(rng, space)
-        visited = sorted({v for row in driver.values.values() for v in row})
+        visited = sorted({driver.at(block[0], t) for t, part in
+                          enumerate(space.filtration.partitions)
+                          for block in part})
         level = visited[rng.randint(0, max(len(visited) - 2, 0))]
         tau_map = {}
         for o in space.outcomes:
-            hits = [t for t in range(depth + 1)
-                    if driver.values[o][t] <= level]
+            hits = [t for t in range(depth + 1) if driver.at(o, t) <= level]
             tau_map[o] = max(hits) if hits else 0
         tau = RandomTimeMap.build(tau_map, space)
 
@@ -331,14 +347,10 @@ def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1,
 
 
 def _random_walk(rng: SplitMix64, space: FiniteFilteredSpace) -> AdaptedProcess:
-    """Adapted walk with per-atom increments from a small integer set."""
-    T = space.horizon
-    values = {o: [ZERO] for o in space.outcomes}
-    for t in range(1, T + 1):
-        incr = {}
-        for block in space.filtration.partitions[t]:
-            incr[block] = Fraction(rng.choice(_INCREMENTS))
-        for block, step in incr.items():
-            for o in block:
-                values[o].append(values[o][t - 1] + step)
-    return adapted(values, space)
+    """Adapted walk with per-atom increments from a small integer set,
+    drawn in partition order at each time."""
+    f = space.filtration
+    draws = [[rng.choice(_INCREMENTS) for _ in part]
+             for part in f.partitions[1:]]
+    return AdaptedProcess.from_increments(
+        f, step=lambda o, t: draws[t - 1][f.block_of[t][o]])

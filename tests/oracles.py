@@ -72,3 +72,69 @@ def grid_feasible(vectors, max_weight):
                for k in range(d)):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Per-outcome references for the calculus on the atom tree: plain loops
+# over outcome rows (outcome -> list over t) and partitions (list over t
+# of blocks), with no node layout.
+# ---------------------------------------------------------------------------
+
+def ref_cond_exp(x, t, prob, partitions):
+    """E[x | partition at t], outcome by outcome."""
+    out = {}
+    for block in partitions[t]:
+        mass = sum(prob[o] for o in block)
+        avg = sum(prob[o] * x[o] for o in block) / mass
+        for o in block:
+            out[o] = avg
+    return out
+
+
+def ref_drift(rows, t, prob, partitions):
+    """One-step drift E[X_t - X_{t-1} | partition at t - 1], per outcome."""
+    return ref_cond_exp({o: Q(row[t]) - Q(row[t - 1]) for o, row in rows.items()},
+                        t - 1, prob, partitions)
+
+
+def ref_compensator(rows, prob, partitions):
+    """A_0 = X_0 and A_t = A_{t-1} + the one-step drift at t."""
+    out = {o: [Q(row[0])] for o, row in rows.items()}
+    for t in range(1, len(partitions)):
+        drift = ref_drift(rows, t, prob, partitions)
+        for o in out:
+            out[o].append(out[o][-1] + drift[o])
+    return out
+
+
+def ref_first_drift(rows, prob, partitions):
+    """(t, block, drift) of the first atom with nonzero drift, scanning
+    t upward and blocks in the given order; None for a martingale."""
+    for t in range(1, len(partitions)):
+        drift = ref_drift(rows, t, prob, partitions)
+        for block in partitions[t - 1]:
+            if drift[block[0]] != 0:
+                return t, tuple(block), drift[block[0]]
+    return None
+
+
+def ref_bracket(xs, ys):
+    """[X, Y]_t = sum over s <= t of dX_s dY_s, outcome by outcome."""
+    out = {}
+    for o, x in xs.items():
+        y, acc = ys[o], [Q(0)]
+        for t in range(1, len(x)):
+            acc.append(acc[-1] + (Q(x[t]) - x[t - 1]) * (Q(y[t]) - y[t - 1]))
+        out[o] = acc
+    return out
+
+
+def ref_exponential(xs):
+    """E(X)_t = product over s <= t of (1 + dX_s), outcome by outcome."""
+    out = {}
+    for o, x in xs.items():
+        acc = [Q(1)]
+        for t in range(1, len(x)):
+            acc.append(acc[-1] * (1 + Q(x[t]) - x[t - 1]))
+        out[o] = acc
+    return out

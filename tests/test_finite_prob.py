@@ -12,6 +12,7 @@ from enlab.errors import (
     NonRefiningFiltration,
     NotAdapted,
     ProbabilityNotOne,
+    SchemaError,
     ZeroProbabilityOutcome,
 )
 from enlab.finite_prob import (
@@ -21,6 +22,7 @@ from enlab.finite_prob import (
     bracket,
     build_space,
     compensator,
+    cond_average,
     cond_exp,
     constant_process,
     dual_optional_projection,
@@ -329,3 +331,86 @@ def test_from_increments_against_reference_loop(name):
     assert built.values == expected
     assert list(built.values) == list(space.outcomes)
     assert built.filtration_label == "G"
+
+
+# ---------------------------------------------------------------------------
+# The node layout against per-outcome references
+# ---------------------------------------------------------------------------
+
+def _random_rows(f, space, rng):
+    """Outcome rows constant on the atoms of f: one draw per atom."""
+    rows = {o: [] for o in space.outcomes}
+    for part in f.partitions:
+        for block in part:
+            value = Q(rng.randint(0, 6) - 3, rng.randint(1, 3))
+            for o in block:
+                rows[o].append(value)
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=5))
+def test_node_layout_against_outcome_references(seed, depth):
+    from enlab.rng import SplitMix64
+
+    from .oracles import (
+        ref_bracket,
+        ref_compensator,
+        ref_cond_exp,
+        ref_exponential,
+        ref_first_drift,
+    )
+
+    space, _, _, analysis = generate_honest_model(seed, depth=depth,
+                                                  branching=3)
+    rng = SplitMix64(seed)
+    prob = space.prob
+    for f in (space.filtration, analysis.enlarged):
+        parts = f.partitions
+        x_rows, y_rows = _random_rows(f, space, rng), _random_rows(f, space, rng)
+        x, y = adapted(x_rows, space, f), adapted(y_rows, space, f)
+        assert x.filtration is f and x.values == x_rows
+
+        column = {o: Q(rng.randint(0, 9) - 4) for o in space.outcomes}
+        for t in range(space.horizon + 1):
+            assert cond_exp(column, t, space, f) == \
+                ref_cond_exp(column, t, prob, parts)
+        # the node primitive: E[X_{t+1} | atom at t] over the children
+        for t in range(space.horizon):
+            ref = ref_cond_exp({o: row[t + 1] for o, row in x_rows.items()},
+                               t, prob, parts)
+            for block in parts[t]:
+                assert cond_average(f, t + 1, f.children(t, block),
+                                    lambda o: x.at(o, t + 1)) == ref[block[0]]
+
+        comp = compensator(x, space, f)
+        assert comp.values == ref_compensator(x_rows, prob, parts)
+        mart = x - comp
+        assert is_martingale(mart, space, f).ok
+        assert ref_first_drift(mart.values, prob, parts) is None
+
+        report = is_martingale(x, space, f)
+        expected = ref_first_drift(x_rows, prob, parts)
+        if expected is None:
+            assert report.ok
+        else:
+            assert (report.t, report.block, report.drift) == expected
+
+        assert bracket(x, y).values == ref_bracket(x_rows, y_rows)
+        assert stochastic_exponential(x).values == ref_exponential(x_rows)
+
+        # rows that differ inside one atom do not bind to f (the root
+        # of the base filtration always holds several outcomes)
+        wide = [(t, b) for t, part in enumerate(parts) for b in part
+                if len(b) > 1]
+        assert wide or f is analysis.enlarged
+        for t, block in wide[:3]:
+            bad = {o: list(row) for o, row in x_rows.items()}
+            bad[block[-1]][t] += 1
+            with pytest.raises(NotAdapted):
+                adapted(bad, space, f)
+        # and rows one step too long do not bind either
+        longer = AdaptedProcess({o: row + row[-1:] for o, row in x_rows.items()})
+        with pytest.raises(SchemaError):
+            longer.on(f)

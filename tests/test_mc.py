@@ -113,6 +113,14 @@ def test_simulate_path_is_the_chunk_reference(model):
              for pid in range(40)]
     assert all(one == two for one, two in flags)
     assert {one for one, _ in flags} == {True, False}
+    # and the censored paths agree too: they stop at the cap, without
+    # the first jump past it
+    for pid in range(40):
+        ref = simulate_path(short, 31, path_index=pid)
+        assert _same_path(ref, replay_path(short, 31, pid))
+        if ref.censored:
+            assert ref.end_time == short.t_max
+            assert all(t <= short.t_max for t in ref.jump_times)
 
 
 def test_replay_matches_vectorized_run(model):

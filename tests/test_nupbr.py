@@ -6,23 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enlab.errors import DimensionTooLarge, InvalidWitness
+from enlab.errors import DimensionTooLarge
 from enlab.finite_prob import (
     AdaptedProcess,
     adapted,
     build_space,
     compensator,
-    is_martingale,
 )
 from enlab.nupbr import (
     corollary_check,
     levy_condition_check,
     nupbr_check,
-    pinned_diagnostics,
     theorem2_crosscheck,
     transform,
     verify_witness,
-    witness_conditions_check,
 )
 from enlab.random_times import enlarge, generate_honest_model
 from enlab.rng import SplitMix64
@@ -130,9 +127,6 @@ def test_transform_stop(tree_space, walk, stop_analysis):
     for o in tree_space.outcomes:
         assert bundle.scaled.delta(o, 1) == 0
         assert bundle.scaled.delta(o, 2) == walk.delta(o, 2)
-    pinned = pinned_diagnostics(walk, stop_analysis)
-    assert all(v == 0 for row in pinned.pinned_mart.values.values()
-               for v in row)
 
 
 def test_transform_tent(tree_space, walk, tent_analysis):
@@ -145,9 +139,6 @@ def test_transform_tent(tree_space, walk, tent_analysis):
     assert bundle.scaled.delta("ud", 2) == 0
     assert bundle.scaled.delta("du", 2) == 0
     assert bundle.scaled.delta("dd", 2) == Q(-1, 2)
-    # pinned-jump martingale really is one
-    pinned = pinned_diagnostics(walk, tent_analysis)
-    assert is_martingale(pinned.pinned_mart, tree_space).ok
 
 
 def test_crosscheck_stop_all_true(tree_space, walk, stop_analysis):
@@ -205,30 +196,8 @@ def test_fully_alive_model_has_null_pinned_martingale():
             continue
         report = levy_condition_check(asset, analysis)
         assert report.equivalent and report.dead_support_empty
-        bundle = transform(asset, analysis)
-        pinned = pinned_diagnostics(asset, analysis)
-        assert all(v == 0 for row in pinned.pinned_mart.values.values()
-                   for v in row)
-        assert pinned.pinned_purged.values == bundle.indicator_scaled.values
         return
     raise AssertionError("no fully alive model found in the seed range")
-
-
-def test_witness_conditions(tree_space, walk, stop_analysis, tent_analysis):
-    verdict = nupbr_check(walk, tree_space)
-    report = witness_conditions_check(walk, tree_space, verdict)
-    assert report.ok
-
-    scaled = transform(walk, stop_analysis).scaled
-    report = witness_conditions_check(
-        scaled, tree_space, nupbr_check(scaled, tree_space))
-    assert report.ok
-
-    tent_scaled = transform(walk, tent_analysis).scaled
-    bad = nupbr_check(tent_scaled, tree_space)
-    assert not bad.satisfied
-    with pytest.raises(InvalidWitness):
-        witness_conditions_check(tent_scaled, tree_space, bad)
 
 
 # ---------------------------------------------------------------------------
