@@ -21,16 +21,10 @@ from .finite_prob import (
     bracket,
     build_space,
     compensator,
-    cond_exp,
     constant_process,
-    dual_optional_projection,
     is_martingale,
     is_positive,
-    optional_projection,
-    predictable,
-    predictable_projection,
     stochastic_exponential,
-    stochastic_integral,
 )
 from .random_times import (
     RandomTimeAnalysis,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .brownian_demo import brownian_demo
-from .errors import EnlabError, UsageError
+from .errors import EnlabError, InvariantError, SchemaError, UsageError
 from .harness import run_crosscheck, run_identity_suite
 from .model_io import dump_model, load_model
 from .nupbr import nupbr_check, verify_witness
@@ -97,7 +97,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nupbr(args) -> int:
-    space, tau, asset = load_model(args.model)
+    try:
+        space, tau, asset = load_model(args.model)
+    except (OSError, SchemaError, InvariantError) as exc:
+        raise UsageError(f"argument --model: {type(exc).__name__}: {exc}",
+                         field="--model") from exc
     analysis = analyze(space, tau)
     enlarged = analysis.enlarged
     after = analysis.after_part(asset)

@@ -50,9 +50,6 @@ class AfterAtom:
     base: Block
     members: Block
 
-    def key(self) -> tuple[int, Block]:
-        return (self.t, self.members)
-
 
 def after_atoms(analysis: RandomTimeAnalysis) -> list[AfterAtom]:
     space = analysis.space

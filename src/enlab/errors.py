@@ -8,36 +8,24 @@ class EnlabError(Exception):
 
 
 class InvariantError(EnlabError):
-    """A validated object violates one of its structural invariants.
-
-    ``invariant`` carries a short machine-readable name, e.g.
-    ``"ProbabilityNotOne"``.
-    """
-
-    invariant = "InvariantError"
-
-    def __init__(self, message: str):
-        super().__init__(f"{self.invariant}: {message}")
+    """A validated object violates one of its structural invariants; the
+    subclass names the invariant."""
 
 
 class NonRefiningFiltration(InvariantError):
-    invariant = "NonRefiningFiltration"
+    pass
 
 
 class ProbabilityNotOne(InvariantError):
-    invariant = "ProbabilityNotOne"
+    pass
 
 
 class ZeroProbabilityOutcome(InvariantError):
-    invariant = "ZeroProbabilityOutcome"
+    pass
 
 
 class NotAdapted(InvariantError):
-    invariant = "NotAdapted"
-
-
-class NotPredictable(InvariantError):
-    invariant = "NotPredictable"
+    pass
 
 
 class SchemaError(EnlabError):
@@ -55,10 +43,6 @@ class UsageError(EnlabError):
     def __init__(self, message: str, field: str = ""):
         self.field = field
         super().__init__(message)
-
-
-class DimensionMismatch(EnlabError):
-    pass
 
 
 class DimensionTooLarge(EnlabError):

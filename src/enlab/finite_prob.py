@@ -1,16 +1,17 @@
 """Exact discrete-time stochastic calculus on finite filtered spaces.
 
-Everything here is computed with ``fractions.Fraction``: projections,
-compensators, brackets and integrals are exact, so downstream identity
-checks can demand bit-identical equality instead of tolerances.
+Everything here is computed with ``fractions.Fraction``: conditional
+averages, compensators, brackets and stochastic exponentials are exact,
+so downstream identity checks can demand bit-identical equality instead
+of tolerances.
 
 Conventions, stated once and enforced everywhere:
 
 * the time grid is {0, ..., T};
 * "predictable at t" means measurable at t - 1 (at 0 for t = 0);
 * the left limit of a process at t is its value at t - 1;
-* integrals, brackets and compensator increments sum over s = 1..t, and
-  the value at time 0 is the initial value (0 for integrals/brackets).
+* brackets and compensator increments sum over s = 1..t, and the value
+  at time 0 is the initial value (0 for brackets).
 
 Filtrations are stored as partitions of the outcome set (their atoms),
 one partition per grid time, each refining the previous one, together
@@ -25,7 +26,7 @@ conditional expectation given time t - 1 is the mass-weighted average
 over an atom's children, and a process built from increments evaluates
 its step once per atom, on the atom's first outcome.
 
-Adaptedness is structural.  Outcome rows (``adapted``, ``predictable``,
+Adaptedness is structural.  Outcome rows (``adapted``,
 ``AdaptedProcess(rows)``) are a process on the finest filtration of
 their outcomes, each outcome its own atom.  Binding a process to a
 filtration (``on``) lifts it onto the atoms of a finer filtration as it
@@ -44,11 +45,9 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    DimensionMismatch,
     InternalCheckFailed,
     NonRefiningFiltration,
     NotAdapted,
-    NotPredictable,
     ProbabilityNotOne,
     SchemaError,
     ZeroProbabilityOutcome,
@@ -174,9 +173,6 @@ class FiniteFilteredSpace:
     horizon: int
     filtration: Filtration
 
-    def p(self, outcome: str) -> Fraction:
-        return self.prob[outcome]
-
 
 def build_space(description: Mapping) -> FiniteFilteredSpace:
     """Validate a parsed model description into a FiniteFilteredSpace.
@@ -235,16 +231,6 @@ Values = dict[str, list[Fraction]]
 Nodes = list[list[Fraction]]
 
 
-def _cumulate(f: Filtration, first: list[Fraction], steps: Nodes) -> Nodes:
-    """Node values from the time-0 values and the increments at t >= 1."""
-    nodes = [list(first)]
-    for t in range(1, len(steps)):
-        prev = nodes[-1]
-        nodes.append([prev[p] + s if s else prev[p]
-                      for p, s in zip(f.up[t], steps[t])])
-    return nodes
-
-
 def _differences(f: Filtration, nodes: Nodes) -> Nodes:
     """Increments from the parent atom (steps[0] is the time-0 value)."""
     return [nodes[0]] + [
@@ -289,15 +275,10 @@ class AdaptedProcess:
         return x
 
     @classmethod
-    def from_increments(cls, over, horizon: int | None = None, step=None,
-                        label: str | None = None) -> "AdaptedProcess":
-        """X_0 = 0 and X_t = X_{t-1} + step(o, t): the one constructor of
-        processes from their increments.  `over` is the filtration, and
-        step is evaluated once per atom at t, on the atom's first
-        outcome.  A plain outcome sequence (with `horizon` and `label`)
-        stands for outcome rows, each outcome its own atom."""
-        f = (over if isinstance(over, Filtration)
-             else _row_filtration(over, horizon, label))
+    def from_increments(cls, f: Filtration, step) -> "AdaptedProcess":
+        """X_0 = 0 and X_t = X_{t-1} + step(o, t) on the atoms of f: the
+        one constructor of processes from their increments.  step is
+        evaluated once per atom at t, on the atom's first outcome."""
         return _integral(f, [[step(block[0], t) for block in part]
                              for t, part in enumerate(f.partitions) if t])
 
@@ -332,14 +313,6 @@ class AdaptedProcess:
         a, b = _common(self, other)
         return a.nodes == b.nodes
 
-    def stopped(self, stop: Mapping[str, int]) -> "AdaptedProcess":
-        """Pathwise stopping: value frozen from stop[outcome] onward; the
-        result must be adapted, i.e. stop a stopping time."""
-        f = self.filtration
-        rows = {o: [self.at(o, min(t, stop[o])) for t in range(len(self.nodes))]
-                for o in f.outcomes}
-        return AdaptedProcess(rows, f.label).on(f)
-
     def _combine(self, other, op, linear: bool) -> "AdaptedProcess":
         a, b = _common(self, other)
         nodes = [[op(x, y) for x, y in zip(ra, rb)]
@@ -365,10 +338,9 @@ class PredictableProcess(AdaptedProcess):
 
 
 def _rows(values, outcomes: Sequence[str], horizon: int) -> Values:
-    rows = values.values if isinstance(values, AdaptedProcess) else values
     out: Values = {}
     for outcome in outcomes:
-        row = [Fraction(v) for v in rows[outcome]]
+        row = [Fraction(v) for v in values[outcome]]
         if len(row) != horizon + 1:
             raise SchemaError(f"process row for {outcome!r} has length "
                               f"{len(row)}, expected {horizon + 1}")
@@ -376,33 +348,29 @@ def _rows(values, outcomes: Sequence[str], horizon: int) -> Values:
     return out
 
 
-def _bind(x: AdaptedProcess, f: Filtration, lag: int = 0) -> AdaptedProcess:
+def _bind(x: AdaptedProcess, f: Filtration) -> AdaptedProcess:
     """x on the atoms of f.  Unless f refines x's filtration, the value
-    at t is first checked constant on f's atoms at max(t - lag, 0): lag 0
-    is adaptedness (NotAdapted), lag 1 predictability (NotPredictable)."""
+    at t is first checked constant on f's atoms at t (NotAdapted)."""
     src = x.filtration
-    if src is f and not lag:
+    if src is f:
         return x
     if len(x.nodes) != len(f.partitions):
         raise SchemaError(f"process of horizon {x.horizon} on a filtration "
                           f"of horizon {f.horizon}")
-    if lag or not f.refines(src):
-        exc, what = ((NotPredictable, "predictable process") if lag
-                     else (NotAdapted, "process"))
+    if not f.refines(src):
         for t, (look, row) in enumerate(zip(src.block_of, x.nodes)):
-            for block in f.partitions[max(t - lag, 0)]:
+            for block in f.partitions[t]:
                 v0 = row[look[block[0]]]
                 for outcome in block[1:]:
                     if row[look[outcome]] != v0:
-                        raise exc(f"{what} not constant on block {block} "
-                                  f"at t={t}")
+                        raise NotAdapted(f"process not constant on block "
+                                         f"{block} at t={t}")
 
     def read(rows: Nodes) -> Nodes:
         return [[row[look[block[0]]] for block in part]
                 for part, look, row in zip(f.partitions, src.block_of, rows)]
 
-    cls = PredictableProcess if lag else type(x)
-    return cls.from_nodes(f, read(x.nodes), read(x.steps))
+    return type(x).from_nodes(f, read(x.nodes), read(x.steps))
 
 
 def _common(*xs: AdaptedProcess) -> list[AdaptedProcess]:
@@ -416,18 +384,11 @@ def _common(*xs: AdaptedProcess) -> list[AdaptedProcess]:
 
 def adapted(values, space: FiniteFilteredSpace,
             filtration: Filtration | None = None) -> AdaptedProcess:
-    """Bind outcome rows (or a process) to a filtration, checking that
-    they are constant on its atoms."""
+    """Bind outcome rows to a filtration, checking that they are constant
+    on its atoms."""
     f = filtration or space.filtration
     rows = _rows(values, space.outcomes, space.horizon)
     return _bind(AdaptedProcess(rows, f.label), f)
-
-
-def predictable(values, space: FiniteFilteredSpace,
-                filtration: Filtration | None = None) -> PredictableProcess:
-    f = filtration or space.filtration
-    rows = _rows(values, space.outcomes, space.horizon)
-    return _bind(AdaptedProcess(rows, f.label), f, lag=1)
 
 
 def constant_process(c, space: FiniteFilteredSpace,
@@ -440,7 +401,7 @@ def constant_process(c, space: FiniteFilteredSpace,
 
 
 # ---------------------------------------------------------------------------
-# Projections and compensators
+# Conditional averages and compensators
 # ---------------------------------------------------------------------------
 
 def _average(weights: Sequence[Fraction], idxs: Sequence[int], value,
@@ -473,52 +434,6 @@ def cond_average(f: Filtration, t: int, atoms: Iterable[Block],
                     lambda i: values(f.partitions[t][i][0]))
 
 
-def _outcome_means(column: Mapping[str, Fraction], t: int,
-                   space: FiniteFilteredSpace,
-                   f: Filtration) -> list[Fraction]:
-    """E[column | atom] for each atom at t of an outcome-indexed column."""
-    return [_total(space.prob[o] * column[o] for o in block) / weight
-            for block, weight in zip(f.partitions[t], f.weights[t])]
-
-
-def cond_exp(x: Mapping[str, Fraction], t: int, space: FiniteFilteredSpace,
-             filtration: Filtration | None = None) -> dict[str, Fraction]:
-    """Conditional expectation of an outcome-indexed vector given the
-    partition at time t.  Exact: block average weighted by the reference
-    measure.  The one reader of outcome-level input, behind the
-    projections of outcome rows."""
-    f = filtration or space.filtration
-    means = _outcome_means(x, t, space, f)
-    return {o: means[f.block_of[t][o]] for o in space.outcomes}
-
-
-def _project(v, space: FiniteFilteredSpace, f: Filtration,
-             lag: int) -> Nodes:
-    """Node values E[V_t | atoms at max(t - lag, 0)] of outcome rows."""
-    rows = _rows(v, space.outcomes, space.horizon)
-    nodes = []
-    for t in range(space.horizon + 1):
-        means = _outcome_means({o: rows[o][t] for o in space.outcomes},
-                               max(t - lag, 0), space, f)
-        nodes.append([means[p] for p in f.up[t]] if lag and t else means)
-    return nodes
-
-
-def optional_projection(v, space: FiniteFilteredSpace,
-                        filtration: Filtration | None = None) -> AdaptedProcess:
-    """(^o V)_t = E[V_t | partition at t], for every t, of outcome rows."""
-    f = filtration or space.filtration
-    return AdaptedProcess.from_nodes(f, _project(v, space, f, 0))
-
-
-def predictable_projection(v, space: FiniteFilteredSpace,
-                           filtration: Filtration | None = None
-                           ) -> PredictableProcess:
-    """(^p V)_t = E[V_t | partition at t-1] for t >= 1, at 0 for t = 0."""
-    f = filtration or space.filtration
-    return PredictableProcess.from_nodes(f, _project(v, space, f, 1))
-
-
 def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
                 filtration: Filtration | None = None) -> PredictableProcess:
     """Dual predictable projection: increment at t is E[dV_t | t-1], and
@@ -537,34 +452,18 @@ def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
     return PredictableProcess.from_nodes(f, nodes, steps)
 
 
-def dual_optional_projection(v, space: FiniteFilteredSpace,
-                             filtration: Filtration | None = None
-                             ) -> AdaptedProcess:
-    """Dual optional projection: increment at t is E[dV_t | t], and the
-    value at 0 is E[V_0 | time-0 partition].  Identity on adapted input."""
-    f = filtration or space.filtration
-    rows = _rows(v, space.outcomes, space.horizon)
-    steps = [_outcome_means(
-        {o: (row[t] - row[t - 1]) if t else row[0] for o, row in rows.items()},
-        t, space, f) for t in range(space.horizon + 1)]
-    return AdaptedProcess.from_nodes(f, _cumulate(f, steps[0], steps), steps)
-
-
 # ---------------------------------------------------------------------------
-# Brackets, integrals, exponential
+# Brackets and exponential
 # ---------------------------------------------------------------------------
 
 def _integral(f: Filtration, increments: Nodes) -> AdaptedProcess:
     """X_0 = 0 with increments[t - 1][i] on the i-th atom at t >= 1."""
-    first = [ZERO] * len(f.partitions[0])
-    steps = [first, *increments]
-    return AdaptedProcess.from_nodes(f, _cumulate(f, first, steps), steps)
-
-
-def _dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
-    """sum a * b over the pairs, skipping zero factors."""
-    terms = [a * b for a, b in pairs if a and b]
-    return _total(terms) if terms else ZERO
+    nodes = [[ZERO] * len(f.partitions[0])]
+    for t, step in enumerate(increments, 1):
+        prev = nodes[-1]
+        nodes.append([prev[p] + s if s else prev[p]
+                      for p, s in zip(f.up[t], step)])
+    return AdaptedProcess.from_nodes(f, nodes, [nodes[0], *increments])
 
 
 def bracket(x: AdaptedProcess, y: AdaptedProcess) -> AdaptedProcess:
@@ -581,31 +480,6 @@ def angle_bracket(x: AdaptedProcess, y: AdaptedProcess,
                   filtration: Filtration | None = None) -> PredictableProcess:
     """Sharp bracket: the compensator of the covariation."""
     return compensator(bracket(x, y), space, filtration)
-
-
-def _component_list(p) -> list[AdaptedProcess]:
-    if isinstance(p, AdaptedProcess):
-        return [p]
-    return list(p)
-
-
-def stochastic_integral(h, x) -> AdaptedProcess:
-    """(H . X)_t = sum_{s<=t} H_s dX_s, starting at 0.
-
-    Scalars integrate against scalars; a sequence of integrands against an
-    equal-length sequence of integrators yields the scalar wealth process.
-    """
-    hs = _component_list(h)
-    xs = _component_list(x)
-    if len(hs) != len(xs):
-        raise DimensionMismatch(f"{len(hs)} integrands vs {len(xs)} integrators")
-    both = _common(*xs, *hs)
-    xs, hs = both[:len(xs)], both[len(xs):]
-    f = xs[0].filtration
-    return _integral(f, [
-        [_dot((hc.nodes[t][i], xc.steps[t][i]) for hc, xc in zip(hs, xs))
-         for i in range(len(part))]
-        for t, part in enumerate(f.partitions) if t])
 
 
 def stochastic_exponential(x: AdaptedProcess) -> AdaptedProcess:

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import NotAdapted, SchemaError
 from .finite_prob import AdaptedProcess, FiniteFilteredSpace, adapted, build_space
 from .random_times import RandomTimeMap
 
@@ -75,7 +75,10 @@ def _parse_process(raw: dict, space: FiniteFilteredSpace,
         if o not in raw:
             raise SchemaError(f"no row for outcome {o!r}", field=where)
         values[o] = [_fraction(v, f"{where}.{o}") for v in raw[o]]
-    return adapted(values, space)
+    try:
+        return adapted(values, space)
+    except (NotAdapted, SchemaError) as exc:
+        raise SchemaError(str(exc), field=where) from exc
 
 
 def dump_model(space: FiniteFilteredSpace, tau: RandomTimeMap,

@@ -77,10 +77,6 @@ class RandomTimeAnalysis:
     class_h: bool
     is_stopping_time: bool
 
-    def survival_left(self, outcome: str, t: int) -> Fraction:
-        """Left limit of the survival process: value at t - 1 (1 at t=0)."""
-        return self.survival.at(outcome, t - 1) if t >= 1 else ONE
-
     def in_jump_set(self, outcome: str, t: int) -> bool:
         if t < 1:
             return False

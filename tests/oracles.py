@@ -13,18 +13,6 @@ from itertools import product
 Q = Fraction
 
 
-def enum_cond_exp(x, t, description):
-    """Direct definition of conditional expectation on a partition."""
-    prob = {o: Q(p) for o, p in description["prob"].items()}
-    out = {}
-    for block in description["partitions"][t]:
-        mass = sum(prob[o] for o in block)
-        avg = sum(prob[o] * x[o] for o in block) / mass
-        for o in block:
-            out[o] = avg
-    return out
-
-
 def enum_survival(description, tau, t, inclusive=False):
     """P(tau > t | atom) (or >=) by brute enumeration per atom."""
     prob = {o: Q(p) for o, p in description["prob"].items()}

@@ -79,6 +79,26 @@ def test_cli_usage_error():
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("entry, value, field", [
+    ("S", ["0", "2", "2"], "S"),  # not constant on the t = 1 atom {uu, ud}
+    ("prob", "x/y", "prob.uu"),
+])
+def test_cli_nupbr_rejects_malformed_model(entry, value, field, tmp_path,
+                                           capsys):
+    bad = _tent_payload()
+    bad[entry]["uu"] = value
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(bad))
+    assert main(["nupbr", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "--model" in err and f"(field: {field})" in err
+
+
+def test_cli_nupbr_rejects_missing_model(tmp_path, capsys):
+    assert main(["nupbr", "--model", str(tmp_path / "absent.json")]) == 2
+    assert "--model" in capsys.readouterr().err
+
+
 def test_cli_gen_nupbr_verify(tmp_path):
     model = tmp_path / "model.json"
     assert main(["gen", "--seed", "3", "--depth", "4", "--branching", "3",

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enlab.errors import (
-    DimensionMismatch,
     NonRefiningFiltration,
     NotAdapted,
     ProbabilityNotOne,
@@ -23,21 +22,16 @@ from enlab.finite_prob import (
     build_space,
     compensator,
     cond_average,
-    cond_exp,
     constant_process,
-    dual_optional_projection,
     is_martingale,
     is_positive,
-    optional_projection,
-    predictable,
-    predictable_projection,
     stochastic_exponential,
-    stochastic_integral,
 )
 from enlab.model_io import load_model
 from enlab.random_times import analyze, enlarge, generate_honest_model
 
 from .conftest import TREE
+from .oracles import ref_cond_exp
 
 Q = Fraction
 
@@ -74,57 +68,47 @@ def test_adaptedness_is_checked(tree_space):
 
 
 def test_cond_exp_constant_and_terminal(tree_space):
-    c = {o: Q(7, 3) for o in tree_space.outcomes}
-    assert cond_exp(c, 1, tree_space) == c
+    # E[X | atom] through the one primitive: the mass-weighted average of
+    # X over the atom's terminal children
+    f = tree_space.filtration
+    for atom in f.partitions[1]:
+        assert cond_average(f, 2, f.children(1, atom),
+                            lambda o: Q(7, 3)) == Q(7, 3)
 
     x = {"uu": Q(1), "ud": Q(2), "du": Q(3), "dd": Q(4)}
-    assert cond_exp(x, 2, tree_space) == x
+    for atom in f.partitions[2]:
+        assert cond_average(f, 2, [atom], x.get) == x[atom[0]]
 
 
 def test_cond_exp_indicator(tree_space):
+    f = tree_space.filtration
     ind = {o: Q(1 if o == "uu" else 0) for o in tree_space.outcomes}
-    col = cond_exp(ind, 1, tree_space)
-    assert col["uu"] == col["ud"] == Q(1, 2)
-    assert col["du"] == col["dd"] == 0
 
+    def given_time_1(o):
+        return cond_average(f, 2, f.children(1, f.block(1, o)), ind.get)
 
-def test_optional_projection_idempotent_on_adapted(tree_space, walk):
-    proj = optional_projection(walk.values, tree_space)
-    assert proj.values == walk.values
+    assert given_time_1("uu") == given_time_1("ud") == Q(1, 2)
+    assert given_time_1("du") == given_time_1("dd") == 0
+    # over a union of atoms: the whole space
+    assert cond_average(f, 2, f.partitions[2], ind.get) == Q(1, 4)
 
 
 def test_optional_projection_of_occupation_indicators(tree_space, tent_analysis):
-    # projecting the pre-time and at-or-pre-time indicators recovers the
-    # two survival processes of the random time
+    # projecting the pre-time and at-or-pre-time indicators, outcome by
+    # outcome, recovers the two survival processes of the random time
     tau = tent_analysis.tau
-    before = {o: [Q(1 if t < tau[o] else 0) for t in range(3)]
-              for o in tree_space.outcomes}
-    at_or_before = {o: [Q(1 if t <= tau[o] else 0) for t in range(3)]
-                    for o in tree_space.outcomes}
-    assert optional_projection(before, tree_space).values == \
-        tent_analysis.survival.values
-    assert optional_projection(at_or_before, tree_space).values == \
-        tent_analysis.survival_incl.values
-
-
-def test_predictable_projection(tree_space, walk):
-    # martingale increments project to zero
-    deltas = {o: [Q(0)] + [walk.delta(o, t) for t in (1, 2)]
-              for o in tree_space.outcomes}
-    proj = predictable_projection(deltas, tree_space)
-    for o in tree_space.outcomes:
-        assert proj.at(o, 1) == 0 and proj.at(o, 2) == 0
-
-    # indicator of the terminal middle outcomes, conditioned one step back
-    ind = {o: [Q(0), Q(0), Q(1 if o in ("ud", "du") else 0)]
-           for o in tree_space.outcomes}
-    proj = predictable_projection(ind, tree_space)
-    for o in tree_space.outcomes:
-        assert proj.at(o, 2) == Q(1, 2)
+    parts = tree_space.filtration.partitions
+    for t in range(3):
+        before = {o: Q(1 if t < tau[o] else 0) for o in tree_space.outcomes}
+        at_or_before = {o: Q(1 if t <= tau[o] else 0)
+                        for o in tree_space.outcomes}
+        for indicator, process in ((before, tent_analysis.survival),
+                                   (at_or_before, tent_analysis.survival_incl)):
+            ref = ref_cond_exp(indicator, t, tree_space.prob, parts)
+            assert {o: process.at(o, t) for o in tree_space.outcomes} == ref
 
 
 def test_compensator_deterministic_and_martingale(tree_space, walk):
-    det = constant_process(0, tree_space)
     det = AdaptedProcess({o: [Q(0), Q(2), Q(5)] for o in tree_space.outcomes})
     assert compensator(det, tree_space).values == det.values
 
@@ -144,10 +128,6 @@ def test_compensator_property(tree_space, walk):
 
 
 def test_dual_optional_projection(tree_space, stop_analysis):
-    # adapted increasing input is returned unchanged
-    inc = AdaptedProcess({o: [Q(0), Q(1), Q(3)] for o in tree_space.outcomes})
-    assert dual_optional_projection(inc, tree_space).values == inc.values
-
     # deterministic time 1: occurrence projection (0, 1, 1)
     proj = stop_analysis.occurrence_proj
     for o in tree_space.outcomes:
@@ -177,25 +157,6 @@ def test_angle_bracket_of_fundamental(tree_space, tent_analysis):
     sharp = angle_bracket(m, m, tree_space)
     for o in tree_space.outcomes:
         assert sharp.at(o, 2) - sharp.at(o, 1) == Q(1, 4)
-
-
-def test_stochastic_integral(tree_space, walk):
-    ones = predictable({o: [Q(1)] * 3 for o in tree_space.outcomes}, tree_space)
-    assert stochastic_integral(ones, walk).values == walk.values  # X_0 = 0
-
-    zeros = predictable({o: [Q(0)] * 3 for o in tree_space.outcomes}, tree_space)
-    assert stochastic_integral(zeros, walk).values == \
-        constant_process(0, tree_space).values
-
-    last_step = predictable({o: [Q(0), Q(0), Q(1)] for o in tree_space.outcomes},
-                            tree_space)
-    integral = stochastic_integral(last_step, walk)
-    for o in tree_space.outcomes:
-        assert integral.at(o, 1) == 0
-        assert integral.at(o, 2) == walk.delta(o, 2)
-
-    with pytest.raises(DimensionMismatch):
-        stochastic_integral([ones, ones], walk)
 
 
 def test_stochastic_exponential(tree_space, walk):
@@ -238,20 +199,6 @@ def test_is_martingale(tree_space, walk, tent_analysis):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 6))
-def test_projection_consistency(seed):
-    space, tau, _, _ = generate_honest_model(seed, depth=3, branching=3)
-    raw = {o: [Q((hash((o, t)) % 7) - 3) for t in range(space.horizon + 1)]
-           for o in space.outcomes}
-    for proj in (optional_projection(raw, space),
-                 predictable_projection(raw, space)):
-        for t in range(space.horizon + 1):
-            lhs = sum(space.prob[o] * proj.at(o, t) for o in space.outcomes)
-            rhs = sum(space.prob[o] * raw[o][t] for o in space.outcomes)
-            assert lhs == rhs
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=10 ** 6))
 def test_compensator_yields_martingale(seed):
     space, tau, asset, _ = generate_honest_model(seed, depth=3, branching=3)
     fv = bracket(asset, asset)
@@ -264,20 +211,10 @@ def test_yoeurp_identity(seed):
     # compensator of a predictable-integrand martingale integral is zero
     space, tau, asset, _ = generate_honest_model(seed, depth=3, branching=3)
     mart = asset - compensator(asset, space)
-    integrand = predictable(
-        {o: [Q(0)] + [mart.at(o, t - 1) for t in range(1, space.horizon + 1)]
-         for o in space.outcomes}, space)
-    integral = stochastic_integral(integrand, mart)
+    integral = AdaptedProcess.from_increments(
+        space.filtration, step=lambda o, t: mart.at(o, t - 1) * mart.delta(o, t))
     comp = compensator(integral, space)
     assert all(v == 0 for row in comp.values.values() for v in row)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=10 ** 6))
-def test_dual_optional_identity_on_adapted(seed):
-    space, tau, asset, _ = generate_honest_model(seed, depth=3, branching=3)
-    inc = bracket(asset, asset)  # adapted, nondecreasing
-    assert dual_optional_projection(inc, space).values == inc.values
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +263,10 @@ def test_from_increments_against_reference_loop(name):
         for t in range(1, space.horizon + 1):
             row.append(row[-1] + step(o, t))
         expected[o] = row
-    built = AdaptedProcess.from_increments(space.outcomes, space.horizon,
-                                           step, "G")
+    built = AdaptedProcess.from_increments(space.filtration, step)
     assert built.values == expected
     assert list(built.values) == list(space.outcomes)
-    assert built.filtration_label == "G"
+    assert built.filtration is space.filtration
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +293,6 @@ def test_node_layout_against_outcome_references(seed, depth):
     from .oracles import (
         ref_bracket,
         ref_compensator,
-        ref_cond_exp,
         ref_exponential,
         ref_first_drift,
     )
@@ -372,10 +307,6 @@ def test_node_layout_against_outcome_references(seed, depth):
         x, y = adapted(x_rows, space, f), adapted(y_rows, space, f)
         assert x.filtration is f and x.values == x_rows
 
-        column = {o: Q(rng.randint(0, 9) - 4) for o in space.outcomes}
-        for t in range(space.horizon + 1):
-            assert cond_exp(column, t, space, f) == \
-                ref_cond_exp(column, t, prob, parts)
         # the node primitive: E[X_{t+1} | atom at t] over the children
         for t in range(space.horizon):
             ref = ref_cond_exp({o: row[t + 1] for o, row in x_rows.items()},

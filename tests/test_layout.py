@@ -1,8 +1,9 @@
 """Layout guard: only `finite_prob` builds or reads process rows.
 
 Every other module constructs processes through the `finite_prob`
-constructors (`adapted`, `predictable`, `AdaptedProcess.from_increments`,
-the projections and the process arithmetic) and reads them through
+constructors (`adapted`, `constant_process`,
+`AdaptedProcess.from_increments`, the compensator, brackets,
+exponential and the process arithmetic) and reads them through
 `at`, `delta` and `equals`, so the storage of a process can change
 inside `finite_prob` alone.
 """

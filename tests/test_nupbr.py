@@ -102,13 +102,6 @@ def test_vector_arbitrage_witness(tree_space, walk):
     assert verify_witness(verdict, [walk, drift], tree_space)
 
 
-def test_verdict_invariant_under_stopping_at_horizon(tree_space, walk):
-    stopped = walk.stopped({o: tree_space.horizon for o in tree_space.outcomes})
-    assert stopped.values == walk.values
-    assert nupbr_check(stopped, tree_space).satisfied == \
-        nupbr_check(walk, tree_space).satisfied
-
-
 def test_verdict_json_roundtrip(tree_space, walk):
     import json
     verdict = nupbr_check(walk, tree_space)

@@ -15,6 +15,8 @@ from enlab.random_times import (
     generate_honest_model,
 )
 
+from .oracles import ref_cond_exp
+
 Q = Fraction
 
 
@@ -191,6 +193,35 @@ def test_left_survival_gap_bounded_below(seed):
             for o in space.outcomes for t in range(space.horizon + 1)
             if a.survival.at(o, t) < 1]
     assert gaps and min(gaps) > 0
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_analysis_against_outcome_references(seed):
+    # the survival processes, the occurrence projection and the jump set,
+    # from per-outcome conditional expectations of indicator rows
+    space, tau, _, a = generate_honest_model(seed, depth=5, branching=3)
+    prob, parts = space.prob, space.filtration.partitions
+
+    def projected(indicator, t):
+        return ref_cond_exp({o: Q(1 if indicator(o) else 0)
+                             for o in space.outcomes}, t, prob, parts)
+
+    survival, incl, occurrence, jump_set = [], [], [], []
+    for t in range(space.horizon + 1):
+        survival.append(projected(lambda o: t < tau[o], t))
+        incl.append(projected(lambda o: t <= tau[o], t))
+        hit = projected(lambda o: tau[o] == t, t)
+        occurrence.append({o: (occurrence[-1][o] if t else 0) + hit[o]
+                           for o in space.outcomes})
+        jump_set += [(t, block) for block in parts[t] if t
+                     and incl[t][block[0]] == 1
+                     and survival[t - 1][block[0]] < 1]
+    for process, ref in ((a.survival, survival), (a.survival_incl, incl),
+                         (a.occurrence_proj, occurrence)):
+        assert process.values == {
+            o: [ref[t][o] for t in range(space.horizon + 1)]
+            for o in space.outcomes}
+    assert a.jump_set == tuple(jump_set)
 
 
 # ---------------------------------------------------------------------------
