@@ -1,14 +1,18 @@
-"""Independent brute-force oracles for the exact engine.
+"""Independent brute-force oracles for the exact engine, and plain-loop
+references for the ruin oracle.
 
 These deliberately re-derive quantities from first principles, bypassing
-the package's grouped-atom machinery, so that curated-fixture values are
-confirmed by two unrelated code paths.
+the package's grouped-atom machinery and its batched numerics, so that
+engine values are confirmed by two unrelated code paths.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 Q = Fraction
 
@@ -126,3 +130,82 @@ def ref_exponential(xs):
             acc.append(acc[-1] * (1 + Q(x[t]) - x[t - 1]))
         out[o] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Ruin-oracle references: the Pollaczeck-Khinchine series summed one
+# Irwin-Hall order at a time, and the tail level found by one psi
+# evaluation per bisection step.  The engine's block sum and batched
+# bisection must reproduce these bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_irwin_hall_cdf(k, x):
+    """P(sum of k iid uniform(0,1) <= x), one alternating term per j."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    out[x >= k] = 1.0
+    mid = (x > 0) & (x < k)
+    if not mid.any():
+        return out
+    xm = x[mid]
+    acc = np.zeros(xm.shape)
+    log_kfac = math.lgamma(k + 1)
+    for j in range(int(np.floor(xm.max())) + 1):
+        base = xm - j
+        live = base > 0
+        if not live.any():
+            break
+        log_c = (math.lgamma(k + 1) - math.lgamma(j + 1)
+                 - math.lgamma(k - j + 1))
+        term = np.zeros(xm.shape)
+        term[live] = np.exp(log_c + k * np.log(base[live]) - log_kfac)
+        acc += term if j % 2 == 0 else -term
+    out[mid] = np.clip(acc, 0.0, 1.0)
+    return out
+
+
+def ref_irwin_hall_sf(k, u):
+    """P(sum of k iid uniform(0,1) > u); symmetric form above k/2."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape)
+    out[u <= 0] = 1.0
+    mid = (u > 0) & (u < k)
+    if not mid.any():
+        return out
+    um = u[mid]
+    res = np.empty(um.shape)
+    high = um > k / 2
+    res[high] = ref_irwin_hall_cdf(k, k - um[high])
+    res[~high] = 1.0 - ref_irwin_hall_cdf(k, um[~high])
+    out[mid] = res
+    return out
+
+
+def ref_psi_many(oracle, us):
+    """(1 - rho) * sum_k rho^k P(IH_k > u), accumulated order by order."""
+    us = np.asarray(us, dtype=float)
+    rho = oracle.load
+    acc = np.zeros(us.shape)
+    weight = 1.0
+    for k in range(1, oracle.terms + 1):
+        weight *= rho
+        acc += weight * ref_irwin_hall_sf(k, us)
+    return (1.0 - rho) * acc
+
+
+def ref_tail_level(oracle, eps):
+    """Doubling then 60 bisection steps, one psi evaluation per step."""
+    def psi(u):
+        return float(ref_psi_many(oracle, np.array([u]))[0])
+    lo, hi = 0.0, 1.0
+    while psi(hi) + oracle.remainder > eps:
+        lo, hi = hi, hi * 2
+        if hi > 1e6:
+            raise ValueError("tail level out of reach")
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if psi(mid) + oracle.remainder > eps:
+            lo = mid
+        else:
+            hi = mid
+    return hi

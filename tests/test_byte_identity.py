@@ -1,10 +1,13 @@
-"""Byte-identity gate for the deterministic finite-engine reports.
+"""Byte-identity gate for the deterministic reports of both engines.
 
 The digests below were recorded from the reports as they stand, and any
 change to how the engine computes them must leave every byte in place:
 all finite arithmetic is exact, so a refactor that changes a digest has
 changed a verdict, a witness or the report layout.  Wall time
 (``elapsed_seconds``) is the one non-deterministic field and is left out.
+The Monte Carlo digest covers the ruin oracle's psi values and tail
+levels and small seeded example and ruin runs, whose float outputs are
+compared as exact reprs.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import pytest
 
 from enlab.cli import main
 from enlab.harness import run_crosscheck, run_identity_suite
+from enlab.poisson_mc import PoissonModel, example1_run, example2_run, ruin_mc
+from enlab.ruin import RuinOracle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -33,6 +38,9 @@ NUPBR_SHA256 = {
     "gen-seed-6.json":
         "b07c723640c9067613049ffd0b7bcad94227ad65184c6c483d97226b484882a1",
 }
+
+MONTE_CARLO_SHA256 = (
+    "f03b169424793355ff2b5330280d643472d8fa9dbf2dc65b894ab519c1bb682f")
 
 
 def _sha256(text: str | bytes) -> str:
@@ -68,3 +76,31 @@ def test_nupbr_report_bytes(name, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert _sha256((tmp_path / "verdict.json").read_bytes()) == \
         NUPBR_SHA256[name]
+
+
+def test_monte_carlo_bytes():
+    # zero, integers, k/2 switch points and deep-tail reserves
+    grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5, 6.0, 9.5, 13.0,
+            17.78, 26.84]
+    record = {}
+    for mu in (1.5, 2.0, 4.0):
+        oracle = RuinOracle(mu)
+        record[f"psi mu={mu}"] = [repr(v) for v in
+                                  oracle.psi_many(grid).tolist()]
+        record[f"tail mu={mu}"] = [repr(oracle.tail_level(eps))
+                                   for eps in (1e-6, 1e-9)]
+        freq, se = ruin_mc(mu, [0.0, 0.5, 1.0, 2.0], 8192, seed=3, threads=1)
+        record[f"ruin_mc mu={mu}"] = [repr(v) for v in
+                                      freq.tolist() + se.tolist()]
+    model = PoissonModel(mu=2.0, a=1.0)
+    r1 = example1_run(model, 8192, 7, threads=1)
+    record["example1"] = [f"{pid},{w!r},{lo!r}" for pid, w, lo in r1.rows()]
+    record["example1 summary"] = repr((
+        r1.n_censored, r1.mean_terminal, r1.se_terminal,
+        sorted(r1.lambda_table.items())))
+    r2 = example2_run(model, 8192, 7, checkpoints=(1.0, 2.0, 5.0),
+                      threads=1)
+    record["example2"] = [repr((s.checkpoint, s.mean, s.se, s.ok))
+                          for s in r2.deflator + r2.product]
+    record["example2 min"] = repr((r2.min_deflator, r2.n_censored))
+    assert _sha256(json.dumps(record, sort_keys=True)) == MONTE_CARLO_SHA256

@@ -10,6 +10,13 @@ from enlab.errors import InvalidDrift
 from enlab.poisson_mc import ruin_mc
 from enlab.ruin import RuinOracle, irwin_hall_cdf, irwin_hall_sf
 
+from .oracles import (
+    ref_irwin_hall_cdf,
+    ref_irwin_hall_sf,
+    ref_psi_many,
+    ref_tail_level,
+)
+
 
 def test_irwin_hall_small_orders():
     # one uniform: cdf is the identity on (0, 1)
@@ -121,3 +128,40 @@ def test_ruin_mc_deterministic_and_thread_safe():
     two = ruin_mc(2.0, us, 30_000, seed=4, threads=3)
     assert np.array_equal(one[0], two[0])
     assert np.array_equal(one[1], two[1])
+
+
+# the reserve grid of the bit-for-bit checks: zero, integers, half
+# integers (k/2, where the symmetric form switches), points either side
+# of them, and levels deep in the tail
+REFERENCE_GRID = np.array(
+    [0.0, 1e-12, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0,
+     4.5, 5.0, 6.0, 6.5 - 1e-12, 6.5, 6.5 + 1e-12, 9.75, 13.0, 17.78,
+     19.5, 26.84, 34.0, 40.0, 59.4, 75.5, 151.0, 200.0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 40, 80])
+def test_irwin_hall_matches_per_term_reference(k):
+    xs = np.concatenate([REFERENCE_GRID, -REFERENCE_GRID[1:3],
+                         np.linspace(0, k, 97)])
+    assert np.array_equal(irwin_hall_cdf(k, xs), ref_irwin_hall_cdf(k, xs))
+    assert np.array_equal(irwin_hall_sf(k, xs), ref_irwin_hall_sf(k, xs))
+
+
+@pytest.mark.parametrize("mu", [1.2, 1.5, 2.0, 4.0, 16.0])
+def test_psi_many_matches_per_order_reference(mu):
+    oracle = RuinOracle(mu)
+    assert np.array_equal(oracle.psi_many(REFERENCE_GRID),
+                          ref_psi_many(oracle, REFERENCE_GRID))
+    # the example-2 deflator grid: thousands of points, most of them at
+    # or past some order k
+    grid = np.arange(0.0, 10.0, 1e-3)
+    assert np.array_equal(oracle.psi_many(grid), ref_psi_many(oracle, grid))
+    assert np.array_equal(oracle.psi_many(grid.reshape(100, 100)),
+                          ref_psi_many(oracle, grid).reshape(100, 100))
+
+
+@pytest.mark.parametrize("mu", [1.5, 2.0, 4.0, 16.0])
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+def test_tail_level_matches_sequential_bisection(mu, eps):
+    oracle = RuinOracle(mu)
+    assert oracle.tail_level(eps) == ref_tail_level(oracle, eps)
