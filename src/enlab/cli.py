@@ -20,7 +20,13 @@ import numpy as np
 
 from . import __version__
 from .brownian_demo import brownian_demo
-from .errors import EnlabError, InvariantError, SchemaError, UsageError
+from .errors import (
+    EnlabError,
+    InvalidDrift,
+    InvariantError,
+    SchemaError,
+    UsageError,
+)
 from .harness import run_crosscheck, run_identity_suite
 from .model_io import dump_model, load_model
 from .nupbr import nupbr_check, verify_witness
@@ -65,6 +71,17 @@ def _positive(kind):
         return value
     parse.__name__ = kind.__name__  # argparse names the type in errors
     return parse
+
+
+def _premium_rate(text: str) -> float:
+    """A premium rate mu the ruin oracle accepts: above 1, and far enough
+    above it for the series to converge within its term cap."""
+    mu = float(text)
+    try:
+        RuinOracle(mu)
+    except InvalidDrift as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return mu
 
 
 def _write_json(path, payload) -> None:
@@ -258,16 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("example1", cmd_example1, threads=True,
             help="after-time arbitrage strategy run")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--mu", type=_premium_rate, required=True)
+    p.add_argument("--a", type=_positive(float), required=True)
     p.add_argument("--paths", type=_positive(int), default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv")
 
     p = add("example2", cmd_example2, threads=True,
             help="deflator martingale run")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--mu", type=_premium_rate, required=True)
+    p.add_argument("--a", type=_positive(float), required=True)
     p.add_argument("--paths", type=_positive(int), default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--checkpoints", type=_floats, default=(1.0, 2.0, 5.0))
@@ -275,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("psi", cmd_psi, threads=True,
             help="ruin probability with MC cross-check")
-    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--mu", type=_premium_rate, required=True)
     p.add_argument("--u", type=_reserves, required=True)
     p.add_argument("--mc-paths", type=_positive(int), default=200_000)
     p.add_argument("--seed", type=int, default=1)

@@ -33,28 +33,53 @@ def load_model(path) -> tuple[FiniteFilteredSpace, RandomTimeMap, AdaptedProcess
     return parse_model(payload)
 
 
+def _typed(value, kind: type, where: str):
+    """``value`` if it is a ``kind`` (a JSON object or array), else a
+    SchemaError naming ``where``."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise SchemaError(f"expected {expected}, got {value!r}", field=where)
+    return value
+
+
+def _names(value, where: str) -> list:
+    """An array of outcome names, else a SchemaError naming ``where``."""
+    if not all(isinstance(o, str) for o in _typed(value, list, where)):
+        raise SchemaError("outcome names must be strings", field=where)
+    return value
+
+
 def parse_model(payload: dict):
+    _typed(payload, dict, "(model)")
     for key in ("outcomes", "prob", "partitions", "S", "tau"):
         if key not in payload:
             raise SchemaError("missing required key", field=key)
-    prob = {o: _fraction(p, f"prob.{o}") for o, p in payload["prob"].items()}
-    space = build_space({"outcomes": payload["outcomes"], "prob": prob,
+    prob = {o: _fraction(p, f"prob.{o}")
+            for o, p in _typed(payload["prob"], dict, "prob").items()}
+    for t, part in enumerate(_typed(payload["partitions"], list,
+                                    "partitions")):
+        for block in _typed(part, list, f"partitions.{t}"):
+            _names(block, f"partitions.{t}")
+    space = build_space({"outcomes": _names(payload["outcomes"], "outcomes"),
+                         "prob": prob,
                          "partitions": payload["partitions"],
                          "horizon": payload.get("horizon")})
 
     processes = {"S": _parse_process(payload["S"], space, "S")}
-    for name, raw in payload.get("processes", {}).items():
+    for name, raw in _typed(payload.get("processes", {}), dict,
+                            "processes").items():
         processes[name] = _parse_process(raw, space, f"processes.{name}")
 
-    tau_raw = payload["tau"]
-    if isinstance(tau_raw, dict) and "last_visit" in tau_raw:
-        recipe = tau_raw["last_visit"]
+    tau_raw = _typed(payload["tau"], dict, "tau")
+    if "last_visit" in tau_raw:
+        recipe = _typed(tau_raw["last_visit"], dict, "tau.last_visit")
         name = recipe.get("process", "S")
         if name not in processes:
             raise SchemaError(f"unknown process {name!r}",
                               field="tau.last_visit.process")
         levels = {_fraction(v, "tau.last_visit.set")
-                  for v in recipe.get("set", [])}
+                  for v in _typed(recipe.get("set", []), list,
+                                  "tau.last_visit.set")}
         driver = processes[name]
         tau_map = {}
         for o in space.outcomes:
@@ -63,18 +88,23 @@ def parse_model(payload: dict):
             tau_map[o] = max(hits) if hits else 0
         tau = RandomTimeMap.build(tau_map, space)
     else:
-        tau = RandomTimeMap.build(
-            {o: int(v) for o, v in tau_raw.items()}, space)
+        for o, v in tau_raw.items():
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise SchemaError(f"time {v!r} is not an integer",
+                                  field=f"tau.{o}")
+        tau = RandomTimeMap.build(tau_raw, space)
     return space, tau, processes["S"]
 
 
 def _parse_process(raw: dict, space: FiniteFilteredSpace,
                    where: str) -> AdaptedProcess:
+    _typed(raw, dict, where)
     values = {}
     for o in space.outcomes:
         if o not in raw:
             raise SchemaError(f"no row for outcome {o!r}", field=where)
-        values[o] = [_fraction(v, f"{where}.{o}") for v in raw[o]]
+        values[o] = [_fraction(v, f"{where}.{o}")
+                     for v in _typed(raw[o], list, f"{where}.{o}")]
     try:
         return adapted(values, space)
     except (NotAdapted, SchemaError) as exc:

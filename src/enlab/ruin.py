@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import InvalidDrift
 
-# Most (order, reserve) cells one psi_many block holds; reserves are taken
-# in slices of at most this many cells over the series' orders.
+# Most (order, reserve) cells in one psi_many block: the reserves are
+# evaluated in slices of at most this many cells divided by the orders.
 _BLOCK_CELLS = 1 << 16
 
 # Bisection steps that tail_level resolves per psi_many call: one call
@@ -63,10 +63,10 @@ def _alternating_cdf(orders: np.ndarray, x: np.ndarray,
     adding it changes no sum."""
     k = orders[:, None]
     log_kfac = log_fact[k]
-    row_top, col_top = x.max(axis=1), x.max(axis=0)
+    row_top, col_top = x.max(axis=1, initial=0), x.max(axis=0, initial=0)
     acc = np.zeros(x.shape)
     term = np.empty(x.shape)
-    for j in range(math.ceil(x.max()) if x.size else 0):
+    for j in range(math.ceil(x.max(initial=0))):
         rows = np.flatnonzero(row_top > j)
         cols = np.flatnonzero(col_top > j)
         r, c = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
@@ -198,8 +198,10 @@ class RuinOracle:
         ``_BISECTION_DEPTH`` steps: it evaluates every midpoint the round
         can visit, formed by the same (lo + hi) / 2 recursion, so the
         returned level is bit for bit that of one psi evaluation per step.
-        The search stops early once (lo + hi) / 2 rounds to lo or hi, as
-        no later step can then move either end."""
+        The search stops early once (lo + hi) / 2 rounds to lo or hi: hi
+        meets the bound and lo misses it (lo = 0, never evaluated, cannot
+        be reached by halving hi >= 1 sixty times), so no later step can
+        move either end."""
         if not self.remainder < eps < 1:
             raise ValueError(f"eps must lie in ({self.remainder:.3g}, 1)")
         # hi = 1, 2, ..., 2^19; the next candidate, 2^20, exceeds 1e6

@@ -79,19 +79,38 @@ def test_cli_usage_error():
     assert main(["no-such-command"]) == 2
 
 
+def _assert_model_rejected(payload, field, tmp_path, capsys):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(payload))
+    assert main(["nupbr", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "--model" in err and f"(field: {field})" in err
+
+
 @pytest.mark.parametrize("entry, value, field", [
     ("S", ["0", "2", "2"], "S"),  # not constant on the t = 1 atom {uu, ud}
     ("prob", "x/y", "prob.uu"),
+    ("S", 3, "S.uu"),
 ])
 def test_cli_nupbr_rejects_malformed_model(entry, value, field, tmp_path,
                                            capsys):
     bad = _tent_payload()
     bad[entry]["uu"] = value
-    model = tmp_path / "bad.json"
-    model.write_text(json.dumps(bad))
-    assert main(["nupbr", "--model", str(model)]) == 2
-    err = capsys.readouterr().err
-    assert "--model" in err and f"(field: {field})" in err
+    _assert_model_rejected(bad, field, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("entry, value, field", [
+    ("prob", ["1/4", "1/4", "1/4", "1/4"], "prob"),
+    ("partitions", 5, "partitions"),
+    ("tau", {"uu": "x", "ud": 2, "du": 2, "dd": 0}, "tau.uu"),
+    ("tau", {"last_visit": {"process": "S", "set": 3}},
+     "tau.last_visit.set"),
+])
+def test_cli_nupbr_rejects_mistyped_model(entry, value, field, tmp_path,
+                                          capsys):
+    bad = _tent_payload()
+    bad[entry] = value
+    _assert_model_rejected(bad, field, tmp_path, capsys)
 
 
 def test_cli_nupbr_rejects_missing_model(tmp_path, capsys):
@@ -168,6 +187,21 @@ def test_cli_psi(tmp_path, capsys):
     assert all(float(v) >= 0 for v in lines[1].split(","))  # plain floats
 
 
+def _csv_rows(path):
+    """The rows of a CSV report as dicts, each cell read as an int, else
+    a float, else kept as text."""
+    def cell(text):
+        for kind in (int, float):
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        return text
+    header, *rows = path.read_text().splitlines()
+    return [dict(zip(header.split(","), map(cell, row.split(","))))
+            for row in rows]
+
+
 def _not_json(name):
     raise ValueError(f"{name} is not valid JSON")
 
@@ -208,6 +242,20 @@ def test_reports_validate_against_shipped_schemas(tmp_path):
         jsonschema.validate(
             dict(zip(header.split(","), map(int, row.split(",")))),
             row_schema)
+
+    for command, extra in (("example1", []),
+                           ("example2", ["--checkpoints", "1,2"]),
+                           ("psi", ["--u", "0,0.5,2", "--mc-paths", "2000"])):
+        csv = tmp_path / f"{command}.csv"
+        args = [command, "--mu", "2", "--csv", str(csv), "--seed", "3"]
+        if command != "psi":
+            args += ["--a", "1", "--paths", "400"]
+        assert main(args + extra) == 0
+        rows = _csv_rows(csv)
+        assert rows
+        schema = json.loads((schemas / f"{command}.schema.json").read_text())
+        for row in rows:
+            jsonschema.validate(row, schema)
 
     brownian_schema = json.loads(
         (schemas / "brownian_report.schema.json").read_text())
@@ -264,6 +312,13 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
      "--threads"),
     (["brownian", "--epsilon", "0.25", "--dt", "1e-3", "--paths", "1",
       "--seed", "1", "--time-cap", "0.002", "--threads", "7"], "--threads"),
+    # at 1.0001 the ruin series would need more terms than the oracle's cap
+    (["psi", "--mu", "1.0001", "--u", "0.5"], "--mu"),
+    (["psi", "--mu", "0.5", "--u", "0.5"], "--mu"),
+    (["example1", "--mu", "1.0001", "--a", "1", "--seed", "1"], "--mu"),
+    (["example2", "--mu", "1", "--a", "1", "--seed", "1"], "--mu"),
+    (["example1", "--mu", "2", "--a", "0", "--seed", "1"], "--a"),
+    (["example2", "--mu", "2", "--a", "-1", "--seed", "1"], "--a"),
 ])
 def test_cli_rejects_out_of_range_flags(args, flag, capsys):
     assert main(args) == 2

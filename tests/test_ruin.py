@@ -66,6 +66,9 @@ def test_invalid_drift():
         RuinOracle(1.0)
     with pytest.raises(InvalidDrift):
         RuinOracle(0.5)
+    # the series would need more than max_terms terms to reach tolerance
+    with pytest.raises(InvalidDrift, match="too close to 1"):
+        RuinOracle(1.0001)
 
 
 def test_tail_level():
@@ -104,12 +107,13 @@ def test_psi_against_exact_irwin_hall(mu, u):
     assert value < whole - rounding   # the truncation alone is no bound
 
 
-def test_tail_level_bounds_the_exact_series():
+@pytest.mark.parametrize("mu", [1.5, 2.0, 4.0])
+def test_tail_level_bounds_the_exact_series(mu):
     # the ruin_mc decision level: the untruncated psi is at most eps
-    oracle = RuinOracle(2.0)
+    oracle = RuinOracle(mu)
     level = Fraction(oracle.tail_level(1e-9))
     more = oracle.terms + 60
-    rho = Fraction(1, 2)
+    rho = 1 / Fraction(mu)
     assert _psi_exact(rho, level, more) + rho ** (more + 1) \
         <= Fraction(1e-9)
 
@@ -143,8 +147,12 @@ REFERENCE_GRID = np.array(
 def test_irwin_hall_matches_per_term_reference(k):
     xs = np.concatenate([REFERENCE_GRID, -REFERENCE_GRID[1:3],
                          np.linspace(0, k, 97)])
-    assert np.array_equal(irwin_hall_cdf(k, xs), ref_irwin_hall_cdf(k, xs))
-    assert np.array_equal(irwin_hall_sf(k, xs), ref_irwin_hall_sf(k, xs))
+    # a whole grid, and inputs with no point strictly inside (0, k)
+    for pts in (xs, np.array([-1.0, 0.0, k, k + 0.5]), np.array([])):
+        assert np.array_equal(irwin_hall_cdf(k, pts),
+                              ref_irwin_hall_cdf(k, pts))
+        assert np.array_equal(irwin_hall_sf(k, pts),
+                              ref_irwin_hall_sf(k, pts))
 
 
 @pytest.mark.parametrize("mu", [1.2, 1.5, 2.0, 4.0, 16.0])
@@ -152,6 +160,9 @@ def test_psi_many_matches_per_order_reference(mu):
     oracle = RuinOracle(mu)
     assert np.array_equal(oracle.psi_many(REFERENCE_GRID),
                           ref_psi_many(oracle, REFERENCE_GRID))
+    for edge in (np.array([]), np.array(3.0), np.array([np.nan, 1.0])):
+        assert np.array_equal(oracle.psi_many(edge),
+                              ref_psi_many(oracle, edge), equal_nan=True)
     # the example-2 deflator grid: thousands of points, most of them at
     # or past some order k
     grid = np.arange(0.0, 10.0, 1e-3)
