@@ -171,8 +171,10 @@ def test_psi_many_matches_per_order_reference(mu):
                           ref_psi_many(oracle, grid).reshape(100, 100))
 
 
+# at eps 0.5 and mu 4 or 16, psi(0) = 1/mu is already below eps: every
+# step halves hi, so only the 60-step cap ends the search
 @pytest.mark.parametrize("mu", [1.5, 2.0, 4.0, 16.0])
-@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3, 0.5])
 def test_tail_level_matches_sequential_bisection(mu, eps):
     oracle = RuinOracle(mu)
     assert oracle.tail_level(eps) == ref_tail_level(oracle, eps)
