@@ -1,5 +1,6 @@
-"""Independent brute-force oracles for the exact engine, and plain-loop
-references for the ruin oracle.
+"""Independent brute-force oracles for the exact engine, plain-loop
+references for the ruin oracle, and full-width references for the
+example-2 Monte Carlo chunks.
 
 These deliberately re-derive quantities from first principles, bypassing
 the package's grouped-atom machinery and its batched numerics, so that
@@ -209,3 +210,133 @@ def ref_tail_level(oracle, eps):
         else:
             hi = mid
     return hi
+
+
+# ---------------------------------------------------------------------------
+# Example-2 chunk references: the chunk simulation that rebuilds every
+# earlier round, and the per-checkpoint evaluation over every segment
+# and jump column of the chunk.  The engine's appended rounds and
+# column-windowed evaluation must reproduce these bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_simulate_chunk(model, master_seed, chunk_index, rows, min_time):
+    """The chunk's paths, re-concatenating and re-cumsumming all rounds
+    drawn so far after each new round."""
+    from enlab.poisson_mc import COLS, _STREAM_PATHS, _ChunkPaths, _stream
+
+    mu, a = model.mu, model.a
+    parts = []
+    max_rounds = int(model.t_max * 2 / COLS) + 8
+    for rnd in range(max_rounds):
+        gen = _stream(master_seed, _STREAM_PATHS, chunk_index, rnd)
+        parts.append(gen.standard_exponential((rows, COLS)))
+        T = np.cumsum(np.concatenate(parts, axis=1), axis=1)
+        cols = T.shape[1]
+        k = np.arange(1, cols + 1)
+        post_y = mu * T - k
+        stop_ok = (post_y - a >= model.u_star) & (T >= min_time)
+        resolved = stop_ok.any(axis=1) | (T[:, -1] > model.t_max)
+        if resolved.all():
+            break
+    else:
+        raise AssertionError("chunk simulation exceeded the round cap")
+
+    has_stop = stop_ok.any(axis=1)
+    first_stop = np.argmax(stop_ok, axis=1)
+    over_cap = T > model.t_max
+    first_over = np.where(over_cap.any(axis=1), np.argmax(over_cap, axis=1),
+                          cols - 1)
+    row_idx = np.arange(rows)
+    censored = ~has_stop | (T[row_idx, first_stop] > model.t_max)
+    k_stop = np.where(has_stop & ~censored, first_stop, first_over)
+
+    below = (post_y <= a) & (k - 1 <= k_stop[:, None])
+    any_below = below.any(axis=1)
+    last_below = cols - 1 - np.argmax(below[:, ::-1], axis=1)
+    k_star = np.where(any_below, last_below, -1)
+    base_t = np.where(any_below, T[row_idx, k_star], 0.0)
+    base_y = np.where(any_below, post_y[row_idx, k_star], 0.0)
+    tau_hat = base_t + (a - base_y) / mu
+
+    return _ChunkPaths(T=T, post_y=post_y, pre_y=mu * T - (k - 1),
+                       k_stop=k_stop, k_star=k_star, tau_hat=tau_hat,
+                       censored=censored)
+
+
+def _ref_segments(c):
+    rows = c.T.shape[0]
+    zeros = np.zeros((rows, 1))
+    seg_t = np.concatenate([zeros, c.T], axis=1)
+    seg_y = np.concatenate([zeros, c.post_y], axis=1)
+    seg_end = np.concatenate([c.T, np.full((rows, 1), np.inf)], axis=1)
+    return seg_t, seg_y, seg_end
+
+
+def ref_example2_chunk(model, grids, c, checkpoints):
+    """Per-path deflator and product of the uncensored rows at each
+    checkpoint, every quantity evaluated on all columns of the chunk."""
+    mu, a = model.mu, model.a
+    seg_t, seg_y, seg_end = _ref_segments(c)
+    out = {}
+    for cp in checkpoints:
+        s0 = np.maximum(seg_t, c.tau_hat[:, None])
+        s1 = np.minimum(seg_end, cp)
+        valid = s1 > s0
+        y0 = seg_y + mu * (s0 - seg_t)
+        y1 = seg_y + mu * (s1 - seg_t)
+        expo = np.where(valid,
+                        grids.anti_at(np.where(valid, y1, a + 1.0))
+                        - grids.anti_at(np.where(valid, y0, a + 1.0)),
+                        0.0).sum(axis=1) / mu
+        s_above = seg_t + np.maximum(a + 1.0 - seg_y, 0.0) / mu
+        leb = np.clip(s1 - np.maximum(s0, s_above), 0.0, None)
+        leb = np.where(valid, leb, 0.0).sum(axis=1)
+        in_window = (c.T > c.tau_hat[:, None]) & (c.T <= cp) \
+            & (c.pre_y > a + 1.0)
+        logs = np.where(in_window,
+                        grids.log_jump_factor(
+                            np.where(in_window, c.pre_y, a + 2.0)),
+                        0.0).sum(axis=1)
+        count = in_window.sum(axis=1)
+        deflator = np.exp(expo + logs)
+        product = deflator * (count - leb)
+        out[cp] = (deflator[~c.censored], product[~c.censored])
+    return out
+
+
+def ref_selftest_chunk(model, seed, chunk_index, c, checkpoints):
+    """Per-path band and independent after-parts of the uncensored rows
+    at each checkpoint, every quantity evaluated on all columns."""
+    from enlab.poisson_mc import COLS, _STREAM_INDEP, _stream
+
+    mu, a = model.mu, model.a
+    rows = c.T.shape[0]
+    min_time = max(checkpoints)
+    seg_t, seg_y, seg_end = _ref_segments(c)
+    gen = _stream(seed, _STREAM_INDEP, chunk_index, 0)
+    cols_w = COLS
+    WT = np.cumsum(gen.standard_exponential((rows, cols_w)), axis=1)
+    while (WT[:, -1] < min_time).any():
+        cols_w += COLS
+        more = _stream(seed, _STREAM_INDEP, chunk_index,
+                       cols_w // COLS).standard_exponential((rows, COLS))
+        WT = np.concatenate([WT, WT[:, -1:] + np.cumsum(more, axis=1)],
+                            axis=1)
+    out = {}
+    for cp in checkpoints:
+        s0 = np.maximum(seg_t, c.tau_hat[:, None])
+        s1 = np.minimum(seg_end, cp)
+        valid = s1 > s0
+        t_enter = seg_t + np.maximum(a - seg_y, 0.0) / mu
+        t_exit = seg_t + np.maximum(a + 1.0 - seg_y, 0.0) / mu
+        lo = np.maximum(s0, t_enter)
+        hi = np.minimum(s1, t_exit)
+        band_leb = np.where(valid, np.clip(hi - lo, 0.0, None),
+                            0.0).sum(axis=1)
+        band_jumps = ((c.T > c.tau_hat[:, None]) & (c.T <= cp)
+                      & (c.pre_y >= a) & (c.pre_y < a + 1.0)).sum(axis=1)
+        band = band_jumps - band_leb
+        w_jumps = ((WT > c.tau_hat[:, None]) & (WT <= cp)).sum(axis=1)
+        indep = w_jumps - np.clip(cp - c.tau_hat, 0.0, None)
+        out[cp] = (band[~c.censored], indep[~c.censored])
+    return out

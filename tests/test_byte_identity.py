@@ -7,7 +7,8 @@ changed a verdict, a witness or the report layout.  Wall time
 (``elapsed_seconds``) is the one non-deterministic field and is left out.
 The Monte Carlo digest covers the ruin oracle's psi values and tail
 levels and small seeded example and ruin runs, whose float outputs are
-compared as exact reprs.
+compared as exact reprs; the example-2 control run has a digest of its
+own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ import pytest
 
 from enlab.cli import main
 from enlab.harness import run_crosscheck, run_identity_suite
-from enlab.poisson_mc import PoissonModel, example1_run, example2_run, ruin_mc
+from enlab.poisson_mc import (
+    PoissonModel,
+    example1_run,
+    example2_run,
+    example2_selftest,
+    ruin_mc,
+)
 from enlab.ruin import RuinOracle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -41,6 +48,8 @@ NUPBR_SHA256 = {
 
 MONTE_CARLO_SHA256 = (
     "f03b169424793355ff2b5330280d643472d8fa9dbf2dc65b894ab519c1bb682f")
+EXAMPLE2_SELFTEST_SHA256 = (
+    "d3227b8d29ca42352002ed9ba3fbbd1cc2af2bbc4b1c5f1967ef328119ccc7e1")
 
 
 def _sha256(text: str | bytes) -> str:
@@ -104,3 +113,15 @@ def test_monte_carlo_bytes():
                           for s in r2.deflator + r2.product]
     record["example2 min"] = repr((r2.min_deflator, r2.n_censored))
     assert _sha256(json.dumps(record, sort_keys=True)) == MONTE_CARLO_SHA256
+
+
+def test_example2_selftest_bytes():
+    record = {}
+    for mu, a in ((2.0, 1.0), (1.3, 0.3)):
+        report = example2_selftest(PoissonModel(mu=mu, a=a), 8192, 7,
+                                   checkpoints=(1.0, 2.0, 5.0), threads=1)
+        record[f"selftest mu={mu} a={a}"] = [
+            repr((s.checkpoint, s.mean, s.se, s.ok))
+            for s in report.band_product + report.independent_product]
+    assert _sha256(json.dumps(record, sort_keys=True)) == \
+        EXAMPLE2_SELFTEST_SHA256

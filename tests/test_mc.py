@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from enlab import brownian_demo as bd
+from enlab import poisson_mc as pm
 from enlab.brownian_demo import brownian_demo, simulate_ladder_path
 from enlab.errors import EnlabError
 from enlab.poisson_mc import (
     CHUNK,
+    COLS,
     PoissonModel,
     example1_run,
     example2_run,
@@ -17,6 +19,12 @@ from enlab.poisson_mc import (
     path_functionals,
     replay_path,
     simulate_path,
+)
+
+from .oracles import (
+    ref_example2_chunk,
+    ref_selftest_chunk,
+    ref_simulate_chunk,
 )
 
 
@@ -204,6 +212,95 @@ def test_example2_selftest(model):
     report = example2_selftest(model, 20_000, seed=7)
     assert report.band_fails          # deterministic drift is detected
     assert report.independent_passes  # no-interaction control is clean
+
+
+def _chunk_outputs(monkeypatch, run, *args, **kwargs):
+    """Run `run` and return its report with the per-chunk outputs its
+    workers handed to the merge, in chunk order."""
+    captured = []
+    real = pm._map_chunks
+
+    def spy(fn, n_paths, threads):
+        out = real(fn, n_paths, threads)
+        captured.extend(out)
+        return out
+
+    monkeypatch.setattr(pm, "_map_chunks", spy)
+    return run(*args, **kwargs), captured
+
+
+def _same_bytes(one, two) -> bool:
+    return one.dtype == two.dtype and one.shape == two.shape \
+        and one.tobytes() == two.tobytes()
+
+
+@pytest.mark.parametrize("mu, a, checkpoints, threads", [
+    (2.0, 1.0, (1.0, 2.0, 5.0), 1),
+    (1.3, 1.0, (1.0, 2.0, 5.0), 1),       # chunks take several rounds
+    (2.0, 1.0, (0.25, 1.0, 3.5), 1),      # 0.25: before most first jumps
+    (6.0, 0.3, (5.0, 1.0, 2.0, 1.0), 1),  # unsorted, with a duplicate
+    (2.0, 3.0, (1.0, 2.0, 5.0, 20.0), 2),
+])
+def test_example2_chunks_match_full_width_reference(mu, a, checkpoints,
+                                                    threads, monkeypatch):
+    # the per-path deflator and product of every chunk, bit for bit
+    # against the evaluation over all columns of the rebuilt rounds
+    model = PoissonModel(mu=mu, a=a)
+    paths, seed = CHUNK + 700, 11
+    _, chunks = _chunk_outputs(monkeypatch, example2_run, model, paths,
+                               seed, checkpoints=checkpoints,
+                               threads=threads)
+    min_time = max(checkpoints)
+    grids = pm._DeflatorGrids(model, min_time)
+    layout = pm._chunk_layout(paths)
+    assert len(chunks) == len(layout) == 2
+    widths = set()
+    for (index, rows), got in zip(layout, chunks):
+        c = ref_simulate_chunk(model, seed, index, rows, min_time)
+        widths.add(c.T.shape[1])
+        ref = ref_example2_chunk(model, grids, c, checkpoints)
+        assert got["censored"] == int(c.censored.sum())
+        for cp in checkpoints:
+            assert _same_bytes(got[cp][0], ref[cp][0]), cp
+            assert _same_bytes(got[cp][1], ref[cp][1]), cp
+    if mu == 1.3:
+        assert max(widths) > COLS
+
+
+@pytest.mark.parametrize("mu, a, checkpoints, threads", [
+    (2.0, 1.0, (1.0, 2.0, 5.0), 1),
+    (1.3, 0.3, (5.0, 0.25, 2.0, 2.0), 2),
+])
+def test_selftest_chunks_match_full_width_reference(mu, a, checkpoints,
+                                                    threads, monkeypatch):
+    model = PoissonModel(mu=mu, a=a)
+    paths, seed = CHUNK + 300, 5
+    _, chunks = _chunk_outputs(monkeypatch, example2_selftest, model, paths,
+                               seed, checkpoints=checkpoints,
+                               threads=threads)
+    layout = pm._chunk_layout(paths)
+    assert len(chunks) == len(layout)
+    for (index, rows), got in zip(layout, chunks):
+        c = ref_simulate_chunk(model, seed, index, rows, max(checkpoints))
+        ref = ref_selftest_chunk(model, seed, index, c, checkpoints)
+        for cp in checkpoints:
+            assert _same_bytes(got[cp][0], ref[cp][0]), cp
+            assert _same_bytes(got[cp][1], ref[cp][1]), cp
+
+
+@pytest.mark.parametrize("mu, min_time, t_max", [
+    (2.0, 0.0, 400.0), (2.0, 5.0, 400.0), (1.3, 5.0, 400.0),
+    (1.3, 0.0, 90.0),   # short cap: about half the rows censored
+])
+def test_simulate_chunk_matches_rebuilt_rounds(mu, min_time, t_max):
+    model = PoissonModel(mu=mu, a=1.0, t_max=t_max)
+    for index in (0, 3):
+        got = pm._simulate_chunk(model, 19, index, 1000, min_time)
+        ref = ref_simulate_chunk(model, 19, index, 1000, min_time)
+        for name in ref.__dataclass_fields__:
+            assert _same_bytes(getattr(got, name), getattr(ref, name)), name
+        if t_max < 400:
+            assert 0 < ref.censored.sum() < 1000
 
 
 def test_survival_formula_against_path_continuations(model):
