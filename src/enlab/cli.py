@@ -169,9 +169,13 @@ def cmd_example1(args) -> int:
 
 def cmd_example2(args) -> int:
     model = PoissonModel(mu=args.mu, a=args.a)
-    report = example2_run(model, args.paths, args.seed,
-                          checkpoints=args.checkpoints,
-                          threads=thread_count(args.threads))
+    threads = thread_count(args.threads)
+    try:
+        report = example2_run(model, args.paths, args.seed,
+                              checkpoints=args.checkpoints, threads=threads)
+    except UsageError as exc:
+        raise UsageError(f"argument --checkpoints: {exc}",
+                         field="--checkpoints") from exc
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("checkpoint,quantity,mean,se,flag\n")

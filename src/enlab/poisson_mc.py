@@ -241,23 +241,32 @@ class _ChunkPaths:
 def _simulate_chunk(model: PoissonModel, master_seed: int, chunk_index: int,
                     rows: int, min_time: float) -> _ChunkPaths:
     mu, a = model.mu, model.a
-    parts: list[np.ndarray] = []
+    rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    has_stop = np.zeros(rows, dtype=bool)
+    last = np.zeros(rows)
     max_rounds = int(model.t_max * 2 / COLS) + 8
     for rnd in range(max_rounds):
         gen = _stream(master_seed, _STREAM_PATHS, chunk_index, rnd)
-        parts.append(gen.standard_exponential((rows, COLS)))
-        T = np.cumsum(np.concatenate(parts, axis=1), axis=1)
-        cols = T.shape[1]
-        k = np.arange(1, cols + 1)
-        post_y = mu * T - k
+        gaps = gen.standard_exponential((rows, COLS))
+        # seeded with the last jump time, the cumsum adds the same floats
+        # in the same order as one cumsum over every round drawn so far
+        gaps[:, 0] += last
+        T = np.cumsum(gaps, axis=1)
+        post_y = mu * T - np.arange(rnd * COLS + 1, (rnd + 1) * COLS + 1)
         stop_ok = (post_y - a >= model.u_star) & (T >= min_time)
-        resolved = stop_ok.any(axis=1) | (T[:, -1] > model.t_max)
-        if resolved.all():
+        rounds.append((T, post_y, stop_ok))
+        has_stop |= stop_ok.any(axis=1)
+        last = T[:, -1]
+        if (has_stop | (last > model.t_max)).all():
             break
     else:
         raise EnlabError("chunk simulation exceeded the round cap")
+    T, post_y, stop_ok = (parts[0] if len(parts) == 1
+                          else np.concatenate(parts, axis=1)
+                          for parts in zip(*rounds))
+    cols = T.shape[1]
+    k = np.arange(1, cols + 1)
 
-    has_stop = stop_ok.any(axis=1)
     first_stop = np.argmax(stop_ok, axis=1)
     over_cap = T > model.t_max
     first_over = np.where(over_cap.any(axis=1), np.argmax(over_cap, axis=1),
@@ -453,15 +462,82 @@ class _DeflatorGrids:
         return np.interp(y_pre, self.y, self.log1p_strategy)
 
 
-def _segment_arrays(c: _ChunkPaths):
-    """Per-segment start times and start surpluses, segment 0 being the
-    initial drift from the origin."""
-    rows = c.T.shape[0]
-    zeros = np.zeros((rows, 1))
-    seg_t = np.concatenate([zeros, c.T], axis=1)
-    seg_y = np.concatenate([zeros, c.post_y], axis=1)
-    seg_end = np.concatenate([c.T, np.full((rows, 1), np.inf)], axis=1)
-    return seg_t, seg_y, seg_end
+class _Window:
+    """A chunk's drift segments and jumps, cut to the leading columns
+    that checkpoints up to `horizon` can reach.
+
+    Segment j of a row is its drift from jump j (the origin for j = 0)
+    to jump j + 1.  Jump times rise along each row, so the column minima
+    of T rise too: a segment can meet (tau_hat, cp] only in the leading
+    columns where some row starts it before cp, and a jump can fall in
+    it only in the leading columns where some row jumps by cp.  Every
+    later cell is an exact zero of the sums below.
+    """
+
+    def __init__(self, c: _ChunkPaths, mu: float, horizon: float):
+        rows, cols = c.T.shape
+        self.mu = mu
+        self._first = c.T.min(axis=0)
+        self.seg_width, self.jump_width = cols + 1, cols
+        ns, nj = self._reach(horizon)
+        zeros = np.zeros((rows, 1))
+        self.seg_t = np.concatenate([zeros, c.T[:, :ns - 1]], axis=1)
+        self.seg_y = np.concatenate([zeros, c.post_y[:, :ns - 1]], axis=1)
+        self.seg_end = np.concatenate(
+            [c.T[:, :ns], np.full((rows, 1), np.inf)], axis=1)[:, :ns]
+        tau = c.tau_hat[:, None]
+        self.s0 = np.maximum(self.seg_t, tau)
+        self.T = c.T[:, :nj]
+        self.pre_y = c.pre_y[:, :nj]
+        self.after = self.T > tau
+        self.live = ~c.censored
+
+    def _reach(self, cp: float) -> tuple[int, int]:
+        return (1 + int(np.searchsorted(self._first, cp, side="left")),
+                int(np.searchsorted(self._first, cp, side="right")))
+
+    def crossing(self, level: float) -> np.ndarray:
+        """Per segment, the time its drift reaches `level` (its start
+        time if it starts there or above)."""
+        return self.seg_t + np.maximum(level - self.seg_y, 0.0) / self.mu
+
+    def segments(self, cp: float):
+        """The segment columns that can meet (tau_hat, cp], as a slice,
+        with each segment's end clipped at cp and whether it meets the
+        window at all."""
+        cut = np.s_[:, :self._reach(cp)[0]]
+        s1 = np.minimum(self.seg_end[cut], cp)
+        return cut, s1, s1 > self.s0[cut]
+
+    def jumps(self, cp: float, mask: np.ndarray):
+        """The jump columns that can fall in (tau_hat, cp], as a slice,
+        with `mask` (over the window's jump columns) cut to them and
+        restricted to the jumps made by cp."""
+        cut = np.s_[:, :self._reach(cp)[1]]
+        return cut, mask[cut] & (self.T[cut] <= cp)
+
+
+def _row_sums(mask: np.ndarray, values: np.ndarray,
+              width: int) -> np.ndarray:
+    """Row sums of the (rows, width) array that holds `values` at the
+    True cells of `mask`, which covers its leading columns, and zero in
+    every other cell.  The sum runs over the full width: numpy's
+    pairwise summation groups the terms by row length, so a shorter sum
+    can change bits."""
+    full = np.zeros((mask.shape[0], width))
+    full[:, :mask.shape[1]][mask] = values
+    return full.sum(axis=1)
+
+
+def _checked_checkpoints(model: PoissonModel, checkpoints) -> tuple:
+    checkpoints = tuple(checkpoints)
+    if not checkpoints or not all(math.isfinite(cp) and 0 < cp <= model.t_max
+                                  for cp in checkpoints):
+        raise UsageError(
+            f"checkpoints must be finite, positive and at most "
+            f"t_max = {model.t_max}, got {','.join(map(str, checkpoints))}",
+            field="checkpoints")
+    return checkpoints
 
 
 def example2_run(model: PoissonModel, paths: int, seed: int,
@@ -477,42 +553,42 @@ def example2_run(model: PoissonModel, paths: int, seed: int,
     above a+1 it is multiplied by one plus the strategy weight
     (p1 - p0)/(1 - p1), which is positive (the log factor runs from about
     6e-6 to 0.5 at mu = 2, a = 1), so the deflator stays positive.
+
+    Each checkpoint is evaluated only on the segment and jump columns
+    it can reach (see _Window); the terms that do not depend on the
+    checkpoint are formed once per chunk.  Row sums still run over the
+    chunk's full width, so every per-path value has the bits of the
+    evaluation over all columns.  Checkpoints must lie in (0, t_max].
     """
+    checkpoints = _checked_checkpoints(model, checkpoints)
     mu, a = model.mu, model.a
     min_time = max(checkpoints)
     grids = _DeflatorGrids(model, min_time, grid_step)
 
     def work(chunk_index: int, rows: int):
         c = _simulate_chunk(model, seed, chunk_index, rows, min_time)
-        seg_t, seg_y, seg_end = _segment_arrays(c)
+        w = _Window(c, mu, min_time)
+        y0 = w.seg_y + mu * (w.s0 - w.seg_t)
+        above_from = np.maximum(w.s0, w.crossing(a + 1.0))
+        high = w.after & (w.pre_y > a + 1.0)
         out = {}
         for cp in checkpoints:
-            s0 = np.maximum(seg_t, c.tau_hat[:, None])
-            s1 = np.minimum(seg_end, cp)
-            valid = s1 > s0
-            y0 = seg_y + mu * (s0 - seg_t)
-            y1 = seg_y + mu * (s1 - seg_t)
-            expo = np.where(valid,
-                            grids.anti_at(np.where(valid, y1, a + 1.0))
-                            - grids.anti_at(np.where(valid, y0, a + 1.0)),
-                            0.0).sum(axis=1) / mu
-
+            cut, s1, valid = w.segments(cp)
+            y1 = w.seg_y[cut] + mu * (s1 - w.seg_t[cut])
+            expo = _row_sums(valid, grids.anti_at(y1[valid])
+                             - grids.anti_at(y0[cut][valid]),
+                             w.seg_width) / mu
             # time spent above a+1 inside (tau, cp]
-            s_above = seg_t + np.maximum(a + 1.0 - seg_y, 0.0) / mu
-            leb = np.clip(s1 - np.maximum(s0, s_above), 0.0, None)
-            leb = np.where(valid, leb, 0.0).sum(axis=1)
-
-            in_window = (c.T > c.tau_hat[:, None]) & (c.T <= cp) \
-                & (c.pre_y > a + 1.0)
-            logs = np.where(in_window,
-                            grids.log_jump_factor(
-                                np.where(in_window, c.pre_y, a + 2.0)),
-                            0.0).sum(axis=1)
-            count = in_window.sum(axis=1)
-
+            leb = _row_sums(valid,
+                            np.clip(s1 - above_from[cut], 0.0, None)[valid],
+                            w.seg_width)
+            jcut, in_window = w.jumps(cp, high)
+            logs = _row_sums(in_window,
+                             grids.log_jump_factor(w.pre_y[jcut][in_window]),
+                             w.jump_width)
             deflator = np.exp(expo + logs)
-            product = deflator * (count - leb)
-            out[cp] = (deflator[~c.censored], product[~c.censored])
+            product = deflator * (in_window.sum(axis=1) - leb)
+            out[cp] = (deflator[w.live], product[w.live])
         out["censored"] = int(c.censored.sum())
         return out
 
@@ -520,11 +596,13 @@ def example2_run(model: PoissonModel, paths: int, seed: int,
     censored = sum(r["censored"] for r in results)
     deflator_stats = []
     product_stats = []
-    min_deflator = np.inf
+    # no uncensored path leaves positivity unchecked, not passed
+    min_deflator = np.inf if censored < paths else math.nan
     for cp in checkpoints:
         defl = np.concatenate([r[cp][0] for r in results])
         prod = np.concatenate([r[cp][1] for r in results])
-        min_deflator = min(min_deflator, float(defl.min()))
+        if defl.size:
+            min_deflator = min(min_deflator, float(defl.min()))
         mean_d, se_d = _mean_se(float(defl.sum()),
                                 float((defl ** 2).sum()), defl.size)
         mean_p, se_p = _mean_se(float(prod.sum()),
@@ -560,13 +638,15 @@ def example2_selftest(model: PoissonModel, paths: int, seed: int,
     product test reduces to a plain mean-zero test of the after-part.
     The band asset has a deterministic drift after the time and must
     fail; an independent compensated Poisson asset must pass.
+    Checkpoints must lie in (0, t_max].
     """
-    mu, a = model.mu, model.a
+    checkpoints = _checked_checkpoints(model, checkpoints)
+    a = model.a
     min_time = max(checkpoints)
 
     def work(chunk_index: int, rows: int):
         c = _simulate_chunk(model, seed, chunk_index, rows, min_time)
-        seg_t, seg_y, seg_end = _segment_arrays(c)
+        w = _Window(c, model.mu, min_time)
         gen = _stream(seed, _STREAM_INDEP, chunk_index, 0)
         cols_w = COLS
         WT = np.cumsum(gen.standard_exponential((rows, cols_w)), axis=1)
@@ -576,25 +656,22 @@ def example2_selftest(model: PoissonModel, paths: int, seed: int,
                            cols_w // COLS).standard_exponential((rows, COLS))
             WT = np.concatenate([WT, WT[:, -1:] + np.cumsum(more, axis=1)],
                                 axis=1)
+        # occupation of [a, a+1) inside the window
+        band_from = np.maximum(w.s0, w.crossing(a))
+        band_to = w.crossing(a + 1.0)
+        in_band = w.after & (w.pre_y >= a) & (w.pre_y < a + 1.0)
         out = {}
         for cp in checkpoints:
-            s0 = np.maximum(seg_t, c.tau_hat[:, None])
-            s1 = np.minimum(seg_end, cp)
-            valid = s1 > s0
-            # occupation of [a, a+1) inside the window
-            t_enter = seg_t + np.maximum(a - seg_y, 0.0) / mu
-            t_exit = seg_t + np.maximum(a + 1.0 - seg_y, 0.0) / mu
-            lo = np.maximum(s0, t_enter)
-            hi = np.minimum(s1, t_exit)
-            band_leb = np.where(valid, np.clip(hi - lo, 0.0, None),
-                                0.0).sum(axis=1)
-            band_jumps = ((c.T > c.tau_hat[:, None]) & (c.T <= cp)
-                          & (c.pre_y >= a) & (c.pre_y < a + 1.0)).sum(axis=1)
-            band = band_jumps - band_leb
+            cut, s1, valid = w.segments(cp)
+            band_leb = _row_sums(
+                valid, np.clip(np.minimum(s1, band_to[cut]) - band_from[cut],
+                               0.0, None)[valid], w.seg_width)
+            _, band_jumps = w.jumps(cp, in_band)
+            band = band_jumps.sum(axis=1) - band_leb
 
             w_jumps = ((WT > c.tau_hat[:, None]) & (WT <= cp)).sum(axis=1)
             indep = w_jumps - np.clip(cp - c.tau_hat, 0.0, None)
-            out[cp] = (band[~c.censored], indep[~c.censored])
+            out[cp] = (band[w.live], indep[w.live])
         return out
 
     results = _map_chunks(work, paths, threads)

@@ -319,6 +319,21 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
     (["example2", "--mu", "1", "--a", "1", "--seed", "1"], "--mu"),
     (["example1", "--mu", "2", "--a", "0", "--seed", "1"], "--a"),
     (["example2", "--mu", "2", "--a", "-1", "--seed", "1"], "--a"),
+    # a checkpoint must lie in (0, t_max = 400]: 0 and -1 gave a vacuous
+    # PASS, nan and inf a traceback, 1e9 a 14.6 TiB grid and 500 (past
+    # the cap, every path censored) an empty-array traceback
+    (["example2", "--mu", "2", "--a", "1", "--paths", "10", "--seed", "1",
+      "--checkpoints", "0"], "--checkpoints"),
+    (["example2", "--mu", "2", "--a", "1", "--paths", "10", "--seed", "1",
+      "--checkpoints", "-1"], "--checkpoints"),
+    (["example2", "--mu", "2", "--a", "1", "--paths", "10", "--seed", "1",
+      "--checkpoints", "nan"], "--checkpoints"),
+    (["example2", "--mu", "2", "--a", "1", "--paths", "10", "--seed", "1",
+      "--checkpoints", "2,inf"], "--checkpoints"),
+    (["example2", "--mu", "2", "--a", "1", "--paths", "10", "--seed", "1",
+      "--checkpoints", "1e9"], "--checkpoints"),
+    (["example2", "--mu", "2", "--a", "1", "--paths", "10", "--seed", "1",
+      "--checkpoints", "500"], "--checkpoints"),
 ])
 def test_cli_rejects_out_of_range_flags(args, flag, capsys):
     assert main(args) == 2

@@ -8,7 +8,7 @@ import pytest
 from enlab import brownian_demo as bd
 from enlab import poisson_mc as pm
 from enlab.brownian_demo import brownian_demo, simulate_ladder_path
-from enlab.errors import EnlabError
+from enlab.errors import EnlabError, UsageError
 from enlab.poisson_mc import (
     CHUNK,
     COLS,
@@ -162,7 +162,6 @@ def test_example1_report(model):
 
 
 def test_thread_count_env(monkeypatch):
-    from enlab.errors import UsageError
     from enlab.poisson_mc import thread_count
 
     monkeypatch.setattr("os.cpu_count", lambda: 8)
@@ -212,6 +211,28 @@ def test_example2_selftest(model):
     report = example2_selftest(model, 20_000, seed=7)
     assert report.band_fails          # deterministic drift is detected
     assert report.independent_passes  # no-interaction control is clean
+
+
+@pytest.mark.parametrize("checkpoints", [
+    (0.0,), (1.0, -1.0), (math.nan,), (2.0, math.inf), (1e9,), (400.5,), (),
+])
+def test_example2_rejects_bad_checkpoints(model, checkpoints):
+    for run in (example2_run, example2_selftest):
+        with pytest.raises(UsageError) as err:
+            run(model, 10, seed=1, checkpoints=checkpoints)
+        assert err.value.field == "checkpoints"
+
+
+def test_example2_at_the_cap_censors_every_path():
+    # a checkpoint at t_max is accepted; no path can stop at or after
+    # it, so there is nothing to check and neither verdict passes
+    short = PoissonModel(mu=2.0, a=1.0, t_max=14.0)
+    report = example2_run(short, 100, seed=1, checkpoints=(2.0, 14.0))
+    assert report.n_censored == 100
+    assert math.isnan(report.min_deflator)
+    assert not report.positivity_ok and not report.martingale_ok
+    control = example2_selftest(short, 100, seed=1, checkpoints=(14.0,))
+    assert not control.independent_passes
 
 
 def _chunk_outputs(monkeypatch, run, *args, **kwargs):
