@@ -471,7 +471,7 @@ class _Window:
     of T rise too: a segment can meet (tau_hat, cp] only in the leading
     columns where some row starts it before cp, and a jump can fall in
     it only in the leading columns where some row jumps by cp.  Every
-    later cell is an exact zero of the sums below.
+    later cell is an exact zero of the row sums the runs take.
     """
 
     def __init__(self, c: _ChunkPaths, mu: float, horizon: float):
