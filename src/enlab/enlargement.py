@@ -28,6 +28,7 @@ from .finite_prob import (
     compensator,
     cond_average,
     is_martingale,
+    mass_average,
     require_martingale,
     stochastic_exponential,
 )
@@ -163,6 +164,13 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
 # Transfer identities on the after region
 # ---------------------------------------------------------------------------
 
+def _scaled(mass: int, p: Fraction) -> int:
+    """mass * p for the conditional probability p of an event given an
+    atom of integer mass `mass`: an integer, because the denominator of
+    p divides the atom's mass."""
+    return p.numerator * (mass // p.denominator)
+
+
 def transfer_rows(analysis: RandomTimeAnalysis, atom: AfterAtom, integrands,
                   names: tuple[str, str, str]
                   ) -> list[tuple[str, Fraction, Fraction]]:
@@ -177,42 +185,51 @@ def transfer_rows(analysis: RandomTimeAnalysis, atom: AfterAtom, integrands,
     integrand is a time-t quantity, evaluated once per child atom of A
     (in the enlarged filtration) and of B (in the base one).  A unit
     inclusive survival on A trips the division guard.
+
+    The base side runs on integer masses: gap times the mass of B, and
+    (1 - incl) times the mass of a child c of B (its "before" mass), are
+    integers, so avg_B((1 - incl) g) / gap is the before-mass-weighted
+    sum of g over gap times the mass of B.
     """
     base_f, enlarged = analysis.space.filtration, analysis.enlarged
     t, base, members = atom.t, atom.base, atom.members
-    gap = 1 - analysis.survival.at(base[0], t - 1)
+    up = base_f.block_of[t - 1][base[0]]
+    gap_mass = base_f.masses[t - 1][up] - _scaled(
+        base_f.masses[t - 1][up], analysis.survival.at(base[0], t - 1))
     look = base_f.block_of[t]
-    children = base_f.children(t - 1, base)
+    part = base_f.partitions[t]
+    kids = base_f.kids[t - 1][up]
+    masses = base_f.masses[t]
     after_children = enlarged.children(t - 1, members)
-    # 1 - incl >= 0 on each child of B, positive exactly where incl < 1
-    incl_gaps = {look[c[0]]: 1 - analysis.survival_incl.at(c[0], t)
-                 for c in children}
+    # (1 - incl) m_c >= 0 on each child c of B, positive exactly where
+    # incl < 1
+    before = {c: masses[c] - _scaled(
+        masses[c], analysis.survival_incl.at(part[c][0], t)) for c in kids}
+    alive_kids = [c for c in kids if before[c]]
     weighted, over_gap, one_over_gap = names
 
-    def incl_gap(o: str) -> Fraction:
-        value = incl_gaps[look[o]]
-        if value == 0:
+    def over_incl_gap(o: str) -> Fraction:
+        c = look[o]
+        if not before[c]:
             raise DivisionGuard(f"inclusive survival one at ({o}, {t})")
-        return value
+        return Fraction(masses[c], before[c])
 
     def avg_a(g) -> Fraction:
         return cond_average(enlarged, t, after_children, g)
 
-    def avg_b_over_gap(g) -> Fraction:
-        return cond_average(base_f, t, children, g) / gap
+    def avg_b_over_gap(weights, idxs, g) -> Fraction:
+        return mass_average(weights, idxs, lambda c: g(part[c][0]),
+                            gap_mass)
 
     rows = []
     for g in integrands:
+        rows.append((weighted, avg_a(g), avg_b_over_gap(before, kids, g)))
         rows.append((
-            weighted, avg_a(g),
-            avg_b_over_gap(lambda o: incl_gaps[look[o]] * g(o))))
-        rows.append((
-            over_gap, avg_a(lambda o: g(o) / incl_gap(o)),
-            avg_b_over_gap(lambda o: g(o) if incl_gaps[look[o]] > 0
-                           else ZERO)))
+            over_gap, avg_a(lambda o: g(o) * over_incl_gap(o)),
+            avg_b_over_gap(masses, alive_kids, g)))
     rows.append((
-        one_over_gap, avg_a(lambda o: 1 / incl_gap(o)),
-        avg_b_over_gap(lambda o: ONE if incl_gaps[look[o]] > 0 else ZERO)))
+        one_over_gap, avg_a(over_incl_gap),
+        avg_b_over_gap(masses, alive_kids, lambda o: ONE)))
     return rows
 
 
@@ -289,13 +306,14 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                 if x != 0:
                     fibres.setdefault(x, []).append(child)
             left = analysis.survival.at(base[0], t - 1)
-            base_mass = f.mass(t - 1, base)
+            base_mass = f.masses[t - 1][f.block_of[t - 1][base[0]]]
             base_law = law[(t, base)] = {}
             for x, members in sorted(fibres.items()):
                 key = (t, base, x)
                 support.append(key)
-                mass = sum(f.mass(t, child) for child in members)
-                base_law[x] = mass / base_mass
+                mass = sum(f.masses[t][f.block_of[t][child[0]]]
+                           for child in members)
+                base_law[x] = Fraction(mass, base_mass)
                 mean = cond_average(f, t, members, lambda o: fund.delta(o, t))
                 alive = cond_average(
                     f, t, members,
@@ -305,9 +323,10 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                 # exact set identity on the support:
                 # {alive = 0} = {left + mean = 1}, contained in the set
                 # where the inclusive supermartingale is pinned at one
-                if (alive == 0) != (left + mean == 1):
+                rest = 1 - left - mean
+                if (alive == 0) != (rest == 0):
                     raise InternalCheckFailed(f"jump-set identity fails at {key}")
-                if not 0 <= 1 - left - mean <= alive:
+                if not 0 <= rest <= alive:
                     raise InternalCheckFailed(f"jump-mean bound fails at {key}")
                 if alive == 0 and any(incl.at(child[0], t) != 1
                                       for child in members):

@@ -1,9 +1,10 @@
 """Exact discrete-time stochastic calculus on finite filtered spaces.
 
-Everything here is computed with ``fractions.Fraction``: conditional
-averages, compensators, brackets and stochastic exponentials are exact,
-so downstream identity checks can demand bit-identical equality instead
-of tolerances.
+Everything here is exact: process values are ``fractions.Fraction``
+and atom masses are integers over one common denominator, so
+conditional averages, compensators, brackets and stochastic exponentials
+carry no rounding, and downstream identity checks can demand
+bit-identical equality instead of tolerances.
 
 Conventions, stated once and enforced everywhere:
 
@@ -16,15 +17,19 @@ Conventions, stated once and enforced everywhere:
 Filtrations are stored as partitions of the outcome set (their atoms),
 one partition per grid time, each refining the previous one, together
 with the tree they form: each atom's parent at t - 1, its children at
-t + 1 and its mass.
+t + 1 and its mass.  Masses are integers over the filtration's
+``scale``, the lcm of the outcome-probability denominators, shared by
+all times: every atom's mass is a sum of outcome probabilities, so it
+is an integer over that scale.
 
 Processes are stored on that tree.  A process holds, per time t, one
 value per atom of the ``Filtration`` it is adapted to, with the
 increment from the parent atom kept next to it; ``at(o, t)`` reads the
 node of the atom holding o.  Every operation works node by node: a
 conditional expectation given time t - 1 is the mass-weighted average
-over an atom's children, and a process built from increments evaluates
-its step once per atom, on the atom's first outcome.
+over an atom's children, summed on plain integers and normalised once
+per returned value, and a process built from increments evaluates its
+step once per atom, on the atom's first outcome.
 
 Adaptedness is structural.  Outcome rows (``adapted``,
 ``AdaptedProcess(rows)``) are a process on the finest filtration of
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -76,17 +81,13 @@ def _refines(fine: Partition, coarse: Partition) -> bool:
     return True
 
 
-def _total(values: Iterable[Fraction]) -> Fraction:
-    """Exact sum of a non-empty iterable, without a leading zero."""
-    return reduce(add, values)
-
-
 class Filtration:
     """A partition per time with the tree of its atoms: ``block_of[t]``
     maps an outcome to its atom's index at t, ``up[t][i]`` is the index
     of the parent at t - 1 of atom i at t, ``kids[t][i]`` the indices of
-    its children at t + 1 (in partition order) and ``weights[t][i]`` its
-    reference probability.
+    its children at t + 1 (in partition order), and ``masses[t][i]`` its
+    reference probability times ``scale``, an integer.  ``weights[t][i]``
+    is that probability, Fraction(masses[t][i], scale).
 
     ``label`` is "F" for the base filtration and "G" for a progressively
     enlarged one.  ``prob`` may be None for the outcome-row filtration of
@@ -94,7 +95,7 @@ class Filtration:
     """
 
     __slots__ = ("label", "outcomes", "partitions", "block_of", "up", "kids",
-                 "weights")
+                 "scale", "masses", "_weights")
 
     def __init__(self, label: str, partitions: Sequence[Partition],
                  prob: Mapping[str, Fraction] | None,
@@ -119,16 +120,29 @@ class Filtration:
             for i, p in enumerate(self.up[t]):
                 kids[t - 1][p].append(i)
         self.kids = [tuple(map(tuple, row)) for row in kids]
-        self.weights: list[list[Fraction]] | None = None
+        self.scale: int | None = None
+        self.masses: list[list[int]] | None = None
+        self._weights: list[list[Fraction]] | None = None
         if prob is not None:
             # leaf masses from the outcomes, every other atom from its
             # children
-            weights = [[_total(prob[o] for o in block)
-                        for block in self.partitions[-1]]]
+            scale = self.scale = lcm(*(prob[o].denominator
+                                       for o in self.outcomes))
+            masses = [[sum(prob[o].numerator * (scale // prob[o].denominator)
+                           for o in block)
+                       for block in self.partitions[-1]]]
             for row in reversed(self.kids):
-                weights.append([_total(weights[-1][c] for c in kids)
-                                for kids in row])
-            self.weights = weights[::-1]
+                masses.append([sum(masses[-1][c] for c in kids)
+                               for kids in row])
+            self.masses = masses[::-1]
+
+    @property
+    def weights(self) -> list[list[Fraction]] | None:
+        """Reference probability per atom, built on first read."""
+        if self._weights is None and self.masses is not None:
+            self._weights = [[Fraction(m, self.scale) for m in row]
+                             for row in self.masses]
+        return self._weights
 
     @property
     def horizon(self) -> int:
@@ -144,7 +158,12 @@ class Filtration:
 
     def mass(self, t: int, atom: Block) -> Fraction:
         """Reference probability of the time-t atom."""
-        return self.weights[t][self.block_of[t][atom[0]]]
+        return Fraction(self.masses[t][self.block_of[t][atom[0]]], self.scale)
+
+    def share(self, t: int, atom: Block) -> Fraction:
+        """Probability of the time-t atom given its parent at t - 1."""
+        i = self.block_of[t][atom[0]]
+        return Fraction(self.masses[t][i], self.masses[t - 1][self.up[t][i]])
 
     def refines(self, other: "Filtration") -> bool:
         """True when every atom of this filtration lies inside one atom
@@ -238,17 +257,28 @@ def _differences(f: Filtration, nodes: Nodes) -> Nodes:
         for t in range(1, len(nodes))]
 
 
+def _cumulate(f: Filtration, steps: Nodes) -> Nodes:
+    """Values from the time-0 value and the increments."""
+    nodes = [steps[0]]
+    for t in range(1, len(steps)):
+        prev = nodes[-1]
+        nodes.append([prev[p] + s if s else prev[p]
+                      for p, s in zip(f.up[t], steps[t])])
+    return nodes
+
+
 class AdaptedProcess:
     """Per time, one value per atom of the filtration it is adapted to:
     ``nodes[t][i]`` on the i-th atom at t and ``steps[t][i]`` its
     increment from the parent atom (``steps[0]`` is the time-0 value).
+    A process is made from either; the other is derived on first read.
 
     ``AdaptedProcess(rows, label)`` takes outcome rows, outcome -> list
     over t, as a process on the finest filtration of those outcomes; it
     is checked against a filtration when bound to it (``on``).
     """
 
-    __slots__ = ("filtration", "nodes", "steps")
+    __slots__ = ("filtration", "_nodes", "_steps")
 
     def __init__(self, values: Mapping[str, Sequence],
                  filtration_label: str = "F"):
@@ -259,20 +289,38 @@ class AdaptedProcess:
         self._set(f, [[rows[block[0]][t] for block in part]
                       for t, part in enumerate(f.partitions)])
 
-    def _set(self, f: Filtration, nodes: Nodes,
+    def _set(self, f: Filtration, nodes: Nodes | None,
              steps: Nodes | None = None) -> None:
         self.filtration = f
-        self.nodes = nodes
-        self.steps = _differences(f, nodes) if steps is None else steps
+        self._nodes = nodes
+        self._steps = steps
 
     @classmethod
-    def from_nodes(cls, f: Filtration, nodes: Nodes,
+    def from_nodes(cls, f: Filtration, nodes: Nodes | None,
                    steps: Nodes | None = None):
         """The process with value nodes[t][i] on the i-th atom of f at t;
-        its increments are derived unless given."""
+        its increments are derived on first read unless given."""
         x = cls.__new__(cls)
         x._set(f, nodes, steps)
         return x
+
+    @classmethod
+    def from_steps(cls, f: Filtration, steps: Nodes):
+        """The process with time-0 value steps[0] and increment
+        steps[t][i] on the i-th atom of f at t >= 1."""
+        return cls.from_nodes(f, None, steps)
+
+    @property
+    def nodes(self) -> Nodes:
+        if self._nodes is None:
+            self._nodes = _cumulate(self.filtration, self._steps)
+        return self._nodes
+
+    @property
+    def steps(self) -> Nodes:
+        if self._steps is None:
+            self._steps = _differences(self.filtration, self._nodes)
+        return self._steps
 
     @classmethod
     def from_increments(cls, f: Filtration, step) -> "AdaptedProcess":
@@ -290,7 +338,7 @@ class AdaptedProcess:
 
     @property
     def horizon(self) -> int:
-        return len(self.nodes) - 1
+        return self.filtration.horizon
 
     @property
     def filtration_label(self) -> str:
@@ -309,19 +357,21 @@ class AdaptedProcess:
         return _bind(self, f)
 
     def equals(self, other: "AdaptedProcess") -> bool:
-        """The same value at every outcome and time."""
+        """The same value at every outcome and time: on one filtration,
+        the same time-0 values and increments."""
         a, b = _common(self, other)
+        if a._steps is not None and b._steps is not None:
+            return a._steps == b._steps
         return a.nodes == b.nodes
 
     def _combine(self, other, op, linear: bool) -> "AdaptedProcess":
+        """op node by node; a linear op acts on the increments alone."""
         a, b = _common(self, other)
-        nodes = [[op(x, y) for x, y in zip(ra, rb)]
-                 for ra, rb in zip(a.nodes, b.nodes)]
-        if not linear:
-            return AdaptedProcess.from_nodes(a.filtration, nodes)
-        steps = [nodes[0]] + [[op(x, y) for x, y in zip(ra, rb)]
-                              for ra, rb in zip(a.steps[1:], b.steps[1:])]
-        return AdaptedProcess.from_nodes(a.filtration, nodes, steps)
+        rows = zip(a.steps, b.steps) if linear else zip(a.nodes, b.nodes)
+        out = [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in rows]
+        if linear:
+            return AdaptedProcess.from_steps(a.filtration, out)
+        return AdaptedProcess.from_nodes(a.filtration, out)
 
     def __add__(self, other: "AdaptedProcess") -> "AdaptedProcess":
         return self._combine(other, add, True)
@@ -366,11 +416,13 @@ def _bind(x: AdaptedProcess, f: Filtration) -> AdaptedProcess:
                         raise NotAdapted(f"process not constant on block "
                                          f"{block} at t={t}")
 
-    def read(rows: Nodes) -> Nodes:
+    def read(rows: Nodes | None) -> Nodes | None:
+        if rows is None:
+            return None
         return [[row[look[block[0]]] for block in part]
                 for part, look, row in zip(f.partitions, src.block_of, rows)]
 
-    return type(x).from_nodes(f, read(x.nodes), read(x.steps))
+    return type(x).from_nodes(f, read(x._nodes), read(x._steps))
 
 
 def _common(*xs: AdaptedProcess) -> list[AdaptedProcess]:
@@ -404,24 +456,34 @@ def constant_process(c, space: FiniteFilteredSpace,
 # Conditional averages and compensators
 # ---------------------------------------------------------------------------
 
-def _average(weights: Sequence[Fraction], idxs: Sequence[int], value,
-             mass: Fraction | None = None) -> Fraction:
-    """sum w[i] value(i) / sum w[i] over the atoms idxs, with value
-    evaluated once per atom; `mass` is the denominator when known.  The
-    one conditional average over atoms: cond_average, the compensator
-    and the drift test all reduce to it."""
-    if len(idxs) == 1:
+def mass_average(masses: Sequence[int], idxs: Sequence[int], value,
+                 mass: int | None = None) -> Fraction:
+    """sum m[i] value(i) / mass over the atoms idxs, with value evaluated
+    once per atom; `mass` defaults to sum m[i].  The one conditional
+    average over atoms: cond_average, the compensator, the drift test
+    and the transfer identities all reduce to it.
+
+    The masses are integers, and the sum is kept as an integer numerator
+    over the lcm of the values' denominators, so that the only
+    normalisation is that of the returned Fraction."""
+    if len(idxs) == 1 and (mass is None or mass == masses[idxs[0]]):
         return value(idxs[0])
-    total = None
+    num, den = 0, 1
     for i in idxs:
         v = value(i)
-        if v:
-            term = weights[i] * v
-            total = term if total is None else total + term
-    if total is None:
+        n = v.numerator
+        if n:
+            d = v.denominator
+            if d != den:
+                g = gcd(den, d)
+                num *= d // g
+                n *= den // g
+                den *= d // g
+            num += masses[i] * n
+    if not num:
         return ZERO
-    return total / (_total(weights[i] for i in idxs) if mass is None
-                    else mass)
+    return Fraction(num, den * (sum(masses[i] for i in idxs) if mass is None
+                                else mass))
 
 
 def cond_average(f: Filtration, t: int, atoms: Iterable[Block],
@@ -430,8 +492,8 @@ def cond_average(f: Filtration, t: int, atoms: Iterable[Block],
     time-t atoms of f, under the reference measure; values is evaluated
     once per atom, on its first outcome."""
     look = f.block_of[t]
-    return _average(f.weights[t], [look[atom[0]] for atom in atoms],
-                    lambda i: values(f.partitions[t][i][0]))
+    return mass_average(f.masses[t], [look[atom[0]] for atom in atoms],
+                        lambda i: values(f.partitions[t][i][0]))
 
 
 def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
@@ -441,15 +503,13 @@ def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
     tagged filtration."""
     f = filtration or space.filtration
     v = v.on(f)
-    nodes, steps = [v.nodes[0]], [v.nodes[0]]
+    steps = [v.steps[0]]
     for t in range(1, len(f.partitions)):
         row = v.steps[t].__getitem__
-        drift = [_average(f.weights[t], kids, row, mass)
-                 for kids, mass in zip(f.kids[t - 1], f.weights[t - 1])]
-        level = [a + d if d else a for a, d in zip(nodes[-1], drift)]
+        drift = [mass_average(f.masses[t], kids, row, mass)
+                 for kids, mass in zip(f.kids[t - 1], f.masses[t - 1])]
         steps.append([drift[p] for p in f.up[t]])
-        nodes.append([level[p] for p in f.up[t]])
-    return PredictableProcess.from_nodes(f, nodes, steps)
+    return PredictableProcess.from_steps(f, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +518,8 @@ def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
 
 def _integral(f: Filtration, increments: Nodes) -> AdaptedProcess:
     """X_0 = 0 with increments[t - 1][i] on the i-th atom at t >= 1."""
-    nodes = [[ZERO] * len(f.partitions[0])]
-    for t, step in enumerate(increments, 1):
-        prev = nodes[-1]
-        nodes.append([prev[p] + s if s else prev[p]
-                      for p, s in zip(f.up[t], step)])
-    return AdaptedProcess.from_nodes(f, nodes, [nodes[0], *increments])
+    return AdaptedProcess.from_steps(f, [[ZERO] * len(f.partitions[0]),
+                                         *increments])
 
 
 def bracket(x: AdaptedProcess, y: AdaptedProcess) -> AdaptedProcess:
@@ -533,8 +589,8 @@ def is_martingale(x: AdaptedProcess, space: FiniteFilteredSpace,
     for t in range(1, len(f.partitions)):
         row = x.steps[t].__getitem__
         for block, kids, mass in zip(f.partitions[t - 1], f.kids[t - 1],
-                                     f.weights[t - 1]):
-            drift = _average(f.weights[t], kids, row, mass)
+                                     f.masses[t - 1]):
+            drift = mass_average(f.masses[t], kids, row, mass)
             if drift:
                 return MartingaleReport(False, t, block, drift)
     return MartingaleReport(True)

@@ -86,7 +86,6 @@ def check_hat_basis(analysis) -> list[dict]:
     for atom in after_atoms(analysis):
         t, base, members = atom.t, atom.base, atom.members
         gap = 1 - analysis.survival.at(base[0], t - 1)
-        base_mass = f.mass(t - 1, base)
         children = f.children(t - 1, base)
         if len(children) < 2:
             # the increment is trivial: hat increment is a constant with
@@ -95,7 +94,7 @@ def check_hat_basis(analysis) -> list[dict]:
         after_children = analysis.enlarged.children(t - 1, members)
         look = f.block_of[t]
         for child in children[:-1]:
-            p_child = f.mass(t, child) / base_mass
+            p_child = f.share(t, child)
             inside, outside = ONE - p_child, -p_child
             elem = lambda o, i=look[child[0]]: (inside if look[o] == i
                                                  else outside)

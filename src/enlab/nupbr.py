@@ -202,8 +202,7 @@ def nupbr_check(x, space: FiniteFilteredSpace,
         for atom in f.partitions[t - 1]:
             children = f.children(t - 1, atom)
             vectors = _child_increments(components, children, t)
-            mass = f.mass(t - 1, atom)
-            probs = [f.mass(t, child) / mass for child in children]
+            probs = [f.share(t, child) for child in children]
             weights = (_scalar_node_weights(vectors, probs) if scalar
                        else _lp_node_weights(vectors, probs))
             if weights is None:
@@ -237,10 +236,9 @@ def assemble_deflator_process(witness: DeflatorWitness,
     for t in range(1, space.horizon + 1):
         row = [ZERO] * len(f.partitions[t])
         for atom in f.partitions[t - 1]:
-            mass = f.mass(t - 1, atom)
             for child, w in zip(f.children(t - 1, atom),
                                 witness.node_weights[(t, atom)]):
-                row[f.block_of[t][child[0]]] = w * mass / f.mass(t, child)
+                row[f.block_of[t][child[0]]] = w / f.share(t, child)
         density.append(row)
     return stochastic_exponential(AdaptedProcess.from_increments(
         f, step=lambda o, t: density[t - 1][f.block_of[t][o]] - 1))

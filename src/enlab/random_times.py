@@ -138,34 +138,34 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
 
     One pass over the outcomes puts each outcome's mass on its atom at
     its time: hit[t][i] = P(tau = t, atom i at t).  The masses of
-    {tau > t} and {tau >= t} on an atom then sum over its children.
+    {tau > t} and {tau >= t} on an atom then sum over its children.  All
+    three are integers over the filtration's scale, like the atom
+    masses, so each conditional is one Fraction of two integers.
     """
     f = space.filtration
     T = space.horizon
-    hit = [[ZERO] * len(part) for part in f.partitions]
+    hit = [[0] * len(part) for part in f.partitions]
     for o in space.outcomes:
-        hit[tau[o]][f.block_of[tau[o]][o]] += space.prob[o]
-    alive = [[ZERO] * len(f.partitions[T])]    # P(tau > t, atom)
+        p = space.prob[o]
+        hit[tau[o]][f.block_of[tau[o]][o]] += (
+            p.numerator * (f.scale // p.denominator))
+    alive = [[0] * len(f.partitions[T])]       # P(tau > t, atom)
     alive_incl = [hit[T]]                      # P(tau >= t, atom)
     for t in range(T - 1, -1, -1):
-        alive.insert(0, [sum((alive_incl[0][c] for c in kids), ZERO)
+        alive.insert(0, [sum(alive_incl[0][c] for c in kids)
                          for kids in f.kids[t]])
         alive_incl.insert(0, [a + h for a, h in zip(alive[0], hit[t])])
 
     def conditional(masses):
-        return [[m / w for m, w in zip(row, weights)]
-                for row, weights in zip(masses, f.weights)]
+        return [[Fraction(m, w) for m, w in zip(row, weights)]
+                for row, weights in zip(masses, f.masses)]
 
-    surv, incl, occurrence = (conditional(alive), conditional(alive_incl),
-                              conditional(hit))
-    # the dual optional projection of 1[t >= tau] has the increment
-    # E[1(tau = t) | atom at t] at t, and that value at 0
-    for t in range(1, T + 1):
-        occurrence[t] = [occurrence[t - 1][p] + d
-                         for p, d in zip(f.up[t], occurrence[t])]
+    surv, incl = conditional(alive), conditional(alive_incl)
     survival = AdaptedProcess.from_nodes(f, surv)
     survival_incl = AdaptedProcess.from_nodes(f, incl)
-    occurrence_proj = AdaptedProcess.from_nodes(f, occurrence)
+    # the dual optional projection of 1[t >= tau] has the increment
+    # E[1(tau = t) | atom at t] at t, and that value at 0
+    occurrence_proj = AdaptedProcess.from_steps(f, conditional(hit))
     fundamental = survival + occurrence_proj
 
     jump_set_t = tuple(
@@ -188,22 +188,25 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
 
 
 def _check_analysis_invariants(a: RandomTimeAnalysis) -> None:
+    """Node by node on the base filtration, which all three processes
+    are built on."""
     space = a.space
+    f = space.filtration
     if not is_martingale(a.fundamental_martingale, space).ok:
         raise InvariantError("fundamental martingale has drift")
-    for t, part in enumerate(space.filtration.partitions):
-        for block in part:
-            o = block[0]
-            z = a.survival.at(o, t)
-            zi = a.survival_incl.at(o, t)
+    surv, incl = a.survival.nodes, a.survival_incl.nodes
+    for t, part in enumerate(f.partitions):
+        for block, z, zi in zip(part, surv[t], incl[t]):
             if not (0 <= z <= 1 and 0 <= zi <= 1):
-                raise InvariantError(f"supermartingale outside [0,1] at ({o},{t})")
-            # inclusive value equals left limit plus martingale increment
-            if t >= 1 and zi != (a.survival.at(o, t - 1)
-                                 + a.fundamental_martingale.delta(o, t)):
-                raise InvariantError("survival/martingale increment identity")
-            if t == space.horizon and z != 0:
-                raise InvariantError("survival does not vanish at the horizon")
+                raise InvariantError(f"supermartingale outside [0,1] at "
+                                     f"({block[0]},{t})")
+        # inclusive value equals left limit plus martingale increment
+        if t >= 1 and any(
+                zi != surv[t - 1][p] + dm for zi, p, dm in
+                zip(incl[t], f.up[t], a.fundamental_martingale.steps[t])):
+            raise InvariantError("survival/martingale increment identity")
+    if any(surv[-1]):
+        raise InvariantError("survival does not vanish at the horizon")
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,20 @@ def ref_cond_exp(x, t, prob, partitions):
     return out
 
 
+def ref_average(weights, values):
+    """sum w v / sum w over parallel lists of Fraction weights and
+    values: the Fraction-only conditional average over atoms that the
+    integer-mass kernel replaced (one atom: its value; all values zero:
+    0), kept as the reference it must match."""
+    if len(weights) == 1:
+        return values[0]
+    total = None
+    for w, v in zip(weights, values):
+        if v:
+            total = w * v if total is None else total + w * v
+    return Q(0) if total is None else total / sum(weights[1:], weights[0])
+
+
 def ref_drift(rows, t, prob, partitions):
     """One-step drift E[X_t - X_{t-1} | partition at t - 1], per outcome."""
     return ref_cond_exp({o: Q(row[t]) - Q(row[t - 1]) for o, row in rows.items()},

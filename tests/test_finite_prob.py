@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import cycle
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -28,10 +30,15 @@ from enlab.finite_prob import (
     stochastic_exponential,
 )
 from enlab.model_io import load_model
-from enlab.random_times import analyze, enlarge, generate_honest_model
+from enlab.random_times import (
+    RandomTimeMap,
+    analyze,
+    enlarge,
+    generate_honest_model,
+)
 
 from .conftest import TREE
-from .oracles import ref_cond_exp
+from .oracles import ref_average, ref_cond_exp
 
 Q = Fraction
 
@@ -180,6 +187,17 @@ def test_yor_product_formula(tree_space, walk, tent_analysis):
     lhs = stochastic_exponential(x) * stochastic_exponential(y)
     rhs = stochastic_exponential(x + y + bracket(x, y))
     assert lhs.values == rhs.values
+
+
+def test_equals_from_values_or_increments(tree_space, walk):
+    f = tree_space.filtration
+    steps = walk.on(f).steps
+    shifted = [[Q(1)]] + steps[1:]  # the same increments from 1
+    from_steps = AdaptedProcess.from_steps
+    assert from_steps(f, steps).equals(AdaptedProcess.from_nodes(f, walk.nodes))
+    assert not from_steps(f, shifted).equals(from_steps(f, steps))
+    assert not from_steps(f, shifted).equals(walk)
+    assert from_steps(f, shifted).equals(walk + constant_process(1, tree_space))
 
 
 def test_is_martingale(tree_space, walk, tent_analysis):
@@ -345,3 +363,117 @@ def test_node_layout_against_outcome_references(seed, depth):
         longer = AdaptedProcess({o: row + row[-1:] for o, row in x_rows.items()})
         with pytest.raises(SchemaError):
             longer.on(f)
+
+
+# ---------------------------------------------------------------------------
+# Integer atom masses and the conditional-average kernel
+# ---------------------------------------------------------------------------
+
+# Coprime denominators (the scale is their lcm, 1806): the atom {a} has
+# a single child, the increments at t = 2 vanish on {b, c}, and on
+# {d, e} they are nonzero with a weighted sum of zero (42/5 - 42/5).
+COPRIME = {
+    "outcomes": ["a", "b", "c", "d", "e"],
+    "prob": {"a": "1/2", "b": "1/3", "c": "1/7", "d": "1/43",
+             "e": "1/1806"},
+    "partitions": [
+        [["a", "b", "c", "d", "e"]],
+        [["a"], ["b", "c"], ["d", "e"]],
+        [["a"], ["b"], ["c"], ["d"], ["e"]],
+    ],
+}
+COPRIME_X = {"a": [0, Q(1, 3), Q(5, 6)], "b": [0, Q(-2, 7), Q(-2, 7)],
+             "c": [0, Q(-2, 7), Q(-2, 7)], "d": [0, Q(11, 5), Q(12, 5)],
+             "e": [0, Q(11, 5), Q(11, 5) - Q(42, 5)]}
+
+
+def _kernel_models():
+    space = build_space(COPRIME)
+    tau = {"a": 1, "b": 2, "c": 0, "d": 1, "e": 2}
+    yield space, analyze(space, RandomTimeMap.build(tau, space))
+    for seed in (1, 2, 3):
+        space, _, _, analysis = generate_honest_model(seed, depth=4,
+                                                      branching=3)
+        yield space, analysis
+
+
+def _check_kernel(space, f, x):
+    """cond_average, the compensator's increments and the drift test's
+    witness against the Fraction-only average, atom by atom."""
+    w = f.weights
+    first = None
+    comp = compensator(x, space, f)
+    for t in range(1, f.horizon + 1):
+        for i, (block, kids) in enumerate(zip(f.partitions[t - 1],
+                                              f.kids[t - 1])):
+            steps = [x.delta(f.partitions[t][c][0], t) for c in kids]
+            ref = ref_average([w[t][c] for c in kids], steps)
+            got = cond_average(f, t, [f.partitions[t][c] for c in kids],
+                               lambda o: x.delta(o, t))
+            assert got == ref and type(got) is Fraction
+            for c in kids:
+                assert comp.delta(f.partitions[t][c][0], t) == ref
+            if ref and first is None:
+                first = (t, block, ref)
+    report = is_martingale(x, space, f)
+    if first is None:
+        assert report.ok
+    else:
+        assert (report.t, report.block, report.drift) == first
+    assert is_martingale(x - comp, space, f).ok
+
+
+def test_kernel_branches_on_coprime_denominators():
+    space = build_space(COPRIME)
+    f = space.filtration
+    assert f.scale == 1806 and f.masses == [[1806], [903, 860, 43],
+                                            [903, 602, 258, 42, 1]]
+    x = adapted(COPRIME_X, space)
+    d = lambda t: (lambda o: x.delta(o, t))  # noqa: E731
+    # single child, all-zero values, zero weighted sum, mixed denominators
+    assert cond_average(f, 2, [("a",)], d(2)) == Q(1, 2)
+    assert cond_average(f, 2, [("b",), ("c",)], d(2)) == 0
+    assert cond_average(f, 2, [("d",), ("e",)], d(2)) == 0
+    assert cond_average(f, 1, f.partitions[1], d(1)) == ref_average(
+        f.weights[1], [Q(1, 3), Q(-2, 7), Q(11, 5)])
+    _check_kernel(space, f, x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 60)),
+                min_size=1, max_size=40))
+def test_kernel_matches_fraction_average(draws):
+    """Per-atom increments with mixed denominators, drawn in turn from
+    the list (a zero numerator gives zero increments), on the coprime
+    fixture and generated models, in F and in the enlarged G."""
+    for space, analysis in _kernel_models():
+        for f in (space.filtration, analysis.enlarged):
+            draw = cycle(draws)
+            steps = [[Q(*next(draw)) for _ in part] for part in f.partitions]
+            x = AdaptedProcess.from_steps(f, steps)
+            _check_kernel(space, f, x)
+
+
+@pytest.mark.parametrize("name", ["coprime"] + TREE_MODELS)
+def test_integer_atom_masses(name):
+    if name == "coprime":
+        space, analysis = next(_kernel_models())
+        filtrations = (space.filtration, analysis.enlarged)
+    else:
+        space, tau, _ = _model(name)
+        filtrations = (space.filtration, enlarge(space, analyze(space, tau)))
+    for f in filtrations:
+        assert f.scale == lcm(*(p.denominator for p in space.prob.values()))
+        # the time-0 atoms carry all the mass: the root of F, or the
+        # split of the root by {tau = 0} in G
+        assert sum(f.masses[0]) == f.scale
+        assert f.label == "G" or f.masses[0] == [f.scale]
+        for t in range(f.horizon):
+            for mass, kids in zip(f.masses[t], f.kids[t]):
+                assert mass == sum(f.masses[t + 1][c] for c in kids)
+        for t, part in enumerate(f.partitions):
+            assert all(type(m) is int for m in f.masses[t])
+            assert f.weights[t] == [Fraction(m, f.scale)
+                                    for m in f.masses[t]]
+            for atom, m in zip(part, f.masses[t]):
+                assert f.mass(t, atom) == Fraction(m, f.scale)
