@@ -37,7 +37,7 @@ from .poisson_mc import (
     ruin_mc,
     thread_count,
 )
-from .random_times import analyze, generate_honest_model
+from .random_times import BRANCHINGS, DEPTHS, analyze, generate_honest_model
 from .ruin import RuinOracle
 
 
@@ -70,6 +70,17 @@ def _positive(kind):
             raise argparse.ArgumentTypeError(f"must be positive, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in errors
+    return parse
+
+
+def _within(bounds: range):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value not in bounds:
+            raise argparse.ArgumentTypeError(
+                f"must be in {bounds[0]}..{bounds[-1]}, got {text}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in errors
     return parse
 
 
@@ -252,17 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=int, default=None)
         return p
 
+    def add_tree_shape(p):
+        p.add_argument("--depth", type=_within(DEPTHS), default=5)
+        p.add_argument("--branching", type=_within(BRANCHINGS), default=3)
+
     p = add("gen", cmd_gen, help="generate a model file")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--branching", type=int, default=3)
+    add_tree_shape(p)
     p.add_argument("--out", required=True)
 
     p = add("verify", cmd_verify, threads=True,
             help="run the exact identity suite")
     p.add_argument("--models-seed-range", type=_seed_range, default="1..500")
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--branching", type=int, default=3)
+    add_tree_shape(p)
     p.add_argument("--out")
 
     p = add("nupbr", cmd_nupbr, help="verdicts for a model file")
@@ -272,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("crosscheck", cmd_crosscheck, threads=True,
             help="three-way theorem harness")
     p.add_argument("--seeds", type=_seed_range, default="1..1000")
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--branching", type=int, default=3)
+    add_tree_shape(p)
     p.add_argument("--csv")
     p.add_argument("--fixtures-dir")
 

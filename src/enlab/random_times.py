@@ -251,6 +251,7 @@ def enlarge(space: FiniteFilteredSpace, analysis: RandomTimeAnalysis) -> Filtrat
 # ---------------------------------------------------------------------------
 
 _BRANCH_WEIGHTS = (1, 2, 2, 3, 3, 3)  # children counts drawn from {1,2,3}-ish
+DEPTHS, BRANCHINGS = range(1, 9), range(1, 5)  # the generator's scope
 _INCREMENTS = tuple(map(Fraction, (-2, -1, -1, 0, 1, 1, 2)))
 
 
@@ -304,9 +305,9 @@ def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1,
     actually fail on a full-support space, but the guard stays in place
     as a cheap sanity net.
     """
-    if not 1 <= depth <= 8:
+    if depth not in DEPTHS:
         raise GenerationExhausted(f"depth {depth} outside 1..8")
-    if not 1 <= branching <= 4:
+    if branching not in BRANCHINGS:
         raise GenerationExhausted(f"branching {branching} outside 1..4")
     if not 1 <= d <= 4:
         raise GenerationExhausted(f"d {d} outside 1..4")

@@ -334,6 +334,16 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
       "--checkpoints", "1e9"], "--checkpoints"),
     (["example2", "--mu", "2", "--a", "1", "--paths", "10", "--seed", "1",
       "--checkpoints", "500"], "--checkpoints"),
+    # the generator's scope is depth 1..8 and branching 1..4
+    (["gen", "--seed", "1", "--out", os.devnull, "--depth", "9"], "--depth"),
+    (["gen", "--seed", "1", "--out", os.devnull, "--depth", "0"], "--depth"),
+    (["gen", "--seed", "1", "--out", os.devnull, "--branching", "7"],
+     "--branching"),
+    (["verify", "--models-seed-range", "1..1", "--depth", "9"], "--depth"),
+    (["verify", "--models-seed-range", "1..1", "--branching", "0"],
+     "--branching"),
+    (["crosscheck", "--seeds", "1..1", "--depth", "0"], "--depth"),
+    (["crosscheck", "--seeds", "1..1", "--branching", "7"], "--branching"),
 ])
 def test_cli_rejects_out_of_range_flags(args, flag, capsys):
     assert main(args) == 2
