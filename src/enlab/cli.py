@@ -89,7 +89,7 @@ def _premium_rate(text: str) -> float:
     above it for the series to converge within its term cap."""
     mu = float(text)
     try:
-        RuinOracle(mu)
+        RuinOracle.shared(mu)
     except InvalidDrift as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return mu
@@ -204,7 +204,7 @@ def cmd_example2(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    oracle = RuinOracle(args.mu)
+    oracle = RuinOracle.shared(args.mu)
     us = np.asarray(args.u)
     pk = oracle.psi_many(us)
     freq, se = ruin_mc(args.mu, us, args.mc_paths, args.seed,

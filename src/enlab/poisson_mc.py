@@ -22,6 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -437,7 +438,8 @@ class Example2Report:
 class _DeflatorGrids:
     """Tabulated ruin-probability functionals of the pre-jump surplus,
     plus the antiderivative of the between-jump growth rate, so chunk
-    evaluation is pure array interpolation."""
+    evaluation is pure array interpolation.  The tables are read-only:
+    example2_run shares them between calls (_deflator_grids)."""
 
     def __init__(self, model: PoissonModel, max_checkpoint: float,
                  step: float = 1e-3):
@@ -454,6 +456,8 @@ class _DeflatorGrids:
         growth = (p0 - p1) / (1.0 - p0)
         inc = 0.5 * (growth[1:] + growth[:-1]) * np.diff(self.y)
         self.anti = np.concatenate([[0.0], np.cumsum(inc)])
+        for table in (self.y, self.log1p_strategy, self.anti):
+            table.flags.writeable = False
 
     def anti_at(self, y: np.ndarray) -> np.ndarray:
         return np.interp(y, self.y, self.anti, left=0.0)
@@ -517,6 +521,24 @@ class _Window:
         return cut, mask[cut] & (self.T[cut] <= cp)
 
 
+# The deflator grids of the last few (mu, a, largest checkpoint, step):
+# they depend on nothing else, and a run of example2 calls at one
+# configuration builds them once.
+_GRIDS: dict[tuple, _DeflatorGrids] = {}
+_GRIDS_KEPT = 4
+
+
+def _deflator_grids(model: PoissonModel, max_checkpoint: float,
+                    step: float) -> _DeflatorGrids:
+    key = (model.mu, model.a, max_checkpoint, step)
+    grids = _GRIDS.get(key)
+    if grids is None:
+        if len(_GRIDS) >= _GRIDS_KEPT:
+            del _GRIDS[next(iter(_GRIDS))]
+        grids = _GRIDS[key] = _DeflatorGrids(model, max_checkpoint, step)
+    return grids
+
+
 def _row_sums(mask: np.ndarray, values: np.ndarray,
               width: int) -> np.ndarray:
     """Row sums of the (rows, width) array that holds `values` at the
@@ -563,7 +585,7 @@ def example2_run(model: PoissonModel, paths: int, seed: int,
     checkpoints = _checked_checkpoints(model, checkpoints)
     mu, a = model.mu, model.a
     min_time = max(checkpoints)
-    grids = _DeflatorGrids(model, min_time, grid_step)
+    grids = _deflator_grids(model, min_time, grid_step)
 
     def work(chunk_index: int, rows: int):
         c = _simulate_chunk(model, seed, chunk_index, rows, min_time)
@@ -690,6 +712,11 @@ def example2_selftest(model: PoissonModel, paths: int, seed: int,
 # Direct ruin-frequency estimator
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _decision_level(mu: float, eps: float) -> float:
+    return RuinOracle.shared(mu).tail_level(eps)
+
+
 def ruin_mc(mu: float, us, n_paths: int, seed: int,
             threads: int | None = None,
             decision_eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -702,8 +729,7 @@ def ruin_mc(mu: float, us, n_paths: int, seed: int,
     binomial standard errors returned.
     """
     us = np.asarray(us, dtype=float)
-    oracle = RuinOracle(mu)
-    u_dec = oracle.tail_level(decision_eps)
+    u_dec = _decision_level(mu, decision_eps)
 
     def work(chunk_index: int, rows: int):
         runmax = np.full(rows, -np.inf)

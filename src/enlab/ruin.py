@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,6 +187,13 @@ class RuinOracle:
 
     def psi(self, u: float) -> float:
         return float(self.psi_many(np.array([u]))[0])
+
+    @staticmethod
+    @lru_cache(maxsize=8)
+    def shared(mu: float) -> "RuinOracle":
+        """The oracle of premium rate mu with the default series
+        settings, built once per rate for callers that only read it."""
+        return RuinOracle(mu)
 
     def tail_level(self, eps: float) -> float:
         """Smallest grid-hunted u with psi(u) + remainder <= eps (monotone

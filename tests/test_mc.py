@@ -21,6 +21,8 @@ from enlab.poisson_mc import (
     simulate_path,
 )
 
+from enlab.ruin import RuinOracle
+
 from .oracles import (
     ref_example2_chunk,
     ref_selftest_chunk,
@@ -322,6 +324,26 @@ def test_simulate_chunk_matches_rebuilt_rounds(mu, min_time, t_max):
             assert _same_bytes(getattr(got, name), getattr(ref, name)), name
         if t_max < 400:
             assert 0 < ref.censored.sum() < 1000
+
+
+def test_shared_grids_and_levels_match_fresh_builds():
+    # each configuration differs from the one before it in one key
+    # field, and every one is asked for twice, so a cache keyed on too
+    # little hands back another configuration's tables
+    configs = [(2.0, 1.0, 5.0, 1e-3), (2.0, 0.5, 5.0, 1e-3),
+               (1.5, 0.5, 5.0, 1e-3), (1.5, 0.5, 2.0, 1e-3),
+               (1.5, 0.5, 2.0, 2e-3), (2.0, 1.0, 5.0, 1e-3)]
+    for mu, a, top, step in configs + configs:
+        model = PoissonModel(mu=mu, a=a)
+        shared = pm._deflator_grids(model, top, step)
+        fresh = pm._DeflatorGrids(model, top, step)
+        for name in ("y", "log1p_strategy", "anti"):
+            assert _same_bytes(getattr(shared, name), getattr(fresh, name))
+        assert not shared.anti.flags.writeable
+    levels = [(2.0, 1e-9), (2.0, 1e-6), (4.0, 1e-6), (4.0, 1e-9)]
+    for mu, eps in levels + levels:
+        assert pm._decision_level(mu, eps) == RuinOracle(mu).tail_level(eps)
+    assert RuinOracle.shared(2.0) is RuinOracle.shared(2.0)
 
 
 def test_survival_formula_against_path_continuations(model):
