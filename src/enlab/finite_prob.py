@@ -23,13 +23,14 @@ all times: every atom's mass is a sum of outcome probabilities, so it
 is an integer over that scale.
 
 Processes are stored on that tree.  A process holds, per time t, one
-value per atom of the ``Filtration`` it is adapted to, with the
-increment from the parent atom kept next to it; ``at(o, t)`` reads the
-node of the atom holding o.  Every operation works node by node: a
-conditional expectation given time t - 1 is the mass-weighted average
-over an atom's children, summed on plain integers and normalised once
-per returned value, and a process built from increments evaluates its
-step once per atom, on the atom's first outcome.
+value per atom of the ``Filtration`` it is adapted to and the
+increment from the parent atom, each derived from the other when first
+read; ``at(o, t)`` reads the node of the atom holding o.  Every
+operation works node by node: a conditional expectation given time
+t - 1 is the mass-weighted average over an atom's children, summed on
+plain integers and normalised once per returned value, and a process
+built from increments evaluates its step once per atom, on the atom's
+first outcome.
 
 Adaptedness is structural.  Outcome rows (``adapted``,
 ``AdaptedProcess(rows)``) are a process on the finest filtration of
