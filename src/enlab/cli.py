@@ -84,6 +84,17 @@ def _within(bounds: range):
     return parse
 
 
+def _stream_seed(text: str) -> int:
+    """A master seed of the Philox streams, which take no negative one."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return seed
+
+
+_stream_seed.__name__ = "int"  # argparse names the type in errors
+
+
 def _premium_rate(text: str) -> float:
     """A premium rate mu the ruin oracle accepts: above 1, and far enough
     above it for the series to converge within its term cap."""
@@ -294,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_premium_rate, required=True)
     p.add_argument("--a", type=_positive(float), required=True)
     p.add_argument("--paths", type=_positive(int), default=100_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_stream_seed, required=True)
     p.add_argument("--csv")
 
     p = add("example2", cmd_example2, threads=True,
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_premium_rate, required=True)
     p.add_argument("--a", type=_positive(float), required=True)
     p.add_argument("--paths", type=_positive(int), default=100_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_stream_seed, required=True)
     p.add_argument("--checkpoints", type=_floats, default=(1.0, 2.0, 5.0))
     p.add_argument("--csv")
 
@@ -311,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_premium_rate, required=True)
     p.add_argument("--u", type=_reserves, required=True)
     p.add_argument("--mc-paths", type=_positive(int), default=200_000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_stream_seed, default=1)
     p.add_argument("--csv")
 
     p = add("brownian", cmd_brownian, help="excursion-ladder diagnostic")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--dt", type=_positive(float), default=1e-4)
     p.add_argument("--paths", type=_positive(int), default=20_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_stream_seed, required=True)
     p.add_argument("--time-cap", type=_positive(float), default=100.0)
     p.add_argument("--out")
 

@@ -6,8 +6,8 @@ the level a.  Paths are exact: exponential gaps, linear drift between
 jumps, no time discretization.  A path is simulated until its post-jump
 surplus clears the level by u_star, where the ruin oracle bounds the
 probability of any later return (and hence of the detected last-visit
-time being overturned) by eps_tail; a hard time cap marks the stragglers
-censored.
+time being overturned) by _EPS_TAIL; a hard time cap marks the
+stragglers censored.
 
 All bulk runs are vectorized over fixed-size path chunks.  Randomness is
 drawn from counter-based Philox streams keyed by (master seed, stream
@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EnlabError, InvalidDrift, UsageError
-from .ruin import RuinOracle
+from .errors import EnlabError, UsageError
+from .ruin import RuinOracle, shared_tail_level
 
 CHUNK = 4096
 COLS = 64
@@ -35,6 +35,15 @@ _STREAM_PATHS = 1
 _STREAM_INDEP = 2
 
 _CI99 = 2.5758293035489004  # two-sided 99% normal quantile
+
+# the probability bound behind a path's stopping clearance u_star
+_EPS_TAIL = 1e-6
+# ruin_mc's bound on a decided path reaching a later record
+_DECISION_EPS = 1e-9
+# the position multipliers of example 1's wealth table
+_LAMBDAS = (1.0, 10.0, 100.0)
+# the spacing of the example-2 deflator grids in the surplus
+_GRID_STEP = 1e-3
 
 
 def thread_count(explicit: int | None = None) -> int:
@@ -57,25 +66,21 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class PoissonModel:
+    """The unit-intensity surplus model at premium rate mu and level a.
+    u_star is the shared tail level of _EPS_TAIL at mu."""
+
     mu: float
     a: float
-    intensity: float = 1.0
-    eps_tail: float = 1e-6
     t_max: float = 400.0
-    u_star: float | None = None
+    u_star: float = field(init=False)
     oracle: RuinOracle = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.mu > 1:
-            raise InvalidDrift(f"mu = {self.mu} must exceed 1")
+        self.oracle = RuinOracle.shared(self.mu)
         if not self.a > 0:
             raise EnlabError(f"a = {self.a} must be positive")
-        if self.intensity != 1.0:
-            raise EnlabError("the model is normalized to unit intensity")
-        self.oracle = RuinOracle(self.mu)
-        if self.u_star is None:
-            self.u_star = self.oracle.tail_level(self.eps_tail)
-        if not self.oracle.psi(self.u_star) < self.eps_tail:
+        self.u_star = shared_tail_level(self.mu, _EPS_TAIL)
+        if not self.oracle.psi(self.u_star) < _EPS_TAIL:
             raise EnlabError("u_star does not meet the tail criterion")
 
 
@@ -91,137 +96,6 @@ class PoissonPath:
     seed: int
     mu: float
     a: float
-
-    def surplus_post(self, k: int) -> float:
-        """Post-jump surplus after the k-th jump (1-based)."""
-        return self.mu * self.jump_times[k - 1] - k
-
-    def surplus(self, t: float) -> float:
-        n = np.searchsorted(np.asarray(self.jump_times), t, side="right")
-        return self.mu * t - n
-
-
-def simulate_path(model: PoissonModel, seed: int,
-                  min_time: float = 0.0, path_index: int = 0) -> PoissonPath:
-    """Single-path reference implementation of the chunked engine: path
-    `path_index` of a run with master seed `seed`, one jump at a time,
-    read from the same row of the same per-round streams."""
-    chunk_index, row = divmod(path_index, CHUNK)
-    mu, a = model.mu, model.a
-    t = 0.0
-    y = 0.0
-    last_up = a / mu  # crossing of the initial ascent, updated as found
-    jumps: list[float] = []
-    censored = False
-    gaps = iter(())
-    rnd = 0
-    while True:
-        gap = next(gaps, None)
-        if gap is None:
-            gen = _stream(seed, _STREAM_PATHS, chunk_index, rnd)
-            draws = gen.standard_exponential((row + 1, COLS))
-            gaps = iter(draws[row].tolist())
-            rnd += 1
-            gap = next(gaps)
-        t_next = t + gap
-        if t_next > model.t_max:
-            censored = True
-            t = model.t_max
-            break
-        if y <= a < mu * t_next - len(jumps):  # the pre-jump surplus
-            last_up = t + (a - y) / mu
-        t = t_next
-        jumps.append(t)
-        y = mu * t - len(jumps)
-        if y - a >= model.u_star and t >= min_time:
-            break
-    path = PoissonPath(tuple(jumps), t, last_up, censored, seed, mu, a)
-    for k, tk in enumerate(path.jump_times, start=1):
-        if tk > path.tau_hat and mu * tk - k <= a and not censored:
-            raise EnlabError("post-detection surplus at or below the level")
-    return path
-
-
-# ---------------------------------------------------------------------------
-# Path functionals from the closed forms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JumpRecord:
-    t: float
-    y_pre: float
-    y_post: float
-    survival: float           # value just after the jump
-    survival_left: float      # left limit at the jump
-    mart_density: float       # integrand of the fundamental martingale
-    deflator_integrand: float  # strategy weight, zero before the time
-
-
-@dataclass(frozen=True)
-class PathFunctionals:
-    records: tuple[JumpRecord, ...]
-    censored: bool
-    path: PoissonPath
-    oracle: RuinOracle
-    a: float
-
-    def at(self, t: float) -> dict[str, float]:
-        y = self.path.surplus(t)
-        n = np.searchsorted(np.asarray(self.path.jump_times), t, side="left")
-        y_left = self.path.mu * t - int(n)  # jumps strictly before t
-        return {
-            "survival": _survival(y, self.a, self.oracle),
-            "survival_left": _survival(y_left, self.a, self.oracle),
-            "mart_density": _mart_density(y_left, self.a, self.oracle),
-            "deflator_integrand": _deflator_integrand(
-                y_left, self.a, self.oracle)
-            if t > self.path.tau_hat else 0.0,
-        }
-
-
-def _survival(y: float, a: float, oracle: RuinOracle) -> float:
-    return oracle.psi(y - a) if y >= a else 1.0
-
-
-def _mart_density(y_left: float, a: float, oracle: RuinOracle) -> float:
-    if y_left > 1 + a:
-        return oracle.psi(y_left - a - 1) - oracle.psi(y_left - a)
-    if a < y_left <= 1 + a:
-        return 1.0 - oracle.psi(y_left - a)
-    return 0.0
-
-
-def _deflator_integrand(y_left: float, a: float, oracle: RuinOracle) -> float:
-    # jump weight of the working deflator: the after-time jump intensity
-    # is (1 - psi1)/(1 - psi0), and the weight is its compensating
-    # reciprocal excess, which is also the jump of the general deflator
-    # driver (fundamental-martingale jump over one minus the inclusive
-    # supermartingale)
-    if y_left <= a + 1:
-        return 0.0
-    p0 = oracle.psi(y_left - a)
-    p1 = oracle.psi(y_left - a - 1)
-    return (p1 - p0) / (1.0 - p1)
-
-
-def path_functionals(path: PoissonPath, model: PoissonModel,
-                     oracle: RuinOracle | None = None) -> PathFunctionals:
-    oracle = oracle or model.oracle
-    a = model.a
-    records = []
-    for k, t in enumerate(path.jump_times, start=1):
-        y_pre = model.mu * t - (k - 1)
-        y_post = y_pre - 1.0
-        survival_left = oracle.psi(y_pre - a) if y_pre > a else 1.0
-        records.append(JumpRecord(
-            t=t, y_pre=y_pre, y_post=y_post,
-            survival=_survival(y_post, a, oracle),
-            survival_left=survival_left,
-            mart_density=_mart_density(y_pre, a, oracle),
-            deflator_integrand=_deflator_integrand(y_pre, a, oracle)
-            if t > path.tau_hat else 0.0,
-        ))
-    return PathFunctionals(tuple(records), path.censored, path, oracle, a)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +167,7 @@ def replay_path(model: PoissonModel, master_seed: int, path_index: int,
                 min_time: float = 0.0) -> PoissonPath:
     """Rebuild one row of a chunked run, for reproducing any reported
     path from (seed, index) alone.  A censored path ends at the cap: its
-    stopping column is the first jump past t_max, which it leaves out,
-    as simulate_path does."""
+    stopping column is the first jump past t_max, which it leaves out."""
     chunk_index, row = divmod(path_index, CHUNK)
     # each round's stream fills rows in order and a row's stopping point
     # does not depend on other rows, so rows past `row` are not simulated
@@ -311,15 +184,8 @@ def replay_path(model: PoissonModel, master_seed: int, path_index: int,
 
 
 def _chunk_layout(n_paths: int) -> list[tuple[int, int]]:
-    layout = []
-    start = 0
-    index = 0
-    while start < n_paths:
-        rows = min(CHUNK, n_paths - start)
-        layout.append((index, rows))
-        start += rows
-        index += 1
-    return layout
+    return [(index, min(CHUNK, n_paths - start))
+            for index, start in enumerate(range(0, n_paths, CHUNK))]
 
 
 def _map_chunks(fn, n_paths: int, threads: int | None):
@@ -362,7 +228,6 @@ class Example1Report:
 
 
 def example1_run(model: PoissonModel, paths: int, seed: int,
-                 lambdas: tuple[float, ...] = (1.0, 10.0, 100.0),
                  threads: int | None = None) -> Example1Report:
     """Wealth of the short position on the band asset after the time.
 
@@ -404,7 +269,7 @@ def example1_run(model: PoissonModel, paths: int, seed: int,
         n_paths=paths, n_censored=censored, mean_terminal=mean,
         se_terminal=se, positive_at_99=mean - _CI99 * se > 0,
         frac_strictly_positive=float((wealth > 0).mean()),
-        lambda_table={lam: lam * mean for lam in lambdas},
+        lambda_table={lam: lam * mean for lam in _LAMBDAS},
         monotone_ok=bad == 0, terminal=wealth, path_ids=ids)
 
 
@@ -441,13 +306,12 @@ class _DeflatorGrids:
     evaluation is pure array interpolation.  The tables are read-only:
     example2_run shares them between calls (_deflator_grids)."""
 
-    def __init__(self, model: PoissonModel, max_checkpoint: float,
-                 step: float = 1e-3):
-        a, mu = model.a, model.mu
+    def __init__(self, mu: float, a: float, max_checkpoint: float):
         top = max(mu * max_checkpoint + 1.0, a + 2.0)
-        self.y = np.arange(a + 1.0, top + step, step)
-        p0 = model.oracle.psi_many(self.y - a)
-        p1 = model.oracle.psi_many(self.y - a - 1.0)
+        self.y = np.arange(a + 1.0, top + _GRID_STEP, _GRID_STEP)
+        oracle = RuinOracle.shared(mu)
+        p0 = oracle.psi_many(self.y - a)
+        p1 = oracle.psi_many(self.y - a - 1.0)
         # strategy weight (p1 - p0)/(1 - p1): at a jump the deflator is
         # multiplied by (1 - p0)/(1 - p1), the reciprocal of the
         # after-time intensity; between jumps it decays at that
@@ -521,22 +385,12 @@ class _Window:
         return cut, mask[cut] & (self.T[cut] <= cp)
 
 
-# The deflator grids of the last few (mu, a, largest checkpoint, step):
-# they depend on nothing else, and a run of example2 calls at one
-# configuration builds them once.
-_GRIDS: dict[tuple, _DeflatorGrids] = {}
-_GRIDS_KEPT = 4
-
-
-def _deflator_grids(model: PoissonModel, max_checkpoint: float,
-                    step: float) -> _DeflatorGrids:
-    key = (model.mu, model.a, max_checkpoint, step)
-    grids = _GRIDS.get(key)
-    if grids is None:
-        if len(_GRIDS) >= _GRIDS_KEPT:
-            del _GRIDS[next(iter(_GRIDS))]
-        grids = _GRIDS[key] = _DeflatorGrids(model, max_checkpoint, step)
-    return grids
+@lru_cache(maxsize=4)
+def _deflator_grids(mu: float, a: float,
+                    max_checkpoint: float) -> _DeflatorGrids:
+    """The grids depend on nothing else, so a run of example2 calls at one
+    configuration builds them once."""
+    return _DeflatorGrids(mu, a, max_checkpoint)
 
 
 def _row_sums(mask: np.ndarray, values: np.ndarray,
@@ -564,7 +418,6 @@ def _checked_checkpoints(model: PoissonModel, checkpoints) -> tuple:
 
 def example2_run(model: PoissonModel, paths: int, seed: int,
                  checkpoints: tuple[float, ...] = (1.0, 2.0, 5.0),
-                 grid_step: float = 1e-3,
                  threads: int | None = None) -> Example2Report:
     """Sample the candidate deflator and its product with the after-part
     of the asset supported above a+1, at fixed checkpoints.
@@ -585,7 +438,7 @@ def example2_run(model: PoissonModel, paths: int, seed: int,
     checkpoints = _checked_checkpoints(model, checkpoints)
     mu, a = model.mu, model.a
     min_time = max(checkpoints)
-    grids = _deflator_grids(model, min_time, grid_step)
+    grids = _deflator_grids(mu, a, min_time)
 
     def work(chunk_index: int, rows: int):
         c = _simulate_chunk(model, seed, chunk_index, rows, min_time)
@@ -712,24 +565,18 @@ def example2_selftest(model: PoissonModel, paths: int, seed: int,
 # Direct ruin-frequency estimator
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _decision_level(mu: float, eps: float) -> float:
-    return RuinOracle.shared(mu).tail_level(eps)
-
-
 def ruin_mc(mu: float, us, n_paths: int, seed: int,
-            threads: int | None = None,
-            decision_eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+            threads: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo ruin frequencies at several initial reserves from one
     set of claim arrival paths.
 
     A path is decided once the dual ladder process has drifted below
     minus the decision level, where the oracle bounds any later record
-    by decision_eps; per-path decision error is negligible against the
+    by _DECISION_EPS; per-path decision error is negligible against the
     binomial standard errors returned.
     """
     us = np.asarray(us, dtype=float)
-    u_dec = _decision_level(mu, decision_eps)
+    u_dec = shared_tail_level(mu, _DECISION_EPS)
 
     def work(chunk_index: int, rows: int):
         runmax = np.full(rows, -np.inf)

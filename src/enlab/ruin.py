@@ -10,11 +10,11 @@ distribution,
     psi(u) = (1 - rho) * sum_{k>=1} rho^k * P(IrwinHall_k > u),
 
 truncated after the first K terms with rho^{K+1} below the series
-tolerance.  The dropped mass is at most rho^{K+1} (``remainder``), so
-psi + remainder bounds the untruncated series from above; tail_level
+tolerance 1e-12.  The dropped mass is at most rho^{K+1} (``remainder``),
+so psi + remainder bounds the untruncated series from above; tail_level
 bisects on that bound.  psi(0) = rho exactly (up to truncation).  A
-premium rate so close to 1 that K would exceed ``max_terms`` is
-rejected as an invalid drift.
+premium rate so close to 1 that K would exceed 10,000 terms is rejected
+as an invalid drift.
 
 Irwin-Hall terms are computed in log space; above the midpoint the
 symmetric form P(IH_k > u) = F_k(k - u) keeps the alternating sum short
@@ -43,6 +43,9 @@ _BLOCK_CELLS = 1 << 16
 # Bisection steps that tail_level resolves per psi_many call: one call
 # evaluates all 2^d - 1 midpoints the next d steps can visit.
 _BISECTION_DEPTH = 6
+
+_SERIES_TOLERANCE = 1e-12
+_MAX_TERMS = 10_000
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -103,24 +106,6 @@ def _sf_block(orders: np.ndarray, us: np.ndarray,
                     np.where(u <= 0, 1.0, 0.0))
 
 
-def irwin_hall_cdf(k: int, x: np.ndarray) -> np.ndarray:
-    """P(sum of k iid uniform(0,1) <= x), vectorized over x."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
-    out[x >= k] = 1.0
-    mid = (x > 0) & (x < k)
-    out[mid] = _alternating_cdf(np.array([k]), x[mid][None, :],
-                                _log_factorials(k))[0]
-    return out
-
-
-def irwin_hall_sf(k: int, u: np.ndarray) -> np.ndarray:
-    """P(sum of k iid uniform(0,1) > u); symmetric form above k/2."""
-    u = np.asarray(u, dtype=float)
-    return _sf_block(np.array([k]), u.ravel(),
-                     _log_factorials(k))[0].reshape(u.shape)
-
-
 def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
     """Every midpoint the next ``depth`` bisection steps from (lo, hi) can
     visit, in heap order: the children of point i, 2i + 1 and 2i + 2, are
@@ -137,8 +122,6 @@ def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
 @dataclass
 class RuinOracle:
     mu: float
-    series_tolerance: float = 1e-12
-    max_terms: int = 10_000
     remainder: float = field(init=False, repr=False)
     terms: int = field(init=False, repr=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -151,16 +134,16 @@ class RuinOracle:
         # (1-rho) * sum_{j>K} rho^j * P(IH_j > u) <= rho^{K+1}
         rho = self.load
         weight, weights = 1.0, []
-        for k in range(1, self.max_terms + 1):
+        for k in range(1, _MAX_TERMS + 1):
             weight *= rho
             weights.append(weight)
-            if weight * rho < self.series_tolerance:
+            if weight * rho < _SERIES_TOLERANCE:
                 break
         else:
             raise InvalidDrift(
                 f"premium rate {self.mu} is too close to 1: the series "
-                f"needs more than {self.max_terms} terms to reach "
-                f"{self.series_tolerance:g}")
+                f"needs more than {_MAX_TERMS} terms to reach "
+                f"{_SERIES_TOLERANCE:g}")
         self.terms = k
         self.remainder = weight * rho
         self._weights = np.array(weights)
@@ -191,8 +174,8 @@ class RuinOracle:
     @staticmethod
     @lru_cache(maxsize=8)
     def shared(mu: float) -> "RuinOracle":
-        """The oracle of premium rate mu with the default series
-        settings, built once per rate for callers that only read it."""
+        """The oracle of premium rate mu, built once per rate for callers
+        that only read it."""
         return RuinOracle(mu)
 
     def tail_level(self, eps: float) -> float:
@@ -234,3 +217,10 @@ class RuinOracle:
                     hi, node = mid, 2 * node + 1
             steps -= depth
         return hi
+
+
+@lru_cache(maxsize=8)
+def shared_tail_level(mu: float, eps: float) -> float:
+    """tail_level(eps) of the shared oracle of premium rate mu, found once
+    per (mu, eps)."""
+    return RuinOracle.shared(mu).tail_level(eps)

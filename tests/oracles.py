@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the exact engine, plain-loop
-references for the ruin oracle, and full-width references for the
-example-2 Monte Carlo chunks.
+references for the ruin oracle, and one-jump-at-a-time and full-width
+references for the Monte Carlo paths and example-2 chunks.
 
 These deliberately re-derive quantities from first principles, bypassing
 the package's grouped-atom machinery and its batched numerics, so that
@@ -227,9 +227,10 @@ def ref_tail_level(oracle, eps):
 
 
 # ---------------------------------------------------------------------------
-# Example-2 chunk references: the chunk simulation that rebuilds every
-# earlier round, and the per-checkpoint evaluation over every segment
-# and jump column of the chunk.  The engine's appended rounds and
+# Monte Carlo references: the chunk simulation that rebuilds every
+# earlier round, the path loop that takes one jump at a time, and the
+# example-2 per-checkpoint evaluation over every segment and jump column
+# of the chunk.  The engine's appended rounds, its replayed rows and its
 # column-windowed evaluation must reproduce these bit for bit.
 # ---------------------------------------------------------------------------
 
@@ -275,6 +276,60 @@ def ref_simulate_chunk(model, master_seed, chunk_index, rows, min_time):
     return _ChunkPaths(T=T, post_y=post_y, pre_y=mu * T - (k - 1),
                        k_stop=k_stop, k_star=k_star, tau_hat=tau_hat,
                        censored=censored)
+
+
+def ref_simulate_path(model, seed, min_time=0.0, path_index=0):
+    """Single-path reference of the chunked engine: path `path_index` of
+    a run with master seed `seed`, one jump at a time, read from the same
+    row of the same per-round streams.  A censored path ends at t_max
+    and leaves out the first jump past it."""
+    from enlab.poisson_mc import (
+        CHUNK,
+        COLS,
+        _STREAM_PATHS,
+        PoissonPath,
+        _stream,
+    )
+
+    chunk_index, row = divmod(path_index, CHUNK)
+    mu, a = model.mu, model.a
+    t = 0.0
+    y = 0.0
+    last_up = a / mu  # crossing of the initial ascent, updated as found
+    jumps = []
+    censored = False
+    gaps = iter(())
+    rnd = 0
+    while True:
+        gap = next(gaps, None)
+        if gap is None:
+            gen = _stream(seed, _STREAM_PATHS, chunk_index, rnd)
+            draws = gen.standard_exponential((row + 1, COLS))
+            gaps = iter(draws[row].tolist())
+            rnd += 1
+            gap = next(gaps)
+        t_next = t + gap
+        if t_next > model.t_max:
+            censored = True
+            t = model.t_max
+            break
+        if y <= a < mu * t_next - len(jumps):  # the pre-jump surplus
+            last_up = t + (a - y) / mu
+        t = t_next
+        jumps.append(t)
+        y = mu * t - len(jumps)
+        if y - a >= model.u_star and t >= min_time:
+            break
+    path = PoissonPath(tuple(jumps), t, last_up, censored, seed, mu, a)
+    for k, tk in enumerate(path.jump_times, start=1):
+        assert censored or not (tk > path.tau_hat and mu * tk - k <= a), \
+            "post-detection surplus at or below the level"
+    return path
+
+
+def ref_surplus_post(path, k):
+    """Post-jump surplus of `path` after its k-th jump (1-based)."""
+    return path.mu * path.jump_times[k - 1] - k
 
 
 def _ref_segments(c):

@@ -15,6 +15,7 @@ from enlab.errors import (
 )
 from enlab.model_io import dump_model, load_model, parse_model
 from enlab.random_times import analyze
+from enlab.ruin import RuinOracle
 
 Q = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -344,10 +345,33 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
      "--branching"),
     (["crosscheck", "--seeds", "1..1", "--depth", "0"], "--depth"),
     (["crosscheck", "--seeds", "1..1", "--branching", "7"], "--branching"),
+    # the Philox streams take no negative master seed
+    (["example1", "--mu", "2", "--a", "1", "--seed", "-1"], "--seed"),
+    (["example2", "--mu", "2", "--a", "1", "--seed", "-1"], "--seed"),
+    (["psi", "--mu", "2", "--u", "0", "--seed", "-1"], "--seed"),
+    (["brownian", "--epsilon", "0.25", "--seed", "-1"], "--seed"),
 ])
 def test_cli_rejects_out_of_range_flags(args, flag, capsys):
     assert main(args) == 2
     assert flag in capsys.readouterr().err
+
+
+def test_example2_builds_one_oracle_per_rate(monkeypatch, capsys):
+    # the --mu check, the model, its tail level and the deflator grids
+    # all read the one shared oracle of the rate
+    built = []
+    real = RuinOracle.__post_init__
+
+    def counted(self):
+        built.append(self.mu)
+        real(self)
+
+    monkeypatch.setattr(RuinOracle, "__post_init__", counted)
+    RuinOracle.shared.cache_clear()
+    assert main(["example2", "--mu", "2", "--a", "1", "--paths", "10",
+                 "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert built == [2.0]
 
 
 def test_cli_rejects_malformed_thread_setting(monkeypatch, capsys):

@@ -16,17 +16,17 @@ from enlab.poisson_mc import (
     example1_run,
     example2_run,
     example2_selftest,
-    path_functionals,
     replay_path,
-    simulate_path,
 )
 
-from enlab.ruin import RuinOracle
+from enlab.ruin import RuinOracle, shared_tail_level
 
 from .oracles import (
     ref_example2_chunk,
     ref_selftest_chunk,
     ref_simulate_chunk,
+    ref_simulate_path,
+    ref_surplus_post,
 )
 
 
@@ -41,14 +41,14 @@ def test_model_validation():
     with pytest.raises(EnlabError):
         PoissonModel(mu=2.0, a=-1.0)
     m = PoissonModel(mu=2.0, a=1.0)
-    assert m.oracle.psi(m.u_star) < m.eps_tail
+    assert m.oracle.psi(m.u_star) < pm._EPS_TAIL
 
 
 def test_simulate_path_deterministic(model):
-    one = simulate_path(model, seed=5)
-    two = simulate_path(model, seed=5)
+    one = ref_simulate_path(model, seed=5)
+    two = ref_simulate_path(model, seed=5)
     assert one == two
-    other = simulate_path(model, seed=6)
+    other = ref_simulate_path(model, seed=6)
     assert other.jump_times != one.jump_times
 
 
@@ -56,47 +56,18 @@ def test_detected_time_geometry(model):
     # jump-free ascent through the level: the detected time is exactly
     # the crossing a/mu whenever the path never dips back to the level
     for seed in range(60):
-        path = simulate_path(model, seed=seed)
+        path = ref_simulate_path(model, seed=seed)
         if path.censored:
             continue
         assert path.tau_hat >= model.a / model.mu
         dips = [k for k in range(1, len(path.jump_times) + 1)
-                if path.surplus_post(k) <= model.a]
+                if ref_surplus_post(path, k) <= model.a]
         if not dips:
             assert path.tau_hat == model.a / model.mu
         # after the detected time the surplus stays strictly above the level
         for k in range(1, len(path.jump_times) + 1):
             if path.jump_times[k - 1] > path.tau_hat:
-                assert path.surplus_post(k) > model.a
-
-
-def test_path_functionals_identities(model):
-    path = simulate_path(model, seed=12)
-    pf = path_functionals(path, model)
-    assert not pf.censored
-    a = model.a
-    for rec in pf.records:
-        if rec.y_pre <= a:
-            assert rec.survival_left == 1.0  # no gap below the level
-        if a < rec.y_pre <= a + 1:
-            # the martingale density equals the left survival gap here,
-            # the cancellation driving the explicit arbitrage
-            assert rec.mart_density == 1.0 - rec.survival_left
-        if rec.t <= path.tau_hat or rec.y_pre <= a + 1:
-            assert rec.deflator_integrand == 0.0
-        else:
-            assert 0.0 <= rec.deflator_integrand < 1.0
-        assert 0.0 <= rec.survival <= 1.0
-
-
-def test_functionals_at_arbitrary_times(model):
-    path = simulate_path(model, seed=12)
-    pf = path_functionals(path, model)
-    probe = pf.at(path.tau_hat / 2)
-    assert probe["survival"] <= 1.0
-    assert probe["deflator_integrand"] == 0.0
-    late = pf.at(path.end_time)
-    assert 0.0 <= late["survival"] < 1.0
+                assert ref_surplus_post(path, k) > model.a
 
 
 def _same_path(one, two) -> bool:
@@ -109,16 +80,16 @@ def test_simulate_path_is_the_chunk_reference(model):
     # same per-round streams, so uncensored paths agree exactly, also
     # past the first round of draws and past the first chunk
     for pid in (0, 1, CHUNK - 1, CHUNK, 2 * CHUNK + 5):
-        ref = simulate_path(model, 31, path_index=pid)
+        ref = ref_simulate_path(model, 31, path_index=pid)
         assert not ref.censored
         assert _same_path(ref, replay_path(model, 31, pid))
     for seed in range(100):
-        ref = simulate_path(model, seed)
+        ref = ref_simulate_path(model, seed)
         if not ref.censored:
             assert _same_path(ref, replay_path(model, seed, 0))
     # under a short cap, both censor the same paths
     short = PoissonModel(mu=2.0, a=1.0, t_max=14.0)
-    flags = [(simulate_path(short, 31, path_index=pid).censored,
+    flags = [(ref_simulate_path(short, 31, path_index=pid).censored,
               replay_path(short, 31, pid).censored)
              for pid in range(40)]
     assert all(one == two for one, two in flags)
@@ -126,7 +97,7 @@ def test_simulate_path_is_the_chunk_reference(model):
     # and the censored paths agree too: they stop at the cap, without
     # the first jump past it
     for pid in range(40):
-        ref = simulate_path(short, 31, path_index=pid)
+        ref = ref_simulate_path(short, 31, path_index=pid)
         assert _same_path(ref, replay_path(short, 31, pid))
         if ref.censored:
             assert ref.end_time == short.t_max
@@ -143,7 +114,7 @@ def test_replay_matches_vectorized_run(model):
         assert not path.censored
         landings = 0.0
         for k, t in enumerate(path.jump_times, start=1):
-            y = path.surplus_post(k)
+            y = ref_surplus_post(path, k)
             if t > path.tau_hat and a < y < a + 1:
                 landings += (a + 1) - y
         expected = (1.0 + landings) / mu
@@ -274,7 +245,7 @@ def test_example2_chunks_match_full_width_reference(mu, a, checkpoints,
                                seed, checkpoints=checkpoints,
                                threads=threads)
     min_time = max(checkpoints)
-    grids = pm._DeflatorGrids(model, min_time)
+    grids = pm._DeflatorGrids(mu, a, min_time)
     layout = pm._chunk_layout(paths)
     assert len(chunks) == len(layout) == 2
     widths = set()
@@ -330,20 +301,34 @@ def test_shared_grids_and_levels_match_fresh_builds():
     # each configuration differs from the one before it in one key
     # field, and every one is asked for twice, so a cache keyed on too
     # little hands back another configuration's tables
-    configs = [(2.0, 1.0, 5.0, 1e-3), (2.0, 0.5, 5.0, 1e-3),
-               (1.5, 0.5, 5.0, 1e-3), (1.5, 0.5, 2.0, 1e-3),
-               (1.5, 0.5, 2.0, 2e-3), (2.0, 1.0, 5.0, 1e-3)]
-    for mu, a, top, step in configs + configs:
-        model = PoissonModel(mu=mu, a=a)
-        shared = pm._deflator_grids(model, top, step)
-        fresh = pm._DeflatorGrids(model, top, step)
+    configs = [(2.0, 1.0, 5.0), (2.0, 0.5, 5.0), (1.5, 0.5, 5.0),
+               (1.5, 0.5, 2.0), (2.0, 1.0, 5.0)]
+    for mu, a, top in configs + configs:
+        shared = pm._deflator_grids(mu, a, top)
+        fresh = pm._DeflatorGrids(mu, a, top)
         for name in ("y", "log1p_strategy", "anti"):
             assert _same_bytes(getattr(shared, name), getattr(fresh, name))
         assert not shared.anti.flags.writeable
+        # the model reads the same per-rate oracle and tail level
+        model = PoissonModel(mu=mu, a=a)
+        assert model.oracle is RuinOracle.shared(mu)
+        assert model.u_star == RuinOracle(mu).tail_level(pm._EPS_TAIL)
     levels = [(2.0, 1e-9), (2.0, 1e-6), (4.0, 1e-6), (4.0, 1e-9)]
     for mu, eps in levels + levels:
-        assert pm._decision_level(mu, eps) == RuinOracle(mu).tail_level(eps)
+        assert shared_tail_level(mu, eps) == RuinOracle(mu).tail_level(eps)
     assert RuinOracle.shared(2.0) is RuinOracle.shared(2.0)
+
+
+@pytest.mark.parametrize("mu, a, top", [
+    (2.0, 1.0, 0.500), (1.5, 0.5, 0.667), (4.0, 1.0, 0.250)])
+def test_jump_weight_bound_over_the_grid(mu, a, top):
+    # an after-time jump from above a+1 multiplies the deflator by one
+    # plus the strategy weight (p1 - p0)/(1 - p1), which lies in [0, 1):
+    # every tabulated log factor lies in [0, log 2)
+    log_factor = pm._deflator_grids(mu, a, 5.0).log1p_strategy
+    assert log_factor.min() >= 0.0
+    assert log_factor.max() < math.log(2.0)
+    assert log_factor.max() == pytest.approx(top, abs=1e-3)
 
 
 def test_survival_formula_against_path_continuations(model):

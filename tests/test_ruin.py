@@ -8,7 +8,12 @@ import pytest
 
 from enlab.errors import InvalidDrift
 from enlab.poisson_mc import ruin_mc
-from enlab.ruin import RuinOracle, irwin_hall_cdf, irwin_hall_sf
+from enlab.ruin import (
+    RuinOracle,
+    _alternating_cdf,
+    _log_factorials,
+    _sf_block,
+)
 
 from .oracles import (
     ref_irwin_hall_cdf,
@@ -18,23 +23,35 @@ from .oracles import (
 )
 
 
+def _sf(k, u):
+    """P(IH_k > u) for one order k, from the block psi_many sums."""
+    return _sf_block(np.array([k]), np.asarray(u, dtype=float),
+                     _log_factorials(k))[0]
+
+
+def _cdf(k, x):
+    """P(IH_k <= x) for one order k and x < k, from the alternating sum
+    that psi_many evaluates (it never asks for x >= k)."""
+    return _alternating_cdf(np.array([k]), np.asarray(x, dtype=float)[None],
+                            _log_factorials(k))[0]
+
+
 def test_irwin_hall_small_orders():
     # one uniform: cdf is the identity on (0, 1)
     xs = np.array([0.0, 0.25, 0.5, 0.99, 1.0, 2.0])
-    assert np.allclose(irwin_hall_cdf(1, xs), [0, 0.25, 0.5, 0.99, 1, 1])
+    assert np.allclose(1.0 - _sf(1, xs), [0, 0.25, 0.5, 0.99, 1, 1])
     # two uniforms: triangular law
-    assert abs(irwin_hall_cdf(2, np.array([1.0]))[0] - 0.5) < 1e-14
-    assert abs(irwin_hall_cdf(2, np.array([0.5]))[0] - 0.125) < 1e-14
+    assert abs(_cdf(2, [1.0])[0] - 0.5) < 1e-14
+    assert abs(_cdf(2, [0.5])[0] - 0.125) < 1e-14
     # symmetry of the survival function
-    assert abs(irwin_hall_sf(3, np.array([1.2]))[0]
-               - irwin_hall_cdf(3, np.array([1.8]))[0]) < 1e-13
+    assert abs(_sf(3, [1.2])[0] - _cdf(3, [1.8])[0]) < 1e-13
 
 
 def test_irwin_hall_extremes_are_stable():
     # far tails of high orders must come out tiny and nonnegative
-    v = irwin_hall_sf(80, np.array([75.0]))[0]
+    v = _sf(80, [75.0])[0]
     assert 0 <= v < 1e-30
-    v = irwin_hall_sf(80, np.array([5.0]))[0]
+    v = _sf(80, [5.0])[0]
     assert 1 - v < 1e-20
 
 
@@ -66,7 +83,7 @@ def test_invalid_drift():
         RuinOracle(1.0)
     with pytest.raises(InvalidDrift):
         RuinOracle(0.5)
-    # the series would need more than max_terms terms to reach tolerance
+    # the series would need more than 10,000 terms to reach its tolerance
     with pytest.raises(InvalidDrift, match="too close to 1"):
         RuinOracle(1.0001)
 
@@ -147,12 +164,12 @@ REFERENCE_GRID = np.array(
 def test_irwin_hall_matches_per_term_reference(k):
     xs = np.concatenate([REFERENCE_GRID, -REFERENCE_GRID[1:3],
                          np.linspace(0, k, 97)])
-    # a whole grid, and inputs with no point strictly inside (0, k)
+    # a whole grid, and inputs with no point strictly inside (0, k); the
+    # cdf at x >= k is never evaluated, the sf reads 0 there
     for pts in (xs, np.array([-1.0, 0.0, k, k + 0.5]), np.array([])):
-        assert np.array_equal(irwin_hall_cdf(k, pts),
-                              ref_irwin_hall_cdf(k, pts))
-        assert np.array_equal(irwin_hall_sf(k, pts),
-                              ref_irwin_hall_sf(k, pts))
+        below = pts[pts < k]
+        assert np.array_equal(_cdf(k, below), ref_irwin_hall_cdf(k, below))
+        assert np.array_equal(_sf(k, pts), ref_irwin_hall_sf(k, pts))
 
 
 @pytest.mark.parametrize("mu", [1.2, 1.5, 2.0, 4.0, 16.0])
