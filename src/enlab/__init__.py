@@ -15,7 +15,6 @@ from .finite_prob import (
     Filtration,
     FiniteFilteredSpace,
     MartingaleReport,
-    PredictableProcess,
     adapted,
     angle_bracket,
     bracket,

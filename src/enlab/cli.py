@@ -95,6 +95,23 @@ def _stream_seed(text: str) -> int:
 _stream_seed.__name__ = "int"  # argparse names the type in errors
 
 
+def _output_file(text: str) -> str:
+    """A file the command can create: not a directory, in one that exists."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no directory {path.parent}")
+    return text
+
+
+def _output_dir(text: str) -> str:
+    """A directory the command writes into, made on first use."""
+    if Path(text).exists() and not Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is not a directory")
+    return text
+
+
 def _premium_rate(text: str) -> float:
     """A premium rate mu the ruin oracle accepts: above 1, and far enough
     above it for the series to converge within its term cap."""
@@ -281,24 +298,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen", cmd_gen, help="generate a model file")
     p.add_argument("--seed", type=int, required=True)
     add_tree_shape(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output_file, required=True)
 
     p = add("verify", cmd_verify, threads=True,
             help="run the exact identity suite")
     p.add_argument("--models-seed-range", type=_seed_range, default="1..500")
     add_tree_shape(p)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_output_file)
 
     p = add("nupbr", cmd_nupbr, help="verdicts for a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_output_file)
 
     p = add("crosscheck", cmd_crosscheck, threads=True,
             help="three-way theorem harness")
     p.add_argument("--seeds", type=_seed_range, default="1..1000")
     add_tree_shape(p)
-    p.add_argument("--csv")
-    p.add_argument("--fixtures-dir")
+    p.add_argument("--csv", type=_output_file)
+    p.add_argument("--fixtures-dir", type=_output_dir)
 
     p = add("example1", cmd_example1, threads=True,
             help="after-time arbitrage strategy run")
@@ -306,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_positive(float), required=True)
     p.add_argument("--paths", type=_positive(int), default=100_000)
     p.add_argument("--seed", type=_stream_seed, required=True)
-    p.add_argument("--csv")
+    p.add_argument("--csv", type=_output_file)
 
     p = add("example2", cmd_example2, threads=True,
             help="deflator martingale run")
@@ -315,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=_positive(int), default=100_000)
     p.add_argument("--seed", type=_stream_seed, required=True)
     p.add_argument("--checkpoints", type=_floats, default=(1.0, 2.0, 5.0))
-    p.add_argument("--csv")
+    p.add_argument("--csv", type=_output_file)
 
     p = add("psi", cmd_psi, threads=True,
             help="ruin probability with MC cross-check")
@@ -323,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=_reserves, required=True)
     p.add_argument("--mc-paths", type=_positive(int), default=200_000)
     p.add_argument("--seed", type=_stream_seed, default=1)
-    p.add_argument("--csv")
+    p.add_argument("--csv", type=_output_file)
 
     p = add("brownian", cmd_brownian, help="excursion-ladder diagnostic")
     p.add_argument("--epsilon", type=float, required=True)
@@ -331,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=_positive(int), default=20_000)
     p.add_argument("--seed", type=_stream_seed, required=True)
     p.add_argument("--time-cap", type=_positive(float), default=100.0)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_output_file)
 
     return parser
 

@@ -23,7 +23,6 @@ from .finite_prob import (
     AdaptedProcess,
     Block,
     MartingaleReport,
-    PredictableProcess,
     angle_bracket,
     compensator,
     cond_average,
@@ -53,18 +52,17 @@ class AfterAtom:
 
 
 def after_atoms(analysis: RandomTimeAnalysis) -> list[AfterAtom]:
-    space = analysis.space
-    tau = analysis.tau
+    """The after-atoms in (t, base atom) order: the pinned group of each
+    base atom at t - 1 in the analysis' split, where there is one."""
+    f = analysis.space.filtration
     out = []
-    for t in range(1, space.horizon + 1):
-        for base in space.filtration.partitions[t - 1]:
-            members = tuple(o for o in base if tau[o] <= t - 1)
-            if not members:
-                continue
-            if len({tau[o] for o in members}) != 1:
+    for t in range(1, f.horizon + 1):
+        for base, (pinned, _) in zip(f.partitions[t - 1],
+                                     analysis.split[t - 1]):
+            if len(pinned) > 1:
                 raise NotHonest(
                     f"past value not pinned on {base} at t={t - 1}")
-            out.append(AfterAtom(t, base, members))
+            out.extend(AfterAtom(t, base, members) for members in pinned)
     return out
 
 
@@ -104,9 +102,9 @@ def hat_transform(mart: AdaptedProcess, analysis: RandomTimeAnalysis
 
 @dataclass(frozen=True)
 class CompensatorComparison:
-    direct: PredictableProcess
+    direct: AdaptedProcess
     via_formula: AdaptedProcess
-    u_direct: PredictableProcess
+    u_direct: AdaptedProcess
     u_via_formula: AdaptedProcess
 
 
@@ -415,7 +413,7 @@ def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
 class DeflatorBundle:
     hat_martingale: AdaptedProcess     # enlarged transform of the fundamental one
     weight: AdaptedProcess             # nondecreasing squared-increment load
-    weight_comp: PredictableProcess    # its enlarged compensator
+    weight_comp: AdaptedProcess        # its enlarged compensator
     driver: AdaptedProcess             # enlarged local-martingale driver
     deflator: AdaptedProcess           # stochastic exponential of the driver
 

@@ -71,15 +71,10 @@ def _canonical_partition(blocks: Iterable[Iterable[str]]) -> Partition:
     return tuple(sorted(out, key=lambda b: b[0]))
 
 
-def _refines(fine: Partition, coarse: Partition) -> bool:
-    parent = {}
-    for i, block in enumerate(coarse):
-        for outcome in block:
-            parent[outcome] = i
-    for block in fine:
-        if len({parent.get(o, -1) for o in block}) != 1:
-            return False
-    return True
+def _refines(fine: Partition, coarse: Mapping[str, int]) -> bool:
+    """True when every block of `fine` lies inside one atom of the
+    partition that `coarse` (outcome -> atom index) describes."""
+    return all(len({coarse.get(o, -1) for o in block}) == 1 for block in fine)
 
 
 class Filtration:
@@ -87,8 +82,7 @@ class Filtration:
     maps an outcome to its atom's index at t, ``up[t][i]`` is the index
     of the parent at t - 1 of atom i at t, ``kids[t][i]`` the indices of
     its children at t + 1 (in partition order), and ``masses[t][i]`` its
-    reference probability times ``scale``, an integer.  ``weights[t][i]``
-    is that probability, Fraction(masses[t][i], scale).
+    reference probability times ``scale``, an integer.
 
     ``label`` is "F" for the base filtration and "G" for a progressively
     enlarged one.  ``prob`` may be None for the outcome-row filtration of
@@ -96,7 +90,7 @@ class Filtration:
     """
 
     __slots__ = ("label", "outcomes", "partitions", "block_of", "up", "kids",
-                 "scale", "masses", "_weights")
+                 "scale", "masses")
 
     def __init__(self, label: str, partitions: Sequence[Partition],
                  prob: Mapping[str, Fraction] | None,
@@ -104,14 +98,14 @@ class Filtration:
         self.label = label
         self.outcomes = tuple(prob if outcomes is None else outcomes)
         self.partitions = tuple(_canonical_partition(p) for p in partitions)
-        for t in range(1, len(self.partitions)):
-            if not _refines(self.partitions[t], self.partitions[t - 1]):
-                raise NonRefiningFiltration(
-                    f"partition at t={t} does not refine t={t - 1} "
-                    f"({self.label})")
         self.block_of: list[dict[str, int]] = [
             {o: i for i, block in enumerate(part) for o in block}
             for part in self.partitions]
+        for t in range(1, len(self.partitions)):
+            if not _refines(self.partitions[t], self.block_of[t - 1]):
+                raise NonRefiningFiltration(
+                    f"partition at t={t} does not refine t={t - 1} "
+                    f"({self.label})")
         self.up: list[tuple[int, ...]] = [()] + [
             tuple(self.block_of[t - 1][block[0]] for block in part)
             for t, part in enumerate(self.partitions) if t]
@@ -123,7 +117,6 @@ class Filtration:
         self.kids = [tuple(map(tuple, row)) for row in kids]
         self.scale: int | None = None
         self.masses: list[list[int]] | None = None
-        self._weights: list[list[Fraction]] | None = None
         if prob is not None:
             # leaf masses from the outcomes, every other atom from its
             # children
@@ -138,28 +131,13 @@ class Filtration:
             self.masses = masses[::-1]
 
     @property
-    def weights(self) -> list[list[Fraction]] | None:
-        """Reference probability per atom, built on first read."""
-        if self._weights is None and self.masses is not None:
-            self._weights = [[Fraction(m, self.scale) for m in row]
-                             for row in self.masses]
-        return self._weights
-
-    @property
     def horizon(self) -> int:
         return len(self.partitions) - 1
-
-    def block(self, t: int, outcome: str) -> Block:
-        return self.partitions[t][self.block_of[t][outcome]]
 
     def children(self, t: int, atom: Block) -> tuple[Block, ...]:
         """The atoms at t + 1 inside the time-t atom, in partition order."""
         part = self.partitions[t + 1]
         return tuple(part[c] for c in self.kids[t][self.block_of[t][atom[0]]])
-
-    def mass(self, t: int, atom: Block) -> Fraction:
-        """Reference probability of the time-t atom."""
-        return Fraction(self.masses[t][self.block_of[t][atom[0]]], self.scale)
 
     def share(self, t: int, atom: Block) -> Fraction:
         """Probability of the time-t atom given its parent at t - 1."""
@@ -170,9 +148,7 @@ class Filtration:
         """True when every atom of this filtration lies inside one atom
         of `other` at the same time."""
         return len(self.partitions) == len(other.partitions) and all(
-            len({look[o] for o in block}) == 1
-            for part, look in zip(self.partitions, other.block_of)
-            for block in part)
+            map(_refines, self.partitions, other.block_of))
 
 
 def _row_filtration(outcomes: Iterable[str], horizon: int,
@@ -338,14 +314,6 @@ class AdaptedProcess:
         return self.steps[t][self.filtration.block_of[t][outcome]]
 
     @property
-    def horizon(self) -> int:
-        return self.filtration.horizon
-
-    @property
-    def filtration_label(self) -> str:
-        return self.filtration.label
-
-    @property
     def values(self) -> Values:
         """Outcome rows, derived from the nodes on every read."""
         f = self.filtration
@@ -384,10 +352,6 @@ class AdaptedProcess:
         return self._combine(other, lambda x, y: x * y, False)
 
 
-class PredictableProcess(AdaptedProcess):
-    """Value at t is known at t - 1 (at 0 for t = 0)."""
-
-
 def _rows(values, outcomes: Sequence[str], horizon: int) -> Values:
     out: Values = {}
     for outcome in outcomes:
@@ -406,7 +370,7 @@ def _bind(x: AdaptedProcess, f: Filtration) -> AdaptedProcess:
     if src is f:
         return x
     if len(x.nodes) != len(f.partitions):
-        raise SchemaError(f"process of horizon {x.horizon} on a filtration "
+        raise SchemaError(f"process of horizon {src.horizon} on a filtration "
                           f"of horizon {f.horizon}")
     if not f.refines(src):
         for t, (look, row) in enumerate(zip(src.block_of, x.nodes)):
@@ -423,7 +387,7 @@ def _bind(x: AdaptedProcess, f: Filtration) -> AdaptedProcess:
         return [[row[look[block[0]]] for block in part]
                 for part, look, row in zip(f.partitions, src.block_of, rows)]
 
-    return type(x).from_nodes(f, read(x._nodes), read(x._steps))
+    return AdaptedProcess.from_nodes(f, read(x._nodes), read(x._steps))
 
 
 def _common(*xs: AdaptedProcess) -> list[AdaptedProcess]:
@@ -498,7 +462,7 @@ def cond_average(f: Filtration, t: int, atoms: Iterable[Block],
 
 
 def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
-                filtration: Filtration | None = None) -> PredictableProcess:
+                filtration: Filtration | None = None) -> AdaptedProcess:
     """Dual predictable projection: increment at t is E[dV_t | t-1], and
     the value at 0 is V_0.  V minus the result is a martingale of the
     tagged filtration."""
@@ -510,7 +474,7 @@ def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
         drift = [mass_average(f.masses[t], kids, row, mass)
                  for kids, mass in zip(f.kids[t - 1], f.masses[t - 1])]
         steps.append([drift[p] for p in f.up[t]])
-    return PredictableProcess.from_steps(f, steps)
+    return AdaptedProcess.from_steps(f, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +498,7 @@ def bracket(x: AdaptedProcess, y: AdaptedProcess) -> AdaptedProcess:
 
 def angle_bracket(x: AdaptedProcess, y: AdaptedProcess,
                   space: FiniteFilteredSpace,
-                  filtration: Filtration | None = None) -> PredictableProcess:
+                  filtration: Filtration | None = None) -> AdaptedProcess:
     """Sharp bracket: the compensator of the covariation."""
     return compensator(bracket(x, y), space, filtration)
 
@@ -573,9 +537,6 @@ class MartingaleReport:
     t: int | None = None
     block: Block | None = None
     drift: Fraction | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_martingale(x: AdaptedProcess, space: FiniteFilteredSpace,

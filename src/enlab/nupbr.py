@@ -21,13 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .errors import (
-    DimensionTooLarge,
-    InternalCheckFailed,
-    InvalidWitness,
-    NotClassH,
-    NotHonest,
-)
+from math import gcd, lcm
+
+from .errors import DimensionTooLarge, InternalCheckFailed, InvalidWitness
 from .finite_prob import (
     ONE,
     ZERO,
@@ -40,7 +36,7 @@ from .finite_prob import (
     stochastic_exponential,
 )
 from .random_times import RandomTimeAnalysis
-from .enlargement import after_atoms, jump_functionals
+from .enlargement import _require_class_h, after_atoms, jump_functionals
 from .simplex import solve_nonneg_equalities
 
 NodeKey = tuple[int, Block]
@@ -174,15 +170,11 @@ def _direction_valid(h, vectors) -> bool:
 
 
 def _canonical_direction(h) -> tuple[Fraction, ...]:
-    from math import gcd
-    denom = 1
-    for v in h:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
+    """h scaled to coprime integers."""
+    denom = lcm(*(v.denominator for v in h))
     ints = [int(v * denom) for v in h]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(Fraction(v // g) for v in ints) if g else tuple(map(Fraction, ints))
+    g = gcd(*ints) or 1
+    return tuple(Fraction(v // g) for v in ints)
 
 
 def nupbr_check(x, space: FiniteFilteredSpace,
@@ -290,10 +282,7 @@ class TransformBundle:
 
 def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
               ) -> TransformBundle:
-    if not analysis.honest:
-        raise NotHonest("transform requires an honest time")
-    if not analysis.class_h:
-        raise NotClassH("transform requires a class-H time")
+    _require_class_h(analysis)
     f = analysis.space.filtration
     asset = asset.on(f)
     jump_functionals(asset, analysis)  # hard-asserts the jump-set identities

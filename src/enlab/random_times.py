@@ -6,6 +6,12 @@ set where the inclusive supermartingale is pinned at one while its left
 limit is below one (the "jump set"), and the honesty / class-H /
 stopping-time flags.
 
+One pass splits each atom at each time t by the time: into its outcomes
+with tau <= t grouped by the value of tau ("pinned" groups) and those
+with tau > t (the "later" group).  Honesty, the stopping-time flag, the
+progressive enlargement and the after-atoms of :mod:`enlab.enlargement`
+are all read from that one split.
+
 Honesty is tested on the closed events {tau <= t}: per time t, the time
 must take at most one value on each atom of the time-t partition
 intersected with {tau <= t}.  On the grid this is the faithful reading of
@@ -36,6 +42,8 @@ from .finite_prob import (
     is_martingale,
 )
 from .rng import SplitMix64
+
+AtomSplit = tuple[tuple[Block, ...], Block]  # (pinned groups, later group)
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,7 @@ class RandomTimeAnalysis:
     occurrence_proj: AdaptedProcess   # dual optional projection of 1[t >= tau]
     fundamental_martingale: AdaptedProcess  # survival + occurrence_proj
     jump_set: tuple[tuple[int, Block], ...]
+    split: tuple[tuple[AtomSplit, ...], ...]  # [t][i]: the i-th atom at t
     honest: bool
     class_h: bool
     is_stopping_time: bool
@@ -115,22 +124,23 @@ class RandomTimeAnalysis:
             step=lambda o, t: x.delta(o, t) if self.in_jump_set(o, t) else ZERO)
 
 
-def _honest_closed(space: FiniteFilteredSpace, tau: RandomTimeMap) -> bool:
-    for t in range(space.horizon + 1):
-        for block in space.filtration.partitions[t]:
-            values = {tau[o] for o in block if tau[o] <= t}
-            if len(values) > 1:
-                return False
-    return True
-
-
-def _is_stopping_time(space: FiniteFilteredSpace, tau: RandomTimeMap) -> bool:
-    for t in range(space.horizon + 1):
-        for block in space.filtration.partitions[t]:
-            hits = {tau[o] <= t for o in block}
-            if len(hits) > 1:
-                return False
-    return True
+def _split_by_tau(f: Filtration, tau: RandomTimeMap
+                  ) -> tuple[tuple[AtomSplit, ...], ...]:
+    """Each atom of f at each time t split into its pinned groups, one
+    per value of tau <= t, and its later group (tau > t, maybe empty),
+    each in the atom's order."""
+    tau = tau.tau
+    split = []
+    for t, part in enumerate(f.partitions):
+        row = []
+        for block in part:
+            groups: dict[int, list[str]] = {}
+            for o in block:
+                groups.setdefault(tau[o] if tau[o] <= t else -1, []).append(o)
+            later = tuple(groups.pop(-1, ()))
+            row.append((tuple(map(tuple, groups.values())), later))
+        split.append(tuple(row))
+    return tuple(split)
 
 
 def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysis:
@@ -173,15 +183,19 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
         for block, i, p in zip(f.partitions[t], incl[t], f.up[t])
         if i == 1 and surv[t - 1][p] < 1)
 
-    honest = _honest_closed(space, tau)
+    split = _split_by_tau(f, tau)
+    # honest: no atom has two pinned groups; a stopping time: no atom
+    # mixes pinned and later outcomes
+    honest = all(len(pinned) <= 1 for row in split for pinned, _ in row)
     class_h = honest and all(
         survival.at(o, tau[o]) < 1 for o in space.outcomes)
-    stopping = _is_stopping_time(space, tau)
+    stopping = not any(pinned and later
+                       for row in split for pinned, later in row)
 
     analysis = RandomTimeAnalysis(
         space=space, tau=tau, survival=survival, survival_incl=survival_incl,
         occurrence_proj=occurrence_proj, fundamental_martingale=fundamental,
-        jump_set=jump_set_t, honest=honest,
+        jump_set=jump_set_t, split=split, honest=honest,
         class_h=class_h, is_stopping_time=stopping)
     _check_analysis_invariants(analysis)
     return analysis
@@ -216,34 +230,11 @@ def _check_analysis_invariants(a: RandomTimeAnalysis) -> None:
 def enlarge(space: FiniteFilteredSpace, analysis: RandomTimeAnalysis) -> Filtration:
     """Smallest filtration containing the base one and making the time a
     stopping time: each atom at t is refined by the events
-    {tau = 0}, ..., {tau = t}, {tau > t}."""
-    tau = analysis.tau
-    partitions = []
-    for t in range(space.horizon + 1):
-        blocks = []
-        for block in space.filtration.partitions[t]:
-            groups: dict[int, list[str]] = {}
-            for o in block:
-                key = tau[o] if tau[o] <= t else -1
-                groups.setdefault(key, []).append(o)
-            blocks.extend(tuple(g) for g in groups.values())
-        partitions.append(tuple(blocks))
-    enlarged = Filtration("G", partitions, space.prob)
-
-    for t in range(space.horizon + 1):
-        for block in enlarged.partitions[t]:
-            hits = {tau[o] <= t for o in block}
-            if len(hits) > 1:
-                raise InvariantError("time is not an enlarged stopping time")
-    if analysis.honest:
-        # honesty collapses the past-of-tau part of each base atom to a
-        # single enlarged atom
-        for t in range(space.horizon + 1):
-            for block in space.filtration.partitions[t]:
-                values = {tau[o] for o in block if tau[o] <= t}
-                if len(values) > 1:
-                    raise InvariantError("honest flag inconsistent with atoms")
-    return enlarged
+    {tau = 0}, ..., {tau = t}, {tau > t}, i.e. into the groups of the
+    analysis' split."""
+    return Filtration("G", [[g for pinned, later in row
+                             for g in (*pinned, later) if g]
+                            for row in analysis.split], space.prob)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,52 @@ def enum_honest(description, tau):
     return True
 
 
+def enum_stopping_time(description, tau):
+    """{tau <= t} is a union of time-t atoms, for every t."""
+    return all(len({tau[o] <= t for o in block}) == 1
+               for t, partition in enumerate(description["partitions"])
+               for block in partition)
+
+
+def enum_enlarged(description, tau):
+    """Per time t, the atoms of the progressive enlargement as sets: each
+    time-t atom intersected with {tau = 0}, ..., {tau = t}, {tau > t}."""
+    out = []
+    for t, partition in enumerate(description["partitions"]):
+        events = [lambda o, s=s: tau[o] == s for s in range(t + 1)]
+        events.append(lambda o: tau[o] > t)
+        out.append({frozenset(o for o in block if event(o))
+                    for block in partition for event in events} - {frozenset()})
+    return out
+
+
+def enum_after_atoms(description, tau):
+    """(atoms, None): the after-atoms as a set of (t, base, members), with
+    members = base & {tau <= t - 1} for every time-(t - 1) atom `base`
+    where that is not empty.  (None, (s, bases)) instead when some such
+    members carry two values of tau: s is the first time t - 1 where
+    they do, and bases the set of its atoms where they do."""
+    partitions = description["partitions"]
+    atoms = set()
+    for t in range(1, len(partitions)):
+        unpinned = set()
+        for base in partitions[t - 1]:
+            members = frozenset(o for o in base if tau[o] <= t - 1)
+            if len({tau[o] for o in members}) > 1:
+                unpinned.add(frozenset(base))
+            elif members:
+                atoms.add((t, frozenset(base), members))
+        if unpinned:
+            return None, (t - 1, unpinned)
+    return atoms, None
+
+
+def ref_weights(f):
+    """Reference probability per atom of a filtration as Fractions, the
+    form of its integer masses that the integer-mass kernel replaced."""
+    return [[Q(m, f.scale) for m in row] for row in f.masses]
+
+
 def grid_feasible(vectors, max_weight):
     """Grid oracle for 0 in the relative interior of conv(vectors).
 

@@ -19,6 +19,7 @@ from enlab.ruin import RuinOracle
 
 Q = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+MISSING = str(FIXTURES / "no-such-directory" / "out")
 
 
 def test_tent_fixture_roundtrip():
@@ -350,6 +351,22 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
     (["example2", "--mu", "2", "--a", "1", "--seed", "-1"], "--seed"),
     (["psi", "--mu", "2", "--u", "0", "--seed", "-1"], "--seed"),
     (["brownian", "--epsilon", "0.25", "--seed", "-1"], "--seed"),
+    # an output file in a missing directory, and a fixtures directory
+    # that is a file, exit 2 before the command runs
+    (["gen", "--seed", "1", "--out", MISSING], "--out"),
+    (["verify", "--models-seed-range", "1..1", "--out", MISSING], "--out"),
+    (["nupbr", "--model", str(FIXTURES / "tent.json"), "--out", MISSING],
+     "--out"),
+    (["crosscheck", "--seeds", "1..1", "--csv", MISSING], "--csv"),
+    (["crosscheck", "--seeds", "1..1",
+      "--fixtures-dir", str(FIXTURES / "tent.json")], "--fixtures-dir"),
+    (["example1", "--mu", "2", "--a", "1", "--seed", "1", "--csv", MISSING],
+     "--csv"),
+    (["example2", "--mu", "2", "--a", "1", "--seed", "1", "--csv", MISSING],
+     "--csv"),
+    (["psi", "--mu", "2", "--u", "0", "--csv", MISSING], "--csv"),
+    (["brownian", "--epsilon", "0.25", "--seed", "1", "--out", MISSING],
+     "--out"),
 ])
 def test_cli_rejects_out_of_range_flags(args, flag, capsys):
     assert main(args) == 2

@@ -31,6 +31,8 @@ from enlab.enlargement import (
 from enlab.harness import check_transfer_basis
 from enlab.random_times import RandomTimeMap, analyze, generate_honest_model
 
+from .oracles import ref_weights
+
 Q = Fraction
 
 
@@ -251,15 +253,16 @@ def _basis_martingales(space):
     """All single-increment indicator-difference martingales of the tree."""
     out = []
     f = space.filtration
+    w = ref_weights(f)
     for t in range(1, space.horizon + 1):
         for base_idx, base in enumerate(f.partitions[t - 1]):
             children = sorted({f.block_of[t][o] for o in base})
             if len(children) < 2:
                 continue
-            base_mass = f.weights[t - 1][base_idx]
+            base_mass = w[t - 1][base_idx]
             for child_idx in children[:-1]:
                 child = f.partitions[t][child_idx]
-                p_child = f.weights[t][child_idx] / base_mass
+                p_child = w[t][child_idx] / base_mass
                 vals = {}
                 for o in space.outcomes:
                     step = ((1 if o in child else 0) - p_child) \

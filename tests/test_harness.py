@@ -66,7 +66,7 @@ def test_collapsed_hat_check_agrees_with_operation(seed):
     checked = 0
     for atom in after_atoms(analysis):
         t, base = atom.t, atom.base
-        children = sorted({f.block(t, o) for o in base})
+        children = sorted({f.partitions[t][f.block_of[t][o]] for o in base})
         if len(children) < 2:
             continue
         child = children[0]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "enlab"
-ROW_TYPES = {"AdaptedProcess", "PredictableProcess"}
+ROW_TYPES = {"AdaptedProcess"}
 
 
 def _called_name(call: ast.Call) -> str | None:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enlab.errors import GenerationExhausted, SchemaError
+from enlab.enlargement import after_atoms
+from enlab.errors import GenerationExhausted, NotHonest, SchemaError
 from enlab.finite_prob import build_space, is_martingale
 from enlab.random_times import (
     RandomTimeMap,
@@ -15,7 +17,14 @@ from enlab.random_times import (
     generate_honest_model,
 )
 
-from .oracles import ref_cond_exp
+from .conftest import TREE
+from .oracles import (
+    enum_after_atoms,
+    enum_enlarged,
+    enum_honest,
+    enum_stopping_time,
+    ref_cond_exp,
+)
 
 Q = Fraction
 
@@ -52,7 +61,7 @@ def test_survival_is_supermartingale(tree_space, tent_analysis):
     a = tent_analysis
     f = tree_space.filtration
     for t in (1, 2):
-        for block, weight in zip(f.partitions[t - 1], f.weights[t - 1]):
+        for block in f.partitions[t - 1]:
             drift = sum(tree_space.prob[o] * a.survival.delta(o, t)
                         for o in block)
             assert drift <= 0
@@ -99,6 +108,54 @@ def test_enlarge_time_zero(tree_space):
     zero = RandomTimeMap.build({o: 0 for o in tree_space.outcomes}, tree_space)
     enlarged = enlarge(tree_space, analyze(tree_space, zero))
     assert enlarged.partitions == tree_space.filtration.partitions
+
+
+# Two-period model whose horizon atom {a, b} is not a singleton: a time
+# with different values on a and b, both reached by the horizon, is
+# dishonest there and nowhere before it.
+COARSE = {
+    "outcomes": ["a", "b", "c", "d"],
+    "prob": {"a": "1/8", "b": "3/8", "c": "1/4", "d": "1/4"},
+    "partitions": [
+        [["a", "b", "c", "d"]],
+        [["a", "b"], ["c", "d"]],
+        [["a", "b"], ["c"], ["d"]],
+    ],
+}
+
+
+@pytest.mark.parametrize("description", [TREE, COARSE], ids=["tree", "coarse"])
+def test_split_against_enumeration(description):
+    # every time with values in {0, 1, 2}: the flags, the enlarged atoms
+    # and the after-atoms read from the one split, against exhaustive
+    # scans of the atoms
+    space = build_space(description)
+    outcomes = description["outcomes"]
+    seen = set()
+    for values in product(range(3), repeat=len(outcomes)):
+        tau = dict(zip(outcomes, values))
+        a = analyze(space, RandomTimeMap.build(tau, space))
+        assert a.honest == enum_honest(description, tau)
+        assert a.is_stopping_time == enum_stopping_time(description, tau)
+        assert [set(map(frozenset, part)) for part in a.enlarged.partitions
+                ] == enum_enlarged(description, tau)
+        atoms, unpinned = enum_after_atoms(description, tau)
+        if unpinned is None:
+            got = [(x.t, frozenset(x.base), frozenset(x.members))
+                   for x in after_atoms(a)]
+            assert set(got) == atoms and len(got) == len(atoms)
+            assert [t for t, _, _ in got] == sorted(t for t, _, _ in got)
+        else:
+            s, bases = unpinned
+            with pytest.raises(NotHonest, match=f"at t={s}$") as info:
+                after_atoms(a)
+            assert any(str(tuple(sorted(b))) in str(info.value)
+                       for b in bases)
+        seen.add((a.honest, unpinned is None))
+    # honest times, times unpinned before the horizon, and (on COARSE)
+    # times dishonest only at the horizon all occur
+    assert {(True, True), (False, False)} <= seen
+    assert ((False, True) in seen) == (description is COARSE)
 
 
 def test_generator_determinism():
@@ -175,7 +232,7 @@ def test_open_interval_equality_after_tau(seed):
     f = space.filtration
     for o in space.outcomes:
         for t in range(tau[o] + 1, space.horizon + 1):
-            block = f.block(t, o)
+            block = f.partitions[t][f.block_of[t][o]]
             if any(tau[other] == t for other in block):
                 continue
             assert a.survival.at(o, t) == a.survival_incl.at(o, t)
@@ -237,12 +294,12 @@ def test_jump_part_against_reference_loop(seed):
     for o in space.outcomes:
         row = [Q(0)]
         for t in range(1, space.horizon + 1):
-            hit = (t, f.block(t, o)) in jump_set
+            hit = (t, f.partitions[t][f.block_of[t][o]]) in jump_set
             row.append(row[-1] + (asset.delta(o, t) if hit else 0))
         expected[o] = row
     part = a.jump_part(asset)
     assert part.values == expected
-    assert part.filtration_label == "F"
+    assert part.filtration.label == "F"
 
 
 def test_jump_part_on_tent(tree_space, tent_analysis, walk):
@@ -265,4 +322,4 @@ def test_after_integral_evaluates_only_strictly_after(seed):
         assert after.values[o] == [
             Q(sum(s for s in range(1, t + 1) if s - 1 >= tau[o]))
             for t in range(space.horizon + 1)]
-    assert after.filtration_label == "G"
+    assert after.filtration.label == "G"
