@@ -20,7 +20,6 @@ from .finite_prob import (
     bracket,
     build_space,
     compensator,
-    constant_process,
     is_martingale,
     is_positive,
     stochastic_exponential,

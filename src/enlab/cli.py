@@ -2,10 +2,10 @@
 
 Exit codes: 0 all hard checks passed, 1 a hard check failed (the report
 points at the first failure), 2 usage error.  Reports are JSON, tabular
-Monte Carlo output is CSV.  --threads (on the commands that run worker
-threads: verify, crosscheck, example1, example2, psi), else
-ENLAB_THREADS, caps worker threads (clamped to the core count); results
-are independent of its value.
+Monte Carlo output is CSV.  --threads (a positive count, on the commands
+that run worker threads: verify, crosscheck, example1, example2, psi),
+else ENLAB_THREADS, caps worker threads (clamped to the core count);
+results are independent of its value.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         if threads:
-            p.add_argument("--threads", type=int, default=None)
+            p.add_argument("--threads", type=_positive(int), default=None)
         return p
 
     def add_tree_shape(p):

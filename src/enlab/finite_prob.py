@@ -32,14 +32,13 @@ plain integers and normalised once per returned value, and a process
 built from increments evaluates its step once per atom, on the atom's
 first outcome.
 
-Adaptedness is structural.  Outcome rows (``adapted``,
-``AdaptedProcess(rows)``) are a process on the finest filtration of
-their outcomes, each outcome its own atom.  Binding a process to a
-filtration (``on``) lifts it onto the atoms of a finer filtration as it
-is, and otherwise checks once that it is constant on the atoms, raising
-NotAdapted if not: rows are never read at a representative outcome
-unchecked.  Arithmetic between processes of two filtrations works on the
-atoms of the finer one.
+Adaptedness is structural.  Outcome rows become a process in one way,
+``adapted``, which checks that they are constant on the atoms of the
+filtration, raising NotAdapted if not: rows are never read at a
+representative outcome unchecked.  Binding a process to another
+filtration (``on``) lifts it onto the atoms of a finer one as it is, and
+otherwise makes the same check.  Arithmetic between processes of two
+filtrations works on the atoms of the finer one.
 """
 
 from __future__ import annotations
@@ -85,18 +84,16 @@ class Filtration:
     reference probability times ``scale``, an integer.
 
     ``label`` is "F" for the base filtration and "G" for a progressively
-    enlarged one.  ``prob`` may be None for the outcome-row filtration of
-    a process given by rows, which carries no measure.
+    enlarged one.
     """
 
     __slots__ = ("label", "outcomes", "partitions", "block_of", "up", "kids",
                  "scale", "masses")
 
     def __init__(self, label: str, partitions: Sequence[Partition],
-                 prob: Mapping[str, Fraction] | None,
-                 outcomes: Sequence[str] | None = None):
+                 prob: Mapping[str, Fraction]):
         self.label = label
-        self.outcomes = tuple(prob if outcomes is None else outcomes)
+        self.outcomes = tuple(prob)
         self.partitions = tuple(_canonical_partition(p) for p in partitions)
         self.block_of: list[dict[str, int]] = [
             {o: i for i, block in enumerate(part) for o in block}
@@ -115,20 +112,14 @@ class Filtration:
             for i, p in enumerate(self.up[t]):
                 kids[t - 1][p].append(i)
         self.kids = [tuple(map(tuple, row)) for row in kids]
-        self.scale: int | None = None
-        self.masses: list[list[int]] | None = None
-        if prob is not None:
-            # leaf masses from the outcomes, every other atom from its
-            # children
-            scale = self.scale = lcm(*(prob[o].denominator
-                                       for o in self.outcomes))
-            masses = [[sum(prob[o].numerator * (scale // prob[o].denominator)
-                           for o in block)
-                       for block in self.partitions[-1]]]
-            for row in reversed(self.kids):
-                masses.append([sum(masses[-1][c] for c in kids)
-                               for kids in row])
-            self.masses = masses[::-1]
+        # leaf masses from the outcomes, every other atom from its children
+        scale = self.scale = lcm(*(p.denominator for p in prob.values()))
+        masses = [[sum(prob[o].numerator * (scale // prob[o].denominator)
+                       for o in block)
+                   for block in self.partitions[-1]]]
+        for row in reversed(self.kids):
+            masses.append([sum(masses[-1][c] for c in kids) for kids in row])
+        self.masses: list[list[int]] = masses[::-1]
 
     @property
     def horizon(self) -> int:
@@ -149,14 +140,6 @@ class Filtration:
         of `other` at the same time."""
         return len(self.partitions) == len(other.partitions) and all(
             map(_refines, self.partitions, other.block_of))
-
-
-def _row_filtration(outcomes: Iterable[str], horizon: int,
-                    label: str) -> Filtration:
-    """The finest filtration of the outcomes: each its own atom."""
-    outcomes = tuple(outcomes)
-    return Filtration(label, [[(o,) for o in outcomes]] * (horizon + 1),
-                      None, outcomes)
 
 
 @dataclass(frozen=True)
@@ -223,7 +206,6 @@ def build_space(description: Mapping) -> FiniteFilteredSpace:
 # Processes
 # ---------------------------------------------------------------------------
 
-Values = dict[str, list[Fraction]]
 Nodes = list[list[Fraction]]
 
 
@@ -249,28 +231,10 @@ class AdaptedProcess:
     ``nodes[t][i]`` on the i-th atom at t and ``steps[t][i]`` its
     increment from the parent atom (``steps[0]`` is the time-0 value).
     A process is made from either; the other is derived on first read.
-
-    ``AdaptedProcess(rows, label)`` takes outcome rows, outcome -> list
-    over t, as a process on the finest filtration of those outcomes; it
-    is checked against a filtration when bound to it (``on``).
+    Outcome rows become a process through ``adapted``.
     """
 
     __slots__ = ("filtration", "_nodes", "_steps")
-
-    def __init__(self, values: Mapping[str, Sequence],
-                 filtration_label: str = "F"):
-        outcomes = list(values)
-        horizon = len(values[outcomes[0]]) - 1
-        f = _row_filtration(outcomes, horizon, filtration_label)
-        rows = _rows(values, outcomes, horizon)
-        self._set(f, [[rows[block[0]][t] for block in part]
-                      for t, part in enumerate(f.partitions)])
-
-    def _set(self, f: Filtration, nodes: Nodes | None,
-             steps: Nodes | None = None) -> None:
-        self.filtration = f
-        self._nodes = nodes
-        self._steps = steps
 
     @classmethod
     def from_nodes(cls, f: Filtration, nodes: Nodes | None,
@@ -278,7 +242,7 @@ class AdaptedProcess:
         """The process with value nodes[t][i] on the i-th atom of f at t;
         its increments are derived on first read unless given."""
         x = cls.__new__(cls)
-        x._set(f, nodes, steps)
+        x.filtration, x._nodes, x._steps = f, nodes, steps
         return x
 
     @classmethod
@@ -313,13 +277,6 @@ class AdaptedProcess:
     def delta(self, outcome: str, t: int) -> Fraction:
         return self.steps[t][self.filtration.block_of[t][outcome]]
 
-    @property
-    def values(self) -> Values:
-        """Outcome rows, derived from the nodes on every read."""
-        f = self.filtration
-        return {o: [row[look[o]] for row, look in zip(self.nodes, f.block_of)]
-                for o in f.outcomes}
-
     def on(self, f: Filtration) -> "AdaptedProcess":
         """This process on the atoms of f: lifted when f refines its own
         filtration, else checked constant on f's atoms (NotAdapted)."""
@@ -352,15 +309,15 @@ class AdaptedProcess:
         return self._combine(other, lambda x, y: x * y, False)
 
 
-def _rows(values, outcomes: Sequence[str], horizon: int) -> Values:
-    out: Values = {}
-    for outcome in outcomes:
-        row = [Fraction(v) for v in values[outcome]]
-        if len(row) != horizon + 1:
-            raise SchemaError(f"process row for {outcome!r} has length "
-                              f"{len(row)}, expected {horizon + 1}")
-        out[outcome] = row
-    return out
+def _require_constant(f: Filtration, value) -> None:
+    """NotAdapted unless value(outcome, t) is constant on every atom of f
+    at t."""
+    for t, part in enumerate(f.partitions):
+        for block in part:
+            v0 = value(block[0], t)
+            if any(value(o, t) != v0 for o in block[1:]):
+                raise NotAdapted(f"process not constant on block {block} "
+                                 f"at t={t}")
 
 
 def _bind(x: AdaptedProcess, f: Filtration) -> AdaptedProcess:
@@ -373,13 +330,7 @@ def _bind(x: AdaptedProcess, f: Filtration) -> AdaptedProcess:
         raise SchemaError(f"process of horizon {src.horizon} on a filtration "
                           f"of horizon {f.horizon}")
     if not f.refines(src):
-        for t, (look, row) in enumerate(zip(src.block_of, x.nodes)):
-            for block in f.partitions[t]:
-                v0 = row[look[block[0]]]
-                for outcome in block[1:]:
-                    if row[look[outcome]] != v0:
-                        raise NotAdapted(f"process not constant on block "
-                                         f"{block} at t={t}")
+        _require_constant(f, lambda o, t: x.nodes[t][src.block_of[t][o]])
 
     def read(rows: Nodes | None) -> Nodes | None:
         if rows is None:
@@ -399,22 +350,22 @@ def _common(*xs: AdaptedProcess) -> list[AdaptedProcess]:
     return [x.on(f) for x in xs]
 
 
-def adapted(values, space: FiniteFilteredSpace,
+def adapted(values: Mapping[str, Sequence], space: FiniteFilteredSpace,
             filtration: Filtration | None = None) -> AdaptedProcess:
-    """Bind outcome rows to a filtration, checking that they are constant
-    on its atoms."""
+    """The process with outcome rows values[outcome][t] on a filtration
+    (the base one by default): the one constructor from rows.  A row of
+    the wrong length raises SchemaError, rows that are not constant on
+    the atoms NotAdapted."""
     f = filtration or space.filtration
-    rows = _rows(values, space.outcomes, space.horizon)
-    return _bind(AdaptedProcess(rows, f.label), f)
-
-
-def constant_process(c, space: FiniteFilteredSpace,
-                     filtration: Filtration | None = None) -> AdaptedProcess:
-    f = filtration or space.filtration
-    value = Fraction(c)
-    nodes = [[value] * len(part) for part in f.partitions]
-    steps = [nodes[0]] + [[ZERO] * len(part) for part in f.partitions[1:]]
-    return AdaptedProcess.from_nodes(f, nodes, steps)
+    rows = {}
+    for o in space.outcomes:
+        rows[o] = row = [Fraction(v) for v in values[o]]
+        if len(row) != space.horizon + 1:
+            raise SchemaError(f"process row for {o!r} has length {len(row)}, "
+                              f"expected {space.horizon + 1}")
+    _require_constant(f, lambda o, t: rows[o][t])
+    return AdaptedProcess.from_nodes(f, [[rows[block[0]][t] for block in part]
+                                         for t, part in enumerate(f.partitions)])
 
 
 # ---------------------------------------------------------------------------

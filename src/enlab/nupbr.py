@@ -294,22 +294,6 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     indicator_scaled = AdaptedProcess.from_increments(
         f, step=lambda o, t: (purged.delta(o, t)
                               if analysis.survival.at(o, t - 1) < 1 else ZERO))
-
-    # pathwise invariant: purging only touches the stopped part, i.e. no
-    # increment strictly after the time changes (an event of the
-    # enlarged atoms), and the purged asset does not move on the jump set
-    for t in range(1, f.horizon + 1):
-        for block in analysis.enlarged.partitions[t]:
-            o = block[0]
-            if (analysis.strictly_after(o, t)
-                    and purged.delta(o, t) != asset.delta(o, t)):
-                raise InternalCheckFailed("purged after-part differs from "
-                                          f"the asset's at ({o}, {t})")
-        for block in f.partitions[t]:
-            o = block[0]
-            if analysis.in_jump_set(o, t) and purged.delta(o, t) != 0:
-                raise InternalCheckFailed("purged asset jumps on the jump set")
-
     return TransformBundle(purged=purged, scaled=scaled,
                            indicator_scaled=indicator_scaled)
 
@@ -383,13 +367,10 @@ def corollary_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                     ) -> CorollaryReport:
     space = analysis.space
     asset = asset.on(space.filtration)
-    disjoint = not any(
-        asset.delta(block[0], t) != 0 and analysis.in_jump_set(block[0], t)
-        for t, part in enumerate(space.filtration.partitions) if t
-        for block in part)
     return CorollaryReport(
         asset_nupbr_f=nupbr_check(asset, space).satisfied,
-        jumps_disjoint_from_jump_set=disjoint,
+        jumps_disjoint_from_jump_set=not any(
+            map(any, analysis.jump_part(asset).steps)),
         jump_set_empty=not analysis.jump_set,
         after_nupbr_g=nupbr_check(analysis.after_part(asset), space,
                                   analysis.enlarged).satisfied)

@@ -268,7 +268,8 @@ def example1_run(model: PoissonModel, paths: int, seed: int,
     return Example1Report(
         n_paths=paths, n_censored=censored, mean_terminal=mean,
         se_terminal=se, positive_at_99=mean - _CI99 * se > 0,
-        frac_strictly_positive=float((wealth > 0).mean()),
+        frac_strictly_positive=(float((wealth > 0).mean()) if wealth.size
+                                else float("nan")),
         lambda_table={lam: lam * mean for lam in _LAMBDAS},
         monotone_ok=bad == 0, terminal=wealth, path_ids=ids)
 

@@ -3,8 +3,9 @@
 analyze() derives the two Azema supermartingales, the fundamental
 martingale, the dual optional projection of the occurrence indicator, the
 set where the inclusive supermartingale is pinned at one while its left
-limit is below one (the "jump set"), and the honesty / class-H /
-stopping-time flags.
+limit is below one (the "jump set", decided once, node by node; every
+reader reads ``jump_set``), and the honesty / class-H / stopping-time
+flags.
 
 One pass splits each atom at each time t by the time: into its outcomes
 with tau <= t grouped by the value of tau ("pinned" groups) and those
@@ -86,12 +87,6 @@ class RandomTimeAnalysis:
     class_h: bool
     is_stopping_time: bool
 
-    def in_jump_set(self, outcome: str, t: int) -> bool:
-        if t < 1:
-            return False
-        return (self.survival_incl.at(outcome, t) == 1
-                and self.survival.at(outcome, t - 1) < 1)
-
     def strictly_after(self, outcome: str, t: int) -> bool:
         """True when the increment at t lies strictly after tau (t-1 >= tau)."""
         return t - 1 >= self.tau[outcome]
@@ -118,10 +113,13 @@ class RandomTimeAnalysis:
     def jump_part(self, x: AdaptedProcess) -> AdaptedProcess:
         """Pathwise sum of the increments of a base process on the jump
         set, tagged with the base filtration."""
-        x = x.on(self.space.filtration)
-        return AdaptedProcess.from_increments(
-            self.space.filtration,
-            step=lambda o, t: x.delta(o, t) if self.in_jump_set(o, t) else ZERO)
+        f = self.space.filtration
+        steps = x.on(f).steps
+        jumps = [[ZERO] * len(part) for part in f.partitions]
+        for t, block in self.jump_set:
+            i = f.block_of[t][block[0]]
+            jumps[t][i] = steps[t][i]
+        return AdaptedProcess.from_steps(f, jumps)
 
 
 def _split_by_tau(f: Filtration, tau: RandomTimeMap
@@ -177,6 +175,12 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
     # E[1(tau = t) | atom at t] at t, and that value at 0
     occurrence_proj = AdaptedProcess.from_steps(f, conditional(hit))
     fundamental = survival + occurrence_proj
+    # only the drift of M is tested: Z_T = 0 (alive starts at zero at T),
+    # Z and the inclusive Z lie in [0, 1] (masses of sub-events of the
+    # atom) and inclusive Z_t = Z_{t-1} + dM_t (alive_incl = alive + hit)
+    # hold by construction
+    if not is_martingale(fundamental, space).ok:
+        raise InvariantError("fundamental martingale has drift")
 
     jump_set_t = tuple(
         (t, block) for t in range(1, T + 1)
@@ -192,35 +196,11 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
     stopping = not any(pinned and later
                        for row in split for pinned, later in row)
 
-    analysis = RandomTimeAnalysis(
+    return RandomTimeAnalysis(
         space=space, tau=tau, survival=survival, survival_incl=survival_incl,
         occurrence_proj=occurrence_proj, fundamental_martingale=fundamental,
         jump_set=jump_set_t, split=split, honest=honest,
         class_h=class_h, is_stopping_time=stopping)
-    _check_analysis_invariants(analysis)
-    return analysis
-
-
-def _check_analysis_invariants(a: RandomTimeAnalysis) -> None:
-    """Node by node on the base filtration, which all three processes
-    are built on."""
-    space = a.space
-    f = space.filtration
-    if not is_martingale(a.fundamental_martingale, space).ok:
-        raise InvariantError("fundamental martingale has drift")
-    surv, incl = a.survival.nodes, a.survival_incl.nodes
-    for t, part in enumerate(f.partitions):
-        for block, z, zi in zip(part, surv[t], incl[t]):
-            if not (0 <= z <= 1 and 0 <= zi <= 1):
-                raise InvariantError(f"supermartingale outside [0,1] at "
-                                     f"({block[0]},{t})")
-        # inclusive value equals left limit plus martingale increment
-        if t >= 1 and any(
-                zi != surv[t - 1][p] + dm for zi, p, dm in
-                zip(incl[t], f.up[t], a.fundamental_martingale.steps[t])):
-            raise InvariantError("survival/martingale increment identity")
-    if any(surv[-1]):
-        raise InvariantError("survival does not vanish at the horizon")
 
 
 # ---------------------------------------------------------------------------

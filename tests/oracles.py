@@ -15,6 +15,8 @@ from itertools import product
 
 import numpy as np
 
+from enlab.finite_prob import AdaptedProcess
+
 Q = Fraction
 
 
@@ -87,6 +89,20 @@ def ref_weights(f):
     """Reference probability per atom of a filtration as Fractions, the
     form of its integer masses that the integer-mass kernel replaced."""
     return [[Q(m, f.scale) for m in row] for row in f.masses]
+
+
+def ref_values(x):
+    """Outcome rows of a process, outcome -> list over t: the value of
+    its atom at each time, in the outcome order of its filtration."""
+    f = x.filtration
+    return {o: [row[look[o]] for row, look in zip(x.nodes, f.block_of)]
+            for o in f.outcomes}
+
+
+def ref_constant(c, f):
+    """The process equal to c on every atom of the filtration f."""
+    return AdaptedProcess.from_nodes(
+        f, [[Q(c)] * len(part) for part in f.partitions])
 
 
 def grid_feasible(vectors, max_weight):

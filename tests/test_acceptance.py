@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from enlab.brownian_demo import brownian_demo
-from enlab.finite_prob import AdaptedProcess, build_space
+from enlab.finite_prob import adapted, build_space
 from enlab.harness import run_crosscheck, run_identity_suite
 from enlab.model_io import load_model
 from enlab.nupbr import nupbr_check, theorem2_crosscheck, verify_witness
@@ -31,7 +31,7 @@ from enlab.random_times import analyze
 from enlab.rng import SplitMix64
 from enlab.ruin import RuinOracle
 
-from .oracles import enum_honest, enum_survival, grid_feasible
+from .oracles import enum_honest, enum_survival, grid_feasible, ref_values
 
 Q = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -82,17 +82,17 @@ def test_criterion_2_curated_fixtures():
                 Q(enum_survival(raw, stop_tau.tau, t)[o])
 
     # frozen derived values from the curated tree
-    ok &= all(stop.survival.values[o] == [1, 0, 0]
+    ok &= all(ref_values(stop.survival)[o] == [1, 0, 0]
               for o in stop_space.outcomes)
     ok &= stop.is_stopping_time and stop.class_h and stop.jump_set == ()
     ok &= tent.honest and tent.class_h and not tent.is_stopping_time
     for o in tent_space.outcomes:
-        ok &= tent.survival.values[o] == [Q(1, 2), Q(1, 2), 0]
-        ok &= tent.survival_incl.values[o] == \
+        ok &= ref_values(tent.survival)[o] == [Q(1, 2), Q(1, 2), 0]
+        ok &= ref_values(tent.survival_incl)[o] == \
             [1, Q(1, 2), 1 if o in ("ud", "du") else 0]
-        ok &= tent.fundamental_martingale.values[o] == \
+        ok &= ref_values(tent.fundamental_martingale)[o] == \
             [1, 1, Q(3, 2) if o in ("ud", "du") else Q(1, 2)]
-        ok &= tent.occurrence_proj.values[o] == \
+        ok &= ref_values(tent.occurrence_proj)[o] == \
             [Q(1, 2), Q(1, 2), Q(3, 2) if o in ("ud", "du") else Q(1, 2)]
     ok &= tent.jump_set == ((2, ("du",)), (2, ("ud",)))
 
@@ -125,8 +125,8 @@ def test_criterion_3_nupbr_soundness():
             "partitions": [[outcomes], [[o] for o in outcomes]]})
         vectors = [tuple(Q(rng.randint(-3, 3)) for _ in range(d))
                    for _ in range(n)]
-        comps = [AdaptedProcess({o: [Q(0), vectors[i][k]]
-                                 for i, o in enumerate(outcomes)})
+        comps = [adapted({o: [Q(0), vectors[i][k]]
+                          for i, o in enumerate(outcomes)}, space)
                  for k in range(d)]
         x = comps[0] if d == 1 else comps
         verdict = nupbr_check(x, space)

@@ -17,6 +17,8 @@ from enlab.model_io import dump_model, load_model, parse_model
 from enlab.random_times import analyze
 from enlab.ruin import RuinOracle
 
+from .oracles import ref_values
+
 Q = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MISSING = str(FIXTURES / "no-such-directory" / "out")
@@ -36,7 +38,7 @@ def test_tent_fixture_roundtrip():
     space2, tau2, asset2 = parse_model(payload)
     assert space2.prob == space.prob
     assert tau2.tau == tau.tau
-    assert asset2.values == asset.values
+    assert ref_values(asset2) == ref_values(asset)
 
 
 def test_stop_fixture():
@@ -367,6 +369,17 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
     (["psi", "--mu", "2", "--u", "0", "--csv", MISSING], "--csv"),
     (["brownian", "--epsilon", "0.25", "--seed", "1", "--out", MISSING],
      "--out"),
+    # a worker-thread count below one ran as one thread with exit 0
+    (["verify", "--models-seed-range", "1..1", "--depth", "2",
+      "--threads", "-4"], "--threads"),
+    (["verify", "--models-seed-range", "1..1", "--depth", "2",
+      "--threads", "0"], "--threads"),
+    (["crosscheck", "--seeds", "1..1", "--threads", "0"], "--threads"),
+    (["example1", "--mu", "2", "--a", "1", "--seed", "1", "--threads", "0"],
+     "--threads"),
+    (["example2", "--mu", "2", "--a", "1", "--seed", "1", "--threads", "-1"],
+     "--threads"),
+    (["psi", "--mu", "2", "--u", "0", "--threads", "0"], "--threads"),
 ])
 def test_cli_rejects_out_of_range_flags(args, flag, capsys):
     assert main(args) == 2

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from enlab.errors import DivisionGuard, NotHonest
 from enlab.finite_prob import (
-    AdaptedProcess,
     adapted,
     bracket,
     build_space,
     compensator,
-    constant_process,
     is_martingale,
 )
 from enlab.enlargement import (
@@ -31,7 +29,7 @@ from enlab.enlargement import (
 from enlab.harness import check_transfer_basis
 from enlab.random_times import RandomTimeMap, analyze, generate_honest_model
 
-from .oracles import ref_weights
+from .oracles import ref_constant, ref_values, ref_weights
 
 Q = Fraction
 
@@ -58,7 +56,7 @@ def test_hat_transform_requires_honest_class_h(tree_space, walk):
     })
     tau = RandomTimeMap.build({"a": 0, "b": 1, "c": 3, "d": 3}, space)
     analysis = analyze(space, tau)
-    flat = constant_process(0, space)
+    flat = ref_constant(0, space.filtration)
     with pytest.raises(NotHonest):
         hat_transform(flat, analysis)
 
@@ -81,23 +79,24 @@ def test_hat_transform_tent_walk(tree_space, walk, tent_analysis):
         "ud": [0, 0, 0],
         "du": [0, 0, 0],
     }
-    assert {o: list(hat.values[o]) for o in expected} == expected
+    assert {o: list(ref_values(hat)[o]) for o in expected} == expected
 
 
 def test_hat_transform_tent_fundamental(tree_space, tent_analysis):
     hat = hat_transform(tent_analysis.fundamental_martingale, tent_analysis)
     # increment at t=2 on uu: -1/2 + (1/4)/(1/2) = 0; everything cancels
-    assert hat.values == constant_process(0, tree_space).values
+    assert ref_values(hat) == ref_values(ref_constant(0, tree_space.filtration))
 
 
 def test_g_compensator_after_tent(tree_space, walk, tent_analysis):
     qv = bracket(walk, walk)
     cmp = g_compensator_after(qv, tent_analysis)
-    assert cmp.direct.values == cmp.via_formula.values
+    assert ref_values(cmp.direct) == ref_values(cmp.via_formula)
 
 
 def test_g_compensator_after_deterministic(tree_space, tent_analysis):
-    det = AdaptedProcess({o: [Q(0), Q(2), Q(3)] for o in tree_space.outcomes})
+    det = adapted({o: [Q(0), Q(2), Q(3)] for o in tree_space.outcomes},
+                  tree_space)
     cmp = g_compensator_after(det, tent_analysis)
     # deterministic integrand: the direct increment on the after atom is
     # dV_t * (1 - E[incl survival | atom]) / (1 - survival_left)
@@ -140,7 +139,7 @@ def test_transfer_rows_tent(tree_space, walk, tent_analysis):
 def test_unit_inclusive_survival_trips_the_guard(tree_space, walk,
                                                   tent_analysis):
     pinned = dataclasses.replace(
-        tent_analysis, survival_incl=constant_process(1, tree_space))
+        tent_analysis, survival_incl=ref_constant(1, tree_space.filtration))
     with pytest.raises(DivisionGuard):
         check_transfer_basis(pinned)
     with pytest.raises(DivisionGuard):
@@ -157,6 +156,7 @@ def test_jump_law_against_outcomes():
         jf = jump_functionals(asset, analysis)
         chars = g_characteristics(asset, analysis)
         f = space.filtration
+        rows = ref_values(asset)
         keys = []
         for t in range(1, space.horizon + 1):
             for base in f.partitions[t - 1]:
@@ -164,7 +164,7 @@ def test_jump_law_against_outcomes():
                 mass = sum(space.prob[o] for o in base)
                 expected = {}
                 for o in base:
-                    x = asset.values[o][t] - asset.values[o][t - 1]
+                    x = rows[o][t] - rows[o][t - 1]
                     if x != 0:
                         expected[x] = expected.get(x, 0) + space.prob[o]
                 law = jf.law[(t, base)]
@@ -216,18 +216,33 @@ def test_g_characteristics_stop(tree_space, walk, stop_analysis):
         assert v == report.char_base.kernel[(t, base)][x]
 
 
+def test_g_characteristics_kernels(class_h_cases):
+    # both tuples: nonnegative kernels of mass at most one, and the drift
+    # is the kernel mean (g_characteristics no longer checks either)
+    for asset, analysis in class_h_cases:
+        report = g_characteristics(asset, analysis)
+        for char in (report.char_base, report.char_enlarged):
+            assert char.drift.keys() == char.kernel.keys()
+            for key, law in char.kernel.items():
+                assert all(p >= 0 for p in law.values())
+                assert sum(law.values()) <= 1
+                assert char.drift[key] == sum(x * p for x, p in law.items())
+
+
 def test_build_deflator_stop(tree_space, stop_analysis):
     bundle = build_deflator(stop_analysis)
-    assert bundle.driver.values == constant_process(0, tree_space).values
-    assert bundle.deflator.values == constant_process(1, tree_space).values
+    f = tree_space.filtration
+    assert ref_values(bundle.driver) == ref_values(ref_constant(0, f))
+    assert ref_values(bundle.deflator) == ref_values(ref_constant(1, f))
 
 
 def test_build_deflator_tent(tree_space, tent_analysis):
     bundle = build_deflator(tent_analysis)
     assert bundle.weight.delta("uu", 2) == Q(1, 2)
     assert bundle.weight_comp.delta("uu", 2) == Q(1, 2)
-    assert bundle.driver.values == constant_process(0, tree_space).values
-    assert bundle.deflator.values == constant_process(1, tree_space).values
+    f = tree_space.filtration
+    assert ref_values(bundle.driver) == ref_values(ref_constant(0, f))
+    assert ref_values(bundle.deflator) == ref_values(ref_constant(1, f))
 
 
 def test_deflator_verify_stop(tree_space, walk, stop_analysis):
@@ -269,7 +284,7 @@ def _basis_martingales(space):
                         if o in base else Q(0)
                     row = [Q(0)] * t + [step] * (space.horizon + 1 - t)
                     vals[o] = row
-                out.append(AdaptedProcess(vals))
+                out.append(adapted(vals, space))
     return out
 
 

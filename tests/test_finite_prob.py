@@ -24,7 +24,6 @@ from enlab.finite_prob import (
     build_space,
     compensator,
     cond_average,
-    constant_process,
     is_martingale,
     is_positive,
     stochastic_exponential,
@@ -38,7 +37,13 @@ from enlab.random_times import (
 )
 
 from .conftest import TREE
-from .oracles import ref_average, ref_cond_exp, ref_weights
+from .oracles import (
+    ref_average,
+    ref_cond_exp,
+    ref_constant,
+    ref_values,
+    ref_weights,
+)
 
 Q = Fraction
 
@@ -117,16 +122,17 @@ def test_optional_projection_of_occupation_indicators(tree_space, tent_analysis)
 
 
 def test_compensator_deterministic_and_martingale(tree_space, walk):
-    det = AdaptedProcess({o: [Q(0), Q(2), Q(5)] for o in tree_space.outcomes})
-    assert compensator(det, tree_space).values == det.values
+    det = adapted({o: [Q(0), Q(2), Q(5)] for o in tree_space.outcomes},
+                  tree_space)
+    assert ref_values(compensator(det, tree_space)) == ref_values(det)
 
     qv = bracket(walk, walk)
     comp = compensator(qv, tree_space)
     for o in tree_space.outcomes:
         assert [comp.at(o, t) for t in range(3)] == [0, 1, 2]
 
-    assert compensator(walk, tree_space).values == \
-        constant_process(0, tree_space).values
+    assert ref_values(compensator(walk, tree_space)) == \
+        ref_values(ref_constant(0, tree_space.filtration))
 
 
 def test_compensator_property(tree_space, walk):
@@ -152,8 +158,9 @@ def test_dual_optional_projection_tent(tent_analysis, tree_space):
 
 
 def test_bracket(tree_space, walk):
-    const = constant_process(3, tree_space)
-    assert bracket(walk, const).values == constant_process(0, tree_space).values
+    const = ref_constant(3, tree_space.filtration)
+    assert ref_values(bracket(walk, const)) == \
+        ref_values(ref_constant(0, tree_space.filtration))
 
     qv = bracket(walk, walk)
     for o in tree_space.outcomes:
@@ -168,12 +175,13 @@ def test_angle_bracket_of_fundamental(tree_space, tent_analysis):
 
 
 def test_stochastic_exponential(tree_space, walk):
-    zero = constant_process(0, tree_space)
-    assert stochastic_exponential(zero).values == \
-        constant_process(1, tree_space).values
+    zero = ref_constant(0, tree_space.filtration)
+    assert ref_values(stochastic_exponential(zero)) == \
+        ref_values(ref_constant(1, tree_space.filtration))
 
     # an increment of -1 sends the exponential to 0, where it stays
-    drop = AdaptedProcess({o: [Q(0), Q(-1), Q(-1)] for o in tree_space.outcomes})
+    drop = adapted({o: [Q(0), Q(-1), Q(-1)] for o in tree_space.outcomes},
+                   tree_space)
     exp = stochastic_exponential(drop)
     for o in tree_space.outcomes:
         assert [exp.at(o, t) for t in range(3)] == [1, 0, 0]
@@ -184,10 +192,10 @@ def test_yor_product_formula(tree_space, walk, tent_analysis):
     # E(X)E(Y) = E(X + Y + [X,Y]) exactly
     m = tent_analysis.fundamental_martingale
     x = walk
-    y = m - constant_process(1, tree_space)
+    y = m - ref_constant(1, tree_space.filtration)
     lhs = stochastic_exponential(x) * stochastic_exponential(y)
     rhs = stochastic_exponential(x + y + bracket(x, y))
-    assert lhs.values == rhs.values
+    assert ref_values(lhs) == ref_values(rhs)
 
 
 def test_equals_from_values_or_increments(tree_space, walk):
@@ -198,15 +206,15 @@ def test_equals_from_values_or_increments(tree_space, walk):
     assert from_steps(f, steps).equals(AdaptedProcess.from_nodes(f, walk.nodes))
     assert not from_steps(f, shifted).equals(from_steps(f, steps))
     assert not from_steps(f, shifted).equals(walk)
-    assert from_steps(f, shifted).equals(walk + constant_process(1, tree_space))
+    assert from_steps(f, shifted).equals(walk + ref_constant(1, f))
 
 
 def test_is_martingale(tree_space, walk, tent_analysis):
     assert is_martingale(walk, tree_space).ok
     assert is_martingale(tent_analysis.fundamental_martingale, tree_space).ok
 
-    drift = AdaptedProcess({o: [Q(t) for t in range(3)]
-                            for o in tree_space.outcomes})
+    drift = adapted({o: [Q(t) for t in range(3)]
+                     for o in tree_space.outcomes}, tree_space)
     report = is_martingale(drift, tree_space)
     assert not report.ok
     assert report.t == 1 and report.drift == 1
@@ -233,7 +241,7 @@ def test_yoeurp_identity(seed):
     integral = AdaptedProcess.from_increments(
         space.filtration, step=lambda o, t: mart.at(o, t - 1) * mart.delta(o, t))
     comp = compensator(integral, space)
-    assert all(v == 0 for row in comp.values.values() for v in row)
+    assert all(v == 0 for row in ref_values(comp).values() for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +291,8 @@ def test_from_increments_against_reference_loop(name):
             row.append(row[-1] + step(o, t))
         expected[o] = row
     built = AdaptedProcess.from_increments(space.filtration, step)
-    assert built.values == expected
-    assert list(built.values) == list(space.outcomes)
+    assert ref_values(built) == expected
+    assert list(ref_values(built)) == list(space.outcomes)
     assert built.filtration is space.filtration
 
 
@@ -324,7 +332,7 @@ def test_node_layout_against_outcome_references(seed, depth):
         parts = f.partitions
         x_rows, y_rows = _random_rows(f, space, rng), _random_rows(f, space, rng)
         x, y = adapted(x_rows, space, f), adapted(y_rows, space, f)
-        assert x.filtration is f and x.values == x_rows
+        assert x.filtration is f and ref_values(x) == x_rows
 
         # the node primitive: E[X_{t+1} | atom at t] over the children
         for t in range(space.horizon):
@@ -335,10 +343,10 @@ def test_node_layout_against_outcome_references(seed, depth):
                                     lambda o: x.at(o, t + 1)) == ref[block[0]]
 
         comp = compensator(x, space, f)
-        assert comp.values == ref_compensator(x_rows, prob, parts)
+        assert ref_values(comp) == ref_compensator(x_rows, prob, parts)
         mart = x - comp
         assert is_martingale(mart, space, f).ok
-        assert ref_first_drift(mart.values, prob, parts) is None
+        assert ref_first_drift(ref_values(mart), prob, parts) is None
 
         report = is_martingale(x, space, f)
         expected = ref_first_drift(x_rows, prob, parts)
@@ -347,8 +355,8 @@ def test_node_layout_against_outcome_references(seed, depth):
         else:
             assert (report.t, report.block, report.drift) == expected
 
-        assert bracket(x, y).values == ref_bracket(x_rows, y_rows)
-        assert stochastic_exponential(x).values == ref_exponential(x_rows)
+        assert ref_values(bracket(x, y)) == ref_bracket(x_rows, y_rows)
+        assert ref_values(stochastic_exponential(x)) == ref_exponential(x_rows)
 
         # rows that differ inside one atom do not bind to f (the root
         # of the base filtration always holds several outcomes)
@@ -361,9 +369,8 @@ def test_node_layout_against_outcome_references(seed, depth):
             with pytest.raises(NotAdapted):
                 adapted(bad, space, f)
         # and rows one step too long do not bind either
-        longer = AdaptedProcess({o: row + row[-1:] for o, row in x_rows.items()})
         with pytest.raises(SchemaError):
-            longer.on(f)
+            adapted({o: row + row[-1:] for o, row in x_rows.items()}, space, f)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from enlab import harness
 from enlab.enlargement import after_atoms, hat_transform
 from enlab.errors import InternalCheckFailed
-from enlab.finite_prob import AdaptedProcess, is_martingale
+from enlab.finite_prob import adapted, is_martingale
 from enlab.harness import (
     check_hat_basis,
     check_transfer_basis,
@@ -77,7 +77,7 @@ def test_collapsed_hat_check_agrees_with_operation(seed):
             step = ((Q(1) if o in child else Q(0)) - p_child) \
                 if o in base else Q(0)
             vals[o] = [Q(0)] * t + [step] * (space.horizon + 1 - t)
-        basis_mart = AdaptedProcess(vals)
+        basis_mart = adapted(vals, space)
         hat = hat_transform(basis_mart, analysis)  # hard-asserts
         assert is_martingale(hat, space, enlarged).ok
         # sparsity: the transform moves only at the basis increment time

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from enlab import brownian_demo as bd
 from enlab import poisson_mc as pm
 from enlab.brownian_demo import brownian_demo, simulate_ladder_path
+from enlab.cli import main
 from enlab.errors import EnlabError, UsageError
 from enlab.poisson_mc import (
     CHUNK,
@@ -132,6 +134,22 @@ def test_example1_report(model):
     assert report.positive_at_99
     assert report.lambda_table[10.0] == 10.0 * report.lambda_table[1.0]
     assert report.lambda_table[100.0] == 100.0 * report.lambda_table[1.0]
+
+
+def test_example1_with_every_path_censored(capsys):
+    # at a = 1000 no path reaches the band before the 400-unit cap: the
+    # statistics are NaN, without numpy's "Mean of empty slice" warning,
+    # and the run fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = example1_run(PoissonModel(mu=2.0, a=1000.0), 64, 1)
+        assert main(["example1", "--mu", "2", "--a", "1000", "--paths", "64",
+                     "--seed", "1"]) == 1
+    assert "frac_positive=nan" in capsys.readouterr().out
+    assert report.n_censored == 64 and report.terminal.size == 0
+    assert math.isnan(report.mean_terminal)
+    assert math.isnan(report.frac_strictly_positive)
+    assert not report.positive_at_99
 
 
 def test_thread_count_env(monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from enlab.errors import DimensionTooLarge
 from enlab.finite_prob import (
-    AdaptedProcess,
     adapted,
     build_space,
     compensator,
@@ -25,7 +24,7 @@ from enlab.random_times import enlarge, generate_honest_model
 from enlab.rng import SplitMix64
 from enlab.simplex import solve_nonneg_equalities
 
-from .oracles import grid_feasible
+from .oracles import grid_feasible, ref_values
 
 Q = Fraction
 
@@ -63,8 +62,8 @@ def test_martingale_satisfies(tree_space, walk):
 
 
 def test_deterministic_drift_fails(tree_space):
-    drift = AdaptedProcess({o: [Q(t) for t in range(3)]
-                            for o in tree_space.outcomes})
+    drift = adapted({o: [Q(t) for t in range(3)]
+                     for o in tree_space.outcomes}, tree_space)
     verdict = nupbr_check(drift, tree_space)
     assert not verdict.satisfied
     assert verdict.witness.t == 1
@@ -74,9 +73,10 @@ def test_deterministic_drift_fails(tree_space):
 
 def test_after_part_fails_under_enlargement(tree_space, walk, tent_analysis):
     enlarged = enlarge(tree_space, tent_analysis)
-    after = AdaptedProcess(
+    after = adapted(
         {o: [walk.at(o, t) - walk.at(o, min(t, tent_analysis.tau[o]))
-             for t in range(3)] for o in tree_space.outcomes}, "G")
+             for t in range(3)] for o in tree_space.outcomes},
+        tree_space, enlarged)
     verdict = nupbr_check(after, tree_space, enlarged)
     assert not verdict.satisfied
     assert verdict.witness.t == 2
@@ -84,8 +84,8 @@ def test_after_part_fails_under_enlargement(tree_space, walk, tent_analysis):
 
 
 def test_vector_verdict_and_dimension_guard(tree_space, walk):
-    anti = AdaptedProcess({o: [-v for v in row]
-                           for o, row in walk.values.items()})
+    anti = adapted({o: [-v for v in row]
+                    for o, row in ref_values(walk).items()}, tree_space)
     verdict = nupbr_check([walk, anti], tree_space)
     assert verdict.satisfied
     assert verify_witness(verdict, [walk, anti], tree_space)
@@ -95,8 +95,8 @@ def test_vector_verdict_and_dimension_guard(tree_space, walk):
 
 
 def test_vector_arbitrage_witness(tree_space, walk):
-    drift = AdaptedProcess({o: [Q(t) for t in range(3)]
-                            for o in tree_space.outcomes})
+    drift = adapted({o: [Q(t) for t in range(3)]
+                     for o in tree_space.outcomes}, tree_space)
     verdict = nupbr_check([walk, drift], tree_space)
     assert not verdict.satisfied
     assert verify_witness(verdict, [walk, drift], tree_space)
@@ -116,7 +116,7 @@ def test_verdict_json_roundtrip(tree_space, walk):
 
 def test_transform_stop(tree_space, walk, stop_analysis):
     bundle = transform(walk, stop_analysis)
-    assert bundle.purged.values == walk.values  # jump set empty
+    assert ref_values(bundle.purged) == ref_values(walk)  # jump set empty
     for o in tree_space.outcomes:
         assert bundle.scaled.delta(o, 1) == 0
         assert bundle.scaled.delta(o, 2) == walk.delta(o, 2)
@@ -127,7 +127,7 @@ def test_transform_tent(tree_space, walk, tent_analysis):
     expected_purged = {
         "uu": [0, 1, 2], "ud": [0, 1, 1], "du": [0, -1, -1], "dd": [0, -1, -2]}
     assert {o: list(map(Fraction, r)) for o, r in expected_purged.items()} == \
-        {o: bundle.purged.values[o] for o in expected_purged}
+        {o: ref_values(bundle.purged)[o] for o in expected_purged}
     assert bundle.scaled.delta("uu", 2) == Q(1, 2)
     assert bundle.scaled.delta("ud", 2) == 0
     assert bundle.scaled.delta("du", 2) == 0
@@ -157,7 +157,7 @@ def test_corollary_check(tree_space, walk, stop_analysis, tent_analysis):
     assert not tent.after_nupbr_g
     assert tent.implication_observed  # hypothesis fails, nothing claimed
 
-    flat = AdaptedProcess({o: [Q(5)] * 3 for o in tree_space.outcomes})
+    flat = adapted({o: [Q(5)] * 3 for o in tree_space.outcomes}, tree_space)
     assert corollary_check(flat, tent_analysis).after_nupbr_g
 
 
@@ -204,9 +204,10 @@ def test_witness_soundness_on_models(seed):
                                                         branching=3)
     report = theorem2_crosscheck(asset, analysis)
     enlarged = enlarge(space, analysis)
-    after = AdaptedProcess(
+    after = adapted(
         {o: [asset.at(o, t) - asset.at(o, min(t, tau[o]))
-             for t in range(space.horizon + 1)] for o in space.outcomes}, "G")
+             for t in range(space.horizon + 1)] for o in space.outcomes},
+        space, enlarged)
     assert verify_witness(report.after_g, after, space, enlarged)
     bundle = transform(asset, analysis)
     assert verify_witness(report.scaled_f, bundle.scaled, space)
@@ -236,18 +237,27 @@ def test_predictable_nonconstant_after_part_fails(seed):
                 values[o][t] = values[o][t - 1] + step
     if not moved:
         return
-    proc = AdaptedProcess(values, "G")
+    proc = adapted(values, space, enlarged)
     verdict = nupbr_check(proc, space, enlarged)
     assert not verdict.satisfied
     assert verify_witness(verdict, proc, space, enlarged)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=1, max_value=10 ** 6))
-def test_transform_after_part_invariant(seed):
-    _, _, asset, analysis = generate_honest_model(seed, depth=4, branching=3)
-    transform(asset, analysis)  # pathwise invariant asserted inside
-    levy_condition_check(asset, analysis)  # route agreement asserted inside
+def test_transform_after_part_invariant(class_h_cases):
+    # purging touches only the stopped part: every increment strictly
+    # after the time is the asset's, and the purged asset does not move
+    # on the jump set, which lies before the time (Z~_t = 1 on an atom
+    # forces tau >= t on all of it)
+    for asset, analysis in class_h_cases:
+        purged = transform(asset, analysis).purged
+        tau, space = analysis.tau, analysis.space
+        for o in space.outcomes:
+            for t in range(tau[o] + 1, space.horizon + 1):
+                assert purged.delta(o, t) == asset.delta(o, t)
+        for t, block in analysis.jump_set:
+            assert all(tau[o] >= t for o in block)
+            assert purged.delta(block[0], t) == 0
+        levy_condition_check(asset, analysis)  # route agreement inside
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +281,8 @@ def test_grid_oracle_agreement_200():
         space = _one_step_space(n, rng)
         vectors = [tuple(Q(rng.randint(-3, 3)) for _ in range(d))
                    for _ in range(n)]
-        comps = [AdaptedProcess({o: [Q(0), vectors[i][k]]
-                                 for i, o in enumerate(space.outcomes)})
+        comps = [adapted({o: [Q(0), vectors[i][k]]
+                          for i, o in enumerate(space.outcomes)}, space)
                  for k in range(d)]
         x = comps[0] if d == 1 else comps
         verdict = nupbr_check(x, space)

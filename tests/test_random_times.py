@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +16,14 @@ from enlab.random_times import (
     generate_honest_model,
 )
 
-from .conftest import TREE
+from .conftest import COARSE, TREE, every_time
 from .oracles import (
     enum_after_atoms,
     enum_enlarged,
     enum_honest,
     enum_stopping_time,
     ref_cond_exp,
+    ref_values,
 )
 
 Q = Fraction
@@ -110,18 +110,19 @@ def test_enlarge_time_zero(tree_space):
     assert enlarged.partitions == tree_space.filtration.partitions
 
 
-# Two-period model whose horizon atom {a, b} is not a singleton: a time
-# with different values on a and b, both reached by the horizon, is
-# dishonest there and nowhere before it.
-COARSE = {
-    "outcomes": ["a", "b", "c", "d"],
-    "prob": {"a": "1/8", "b": "3/8", "c": "1/4", "d": "1/4"},
-    "partitions": [
-        [["a", "b", "c", "d"]],
-        [["a", "b"], ["c", "d"]],
-        [["a", "b"], ["c"], ["d"]],
-    ],
-}
+def _assert_survival_facts(a):
+    # what analyze makes true by construction and does not re-test: Z and
+    # the inclusive Z lie in [0, 1], Z_T = 0, and inclusive
+    # Z_t = Z_{t-1} + dM_t at every node
+    f = a.space.filtration
+    surv, incl = a.survival.nodes, a.survival_incl.nodes
+    steps = a.fundamental_martingale.steps
+    assert all(0 <= z <= 1 for rows in (surv, incl) for row in rows
+               for z in row)
+    assert not any(surv[f.horizon])
+    for t in range(1, f.horizon + 1):
+        assert incl[t] == [surv[t - 1][p] + dm
+                           for p, dm in zip(f.up[t], steps[t])]
 
 
 @pytest.mark.parametrize("description", [TREE, COARSE], ids=["tree", "coarse"])
@@ -129,12 +130,9 @@ def test_split_against_enumeration(description):
     # every time with values in {0, 1, 2}: the flags, the enlarged atoms
     # and the after-atoms read from the one split, against exhaustive
     # scans of the atoms
-    space = build_space(description)
-    outcomes = description["outcomes"]
     seen = set()
-    for values in product(range(3), repeat=len(outcomes)):
-        tau = dict(zip(outcomes, values))
-        a = analyze(space, RandomTimeMap.build(tau, space))
+    for tau, a in every_time(description):
+        _assert_survival_facts(a)
         assert a.honest == enum_honest(description, tau)
         assert a.is_stopping_time == enum_stopping_time(description, tau)
         assert [set(map(frozenset, part)) for part in a.enlarged.partitions
@@ -163,7 +161,7 @@ def test_generator_determinism():
     two = generate_honest_model(42, depth=4, branching=3)
     assert one[0].prob == two[0].prob
     assert one[1].tau == two[1].tau
-    assert one[2].values == two[2].values
+    assert ref_values(one[2]) == ref_values(two[2])
 
 
 def test_generator_vector_asset():
@@ -197,11 +195,12 @@ def test_stopping_times_are_honest_class_h_with_zero_survival(seed):
     # first-visit times are stopping times; they must land in the class
     # with survival exactly zero at the time
     space, _, asset, _ = generate_honest_model(seed, depth=4, branching=3)
-    level = asset.values[space.outcomes[0]][0]
+    rows = ref_values(asset)
+    level = rows[space.outcomes[0]][0]
     tau_map = {}
     for o in space.outcomes:
         hits = [t for t in range(1, space.horizon + 1)
-                if asset.values[o][t] <= level - 1]
+                if rows[o][t] <= level - 1]
         tau_map[o] = min(hits) if hits else space.horizon
     tau = RandomTimeMap.build(tau_map, space)
     analysis = analyze(space, tau)
@@ -275,10 +274,11 @@ def test_analysis_against_outcome_references(seed):
                      and survival[t - 1][block[0]] < 1]
     for process, ref in ((a.survival, survival), (a.survival_incl, incl),
                          (a.occurrence_proj, occurrence)):
-        assert process.values == {
+        assert ref_values(process) == {
             o: [ref[t][o] for t in range(space.horizon + 1)]
             for o in space.outcomes}
     assert a.jump_set == tuple(jump_set)
+    _assert_survival_facts(a)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +298,14 @@ def test_jump_part_against_reference_loop(seed):
             row.append(row[-1] + (asset.delta(o, t) if hit else 0))
         expected[o] = row
     part = a.jump_part(asset)
-    assert part.values == expected
+    assert ref_values(part) == expected
     assert part.filtration.label == "F"
 
 
 def test_jump_part_on_tent(tree_space, tent_analysis, walk):
     # the jump set is {(2, ud), (2, du)}, where the walk steps back to 0
     part = tent_analysis.jump_part(walk)
-    assert part.values == {"uu": [0, 0, 0], "ud": [0, 0, -1],
+    assert ref_values(part) == {"uu": [0, 0, 0], "ud": [0, 0, -1],
                            "du": [0, 0, 1], "dd": [0, 0, 0]}
 
 
@@ -319,7 +319,7 @@ def test_after_integral_evaluates_only_strictly_after(seed):
 
     after = a.after_integral(step)
     for o in space.outcomes:
-        assert after.values[o] == [
+        assert ref_values(after)[o] == [
             Q(sum(s for s in range(1, t + 1) if s - 1 >= tau[o]))
             for t in range(space.horizon + 1)]
     assert after.filtration.label == "G"
