@@ -58,16 +58,18 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _reserves(text: str) -> tuple[float, ...]:
     us = _floats(text)
-    if not all(u >= 0 for u in us):
-        raise argparse.ArgumentTypeError(f"reserves must be >= 0, got {text}")
+    if not all(0 <= u < math.inf for u in us):
+        raise argparse.ArgumentTypeError(
+            f"reserves must be finite and >= 0, got {text}")
     return us
 
 
 def _positive(kind):
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in errors
     return parse
@@ -116,6 +118,8 @@ def _premium_rate(text: str) -> float:
     """A premium rate mu the ruin oracle accepts: above 1, and far enough
     above it for the series to converge within its term cap."""
     mu = float(text)
+    if not math.isfinite(mu):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     try:
         RuinOracle.shared(mu)
     except InvalidDrift as exc:

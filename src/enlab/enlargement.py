@@ -271,16 +271,13 @@ def proj_identity_check(mart: AdaptedProcess, analysis: RandomTimeAnalysis
 
 @dataclass(frozen=True)
 class JumpFunctionals:
-    """Per (t, base atom at t-1, jump size): conditional mean of the
-    fundamental-martingale increment on the jump fibre (mart_mean) and
-    the conditional probability that the inclusive supermartingale is
-    below one there (alive_prob).  Per (t, base atom): the base jump law
-    P(dS = x | B) over the nonzero sizes x, in increasing order (law;
-    empty where the asset does not jump)."""
+    """Per (t, base atom B at t-1, jump size x): the conditional mean of
+    the fundamental-martingale increment on the jump fibre, the children
+    of B where the asset jumps by x (mart_mean).  Per (t, B): the base
+    jump law P(dS = x | B) over the nonzero sizes x, in increasing order
+    (law; empty where the asset does not jump)."""
 
     mart_mean: dict[tuple[int, Block, Fraction], Fraction]
-    alive_prob: dict[tuple[int, Block, Fraction], Fraction]
-    support: tuple[tuple[int, Block, Fraction], ...]
     law: dict[tuple[int, Block], dict[Fraction, Fraction]]
 
 
@@ -288,11 +285,8 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                      ) -> JumpFunctionals:
     f = analysis.space.filtration
     asset = asset.on(f)
-    incl = analysis.survival_incl
     fund = analysis.fundamental_martingale
     mart_mean = {}
-    alive_prob = {}
-    support = []
     law = {}
     for t in range(1, f.horizon + 1):
         for base in f.partitions[t - 1]:
@@ -303,34 +297,15 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                 x = asset.delta(child[0], t)
                 if x != 0:
                     fibres.setdefault(x, []).append(child)
-            left = analysis.survival.at(base[0], t - 1)
             base_mass = f.masses[t - 1][f.block_of[t - 1][base[0]]]
             base_law = law[(t, base)] = {}
             for x, members in sorted(fibres.items()):
-                key = (t, base, x)
-                support.append(key)
                 mass = sum(f.masses[t][f.block_of[t][child[0]]]
                            for child in members)
                 base_law[x] = Fraction(mass, base_mass)
-                mean = cond_average(f, t, members, lambda o: fund.delta(o, t))
-                alive = cond_average(
-                    f, t, members,
-                    lambda o: ONE if incl.at(o, t) < 1 else ZERO)
-                mart_mean[key] = mean
-                alive_prob[key] = alive
-                # exact set identity on the support:
-                # {alive = 0} = {left + mean = 1}, contained in the set
-                # where the inclusive supermartingale is pinned at one
-                rest = 1 - left - mean
-                if (alive == 0) != (rest == 0):
-                    raise InternalCheckFailed(f"jump-set identity fails at {key}")
-                if not 0 <= rest <= alive:
-                    raise InternalCheckFailed(f"jump-mean bound fails at {key}")
-                if alive == 0 and any(incl.at(child[0], t) != 1
-                                      for child in members):
-                    raise InternalCheckFailed(
-                        f"dead fibre not pinned at one at {key}")
-    return JumpFunctionals(mart_mean, alive_prob, tuple(support), law)
+                mart_mean[(t, base, x)] = cond_average(
+                    f, t, members, lambda o: fund.delta(o, t))
+    return JumpFunctionals(mart_mean, law)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .enlargement import (
     g_characteristics,
     g_compensator_after,
     hat_transform,
-    jump_functionals,
     proj_identity_check,
     transfer_rows,
 )
@@ -35,7 +34,6 @@ from .finite_prob import (
     bracket,
     compensator,
     cond_average,
-    is_martingale,
 )
 from .model_io import dump_model
 from .nupbr import theorem2_crosscheck, verify_witness
@@ -110,6 +108,28 @@ def check_hat_basis(analysis) -> list[dict]:
     return violations
 
 
+def check_jump_set(analysis) -> list[dict]:
+    """analyze's jump set {Z~_t = 1 > Z_{t-1}}, from the survival masses,
+    against the children C of each base atom B that miss its after-atom
+    B & {tau <= t - 1}, from the tau split: on a full-support space
+    Z_{t-1} < 1 on B exactly when B has one, and Z~_t = 1 on C exactly
+    when C misses it."""
+    f = analysis.space.filtration
+    jump_set = set(analysis.jump_set)
+    violations = []
+    for t in range(1, f.horizon + 1):
+        for kids, (pinned, _) in zip(f.kids[t - 1], analysis.split[t - 1]):
+            hit = {f.block_of[t][o] for members in pinned for o in members}
+            for c in kids:
+                atom = f.partitions[t][c]
+                missed = bool(pinned) and c not in hit
+                if ((t, atom) in jump_set) != missed:
+                    violations.append({"identity": "jump_set_identity",
+                                       "t": t, "atom": list(atom),
+                                       "misses_after_atom": missed})
+    return violations
+
+
 @dataclass
 class ModelReport:
     model_id: str
@@ -157,9 +177,9 @@ def run_model_identities(analysis, asset) -> ModelReport:
         if violations and counterexample is None:
             counterexample = {"identity": name, "first": violations[0]}
 
-    record("fundamental_martingale",
-           [] if is_martingale(analysis.fundamental_martingale, space).ok
-           else [{"identity": "fundamental_martingale"}])
+    # analyze raises InvariantError when the fundamental martingale has
+    # drift, so every analysis that reaches here passed that test
+    record("fundamental_martingale", [])
     record("hat_basis", check_hat_basis(analysis))
     record("transfer_basis", check_transfer_basis(analysis))
 
@@ -180,12 +200,9 @@ def run_model_identities(analysis, asset) -> ModelReport:
         _holds(g_compensator_after, bracket(asset, asset), analysis))
     identities["proj_identities"] = _status(
         _holds(proj_identity_check, mart, analysis))
-    # g_characteristics runs jump_functionals first; only when it raises
-    # is jump_functionals run on its own, to decide the jump-set row
-    chars_ok = _holds(g_characteristics, asset, analysis)
-    identities["jump_set_identity"] = _status(
-        chars_ok or _holds(jump_functionals, asset, analysis))
-    identities["jump_characteristics"] = _status(chars_ok)
+    record("jump_set_identity", check_jump_set(analysis))
+    identities["jump_characteristics"] = _status(
+        _holds(g_characteristics, asset, analysis))
 
     # build_deflator raises unless the driver is positive and zero
     # before the time, so both deflator rows read whether it returned

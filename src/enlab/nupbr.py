@@ -285,8 +285,6 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     _require_class_h(analysis)
     f = analysis.space.filtration
     asset = asset.on(f)
-    jump_functionals(asset, analysis)  # hard-asserts the jump-set identities
-
     purged = asset - analysis.jump_part(asset)
     scaled = AdaptedProcess.from_increments(
         f, step=lambda o, t: ((1 - analysis.survival.at(o, t - 1))
@@ -379,7 +377,6 @@ def corollary_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
 @dataclass(frozen=True)
 class LevyConditionReport:
     equivalent: bool
-    dead_support_empty: bool     # the reduction route: no dead fibre below barrier
     witnesses: tuple
     asset_nupbr_f: bool
 
@@ -391,31 +388,15 @@ class LevyConditionReport:
 def levy_condition_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                          ) -> LevyConditionReport:
     """Support equivalence of the enlarged jump compensator with the
-    after-restriction of the base one, computed directly and through the
-    dead-fibre reduction; the two routes are compared exactly."""
-    space = analysis.space
+    after-restriction of the base one.  The witnesses are the jump fibres
+    (t, B, x) of base atoms B with an after-atom where the enlarged
+    density 1 - mart_mean/(1 - left) vanishes: left + mart_mean = 1."""
     jf = jump_functionals(asset, analysis)
     after_reachable = {(a.t, a.base) for a in after_atoms(analysis)}
-    witnesses = []
-    for key in jf.support:
-        t, base, x = key
-        if (t, base) not in after_reachable:
-            continue
-        left = analysis.survival.at(base[0], t - 1)
-        if left + jf.mart_mean[key] == 1:  # enlarged density vanishes
-            witnesses.append(key)
-    equivalent = not witnesses
-
-    dead_below_barrier = [
-        key for key in jf.support
-        if analysis.survival.at(key[1][0], key[0] - 1) < 1
-        and jf.alive_prob[key] == 0]
-    dead_support_empty = not dead_below_barrier
-
-    if equivalent != dead_support_empty:
-        raise InternalCheckFailed("support-equivalence routes disagree")
+    witnesses = tuple(
+        (t, base, x) for (t, base, x), mean in jf.mart_mean.items()
+        if (t, base) in after_reachable
+        and analysis.survival.at(base[0], t - 1) + mean == 1)
     return LevyConditionReport(
-        equivalent=equivalent,
-        dead_support_empty=dead_support_empty,
-        witnesses=tuple(witnesses),
-        asset_nupbr_f=nupbr_check(asset, space).satisfied)
+        equivalent=not witnesses, witnesses=witnesses,
+        asset_nupbr_f=nupbr_check(asset, analysis.space).satisfied)

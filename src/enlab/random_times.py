@@ -265,16 +265,17 @@ def _grow_tree(rng: SplitMix64, depth: int, branching: int):
     return leaves, prob, partitions
 
 
-def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1,
-                          max_retries: int = 32):
+def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1):
     """Random model (space, tau, asset, analysis) with an honest class-H
-    time; the analysis is the one the class-H check ran on.
+    time, built once from one SplitMix64 stream of the seed.
 
-    The time is the last visit of an adapted walk to a level set, with
-    sup of the empty set taken as 0, which is honest by construction.
-    Models failing the class-H check are resampled; the check cannot
-    actually fail on a full-support space, but the guard stays in place
-    as a cheap sanity net.
+    The time is the last visit of an adapted walk X to a level set, with
+    sup of the empty set taken as 0: the end of the adapted set
+    {X <= level} (plus time 0).  It is honest because on {tau <= t} it
+    is the last such visit up to t, which the time-t atom decides.  It
+    is class H because every outcome has positive mass: the time-t atom
+    of an outcome o with tau(o) = t contains o, which has tau <= t, so
+    P(tau > t | atom) < 1 there.
     """
     if depth not in DEPTHS:
         raise GenerationExhausted(f"depth {depth} outside 1..8")
@@ -283,38 +284,33 @@ def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1,
     if not 1 <= d <= 4:
         raise GenerationExhausted(f"d {d} outside 1..4")
 
-    for attempt in range(max_retries):
-        rng = SplitMix64((seed << 8) ^ attempt ^ 0xE17AB)
-        outcomes, prob, partitions = _grow_tree(rng, depth, branching)
-        space = build_space({"outcomes": outcomes, "prob": prob,
-                             "partitions": partitions})
+    rng = SplitMix64((seed << 8) ^ 0xE17AB)
+    outcomes, prob, partitions = _grow_tree(rng, depth, branching)
+    space = build_space({"outcomes": outcomes, "prob": prob,
+                         "partitions": partitions})
 
-        # driver walk for the last-visit time
-        driver = _random_walk(rng, space)
-        visited = sorted({driver.at(block[0], t) for t, part in
-                          enumerate(space.filtration.partitions)
-                          for block in part})
-        level = visited[rng.randint(0, max(len(visited) - 2, 0))]
-        tau_map = {}
-        for o in space.outcomes:
-            hits = [t for t in range(depth + 1) if driver.at(o, t) <= level]
-            tau_map[o] = max(hits) if hits else 0
-        tau = RandomTimeMap.build(tau_map, space)
+    # driver walk for the last-visit time
+    driver = _random_walk(rng, space)
+    visited = sorted({driver.at(block[0], t) for t, part in
+                      enumerate(space.filtration.partitions)
+                      for block in part})
+    level = visited[rng.randint(0, max(len(visited) - 2, 0))]
+    tau_map = {}
+    for o in space.outcomes:
+        hits = [t for t in range(depth + 1) if driver.at(o, t) <= level]
+        tau_map[o] = max(hits) if hits else 0
+    tau = RandomTimeMap.build(tau_map, space)
 
-        components = []
-        for i in range(d):
-            walk = _random_walk(rng.fork(101 + i), space)
-            if (seed + i) % 3 == 0:
-                # compensate to a martingale for variety across seeds;
-                # both start at 0, so no initial-value correction needed
-                walk = walk - compensator(walk, space)
-            components.append(walk)
-        asset = components[0] if d == 1 else components
-
-        analysis = analyze(space, tau)
-        if analysis.honest and analysis.class_h:
-            return space, tau, asset, analysis
-    raise GenerationExhausted(f"no class-H model after {max_retries} retries")
+    components = []
+    for i in range(d):
+        walk = _random_walk(rng.fork(101 + i), space)
+        if (seed + i) % 3 == 0:
+            # compensate to a martingale for variety across seeds;
+            # both start at 0, so no initial-value correction needed
+            walk = walk - compensator(walk, space)
+        components.append(walk)
+    asset = components[0] if d == 1 else components
+    return space, tau, asset, analyze(space, tau)
 
 
 def _random_walk(rng: SplitMix64, space: FiniteFilteredSpace) -> AdaptedProcess:

@@ -105,6 +105,47 @@ def ref_constant(c, f):
         f, [[Q(c)] * len(part) for part in f.partitions])
 
 
+def ref_jump_fibres(space, tau, asset):
+    """Per (t, base atom at t - 1, nonzero jump size x of the asset), in
+    time, atom and size order: (alive, mean), the probability given the
+    fibre (the base atom's outcomes where the asset jumps by x) that
+    P(tau >= t | time-t atom) is below one, and the fibre's average of
+    dM_t = Z_t - Z_{t-1} + P(tau = t | time-t atom), with Z_t =
+    P(tau > t | time-t atom).  Every conditional is summed outcome by
+    outcome."""
+    prob = space.prob
+    partitions = space.filtration.partitions
+    rows = ref_values(asset)
+
+    def conditional(t, event):
+        out = {}
+        for block in partitions[t]:
+            mass = sum(prob[o] for o in block)
+            out.update(dict.fromkeys(
+                block, sum(prob[o] for o in block if event(o)) / mass))
+        return out
+
+    out = {}
+    for t in range(1, len(partitions)):
+        left = conditional(t - 1, lambda o: tau[o] > t - 1)
+        surv = conditional(t, lambda o: tau[o] > t)
+        incl = conditional(t, lambda o: tau[o] >= t)
+        hit = conditional(t, lambda o: tau[o] == t)
+        for base in partitions[t - 1]:
+            fibres = {}
+            for o in base:
+                x = rows[o][t] - rows[o][t - 1]
+                if x:
+                    fibres.setdefault(x, []).append(o)
+            for x, members in sorted(fibres.items()):
+                mass = sum(prob[o] for o in members)
+                alive = sum(prob[o] for o in members if incl[o] < 1) / mass
+                mean = sum(prob[o] * (surv[o] - left[o] + hit[o])
+                           for o in members) / mass
+                out[(t, base, x)] = (alive, mean)
+    return out
+
+
 def grid_feasible(vectors, max_weight):
     """Grid oracle for 0 in the relative interior of conv(vectors).
 

@@ -380,6 +380,20 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
     (["example2", "--mu", "2", "--a", "1", "--seed", "1", "--threads", "-1"],
      "--threads"),
     (["psi", "--mu", "2", "--u", "0", "--threads", "0"], "--threads"),
+    # a non-finite value compared 0 with 0 and passed, or escaped as a
+    # traceback, or failed a check that had nothing to run on (a nan
+    # --mu and an infinite --dt already exited 2)
+    (["psi", "--mu", "2", "--u", "inf"], "--u"),
+    (["psi", "--mu", "2", "--u", "0,inf"], "--u"),
+    (["psi", "--mu", "inf", "--u", "0"], "--mu"),
+    (["psi", "--mu", "nan", "--u", "0"], "--mu"),
+    (["example1", "--mu", "inf", "--a", "1", "--seed", "1"], "--mu"),
+    (["example1", "--mu", "2", "--a", "inf", "--seed", "1"], "--a"),
+    (["example2", "--mu", "2", "--a", "inf", "--seed", "1"], "--a"),
+    (["brownian", "--epsilon", "0.25", "--seed", "1", "--time-cap", "inf"],
+     "--time-cap"),
+    (["brownian", "--epsilon", "0.25", "--seed", "1", "--dt", "inf"],
+     "--dt"),
 ])
 def test_cli_rejects_out_of_range_flags(args, flag, capsys):
     assert main(args) == 2

@@ -29,7 +29,7 @@ from enlab.enlargement import (
 from enlab.harness import check_transfer_basis
 from enlab.random_times import RandomTimeMap, analyze, generate_honest_model
 
-from .oracles import ref_constant, ref_values, ref_weights
+from .oracles import ref_constant, ref_jump_fibres, ref_values, ref_weights
 
 Q = Fraction
 
@@ -182,22 +182,49 @@ def test_jump_functionals_stop(tree_space, walk, stop_analysis):
     # constant fundamental martingale: zero jump means everywhere; the
     # alive probability is one on the support where survival_left < 1
     # (at t=1 the deterministic time pins the inclusive supermartingale
-    # at one together with its left limit, making alive_prob zero there
-    # while the set identity still holds)
+    # at one together with its left limit, making it zero there while
+    # the set identity still holds)
     jf = jump_functionals(walk, stop_analysis)
     assert all(v == 0 for v in jf.mart_mean.values())
-    for (t, base, x), alive in jf.alive_prob.items():
+    ref = ref_jump_fibres(tree_space, stop_analysis.tau, walk)
+    assert list(ref) == list(jf.mart_mean)
+    for (t, base, x), (alive, _) in ref.items():
         left = stop_analysis.survival.at(base[0], t - 1)
         assert alive == (1 if left < 1 else 0)
 
 
 def test_jump_functionals_tent(tree_space, walk, tent_analysis):
     jf = jump_functionals(walk, tent_analysis)
+    ref = ref_jump_fibres(tree_space, tent_analysis.tau, walk)
     up_block = ("ud", "uu")
-    assert jf.alive_prob[(2, up_block, Q(1))] == 1
+    assert ref[(2, up_block, Q(1))][0] == 1
     assert jf.mart_mean[(2, up_block, Q(1))] == Q(-1, 2)
-    assert jf.alive_prob[(2, up_block, Q(-1))] == 0
+    assert ref[(2, up_block, Q(-1))][0] == 0
     assert jf.mart_mean[(2, up_block, Q(-1))] == Q(1, 2)  # equals 1 - survival_left
+
+
+def test_jump_fibre_facts_against_outcomes(class_h_cases):
+    # per jump fibre, with left = Z_{t-1} on the base atom and alive the
+    # reference probability that Z~_t < 1 on the fibre: mart_mean is the
+    # fibre's mean of dM, {alive = 0} = {left + mean = 1}, 0 <= 1 - left
+    # - mean <= alive, and Z~_t = 1 on every child of a dead fibre
+    # (jump_functionals no longer checks these; they follow from
+    # Z~ in [0, 1] and Z~_t = Z_{t-1} + dM_t)
+    dead = 0
+    for asset, analysis in class_h_cases:
+        jf = jump_functionals(asset, analysis)
+        ref = ref_jump_fibres(analysis.space, analysis.tau, asset)
+        assert list(jf.mart_mean) == list(ref)
+        for (t, base, x), (alive, mean) in ref.items():
+            assert jf.mart_mean[(t, base, x)] == mean
+            rest = 1 - analysis.survival.at(base[0], t - 1) - mean
+            assert (alive == 0) == (rest == 0)
+            assert 0 <= rest <= alive
+            if alive == 0:
+                dead += 1
+                assert all(analysis.survival_incl.at(o, t) == 1
+                           for o in base if asset.delta(o, t) == x)
+    assert dead > 0
 
 
 def test_g_characteristics_tent(tree_space, walk, tent_analysis):

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enlab import harness
 from enlab.enlargement import after_atoms, hat_transform
-from enlab.errors import InternalCheckFailed
 from enlab.finite_prob import adapted, is_martingale
 from enlab.harness import (
     check_hat_basis,
@@ -103,39 +103,63 @@ IDENTITY_KEYS = [
     "jump_characteristics"]
 
 
-def test_jump_rows_run_jump_functionals_only_on_failure(monkeypatch):
-    """The jump-set row is decided by g_characteristics, which runs
-    jump_functionals first; jump_functionals runs on its own only when
-    g_characteristics raises, and the rows read as a separate run of
-    each check would make them."""
+def test_jump_set_row_names_a_dropped_node():
+    # an analysis whose jump set lacks one node disagrees with the tau
+    # split there, and the counterexample names that node
     _, _, asset, analysis = generate_honest_model(3, depth=5, branching=3)
-    real = harness.jump_functionals
-    alone = []
-
-    def counted(*args):
-        alone.append(args)
-        return real(*args)
-
-    def raising(*args):
-        raise InternalCheckFailed("forced failure")
-
-    monkeypatch.setattr(harness, "jump_functionals", counted)
-    report = run_model_identities(analysis, asset)
+    assert run_model_identities(analysis, asset).ok
+    t, atom = analysis.jump_set[0]
+    dropped = dataclasses.replace(analysis, jump_set=analysis.jump_set[1:])
+    report = run_model_identities(dropped, asset)
     assert list(report.identities) == IDENTITY_KEYS
-    assert report.identities["jump_set_identity"] == "ok"
-    assert report.identities["jump_characteristics"] == "ok"
-    assert alone == []
-
-    monkeypatch.setattr(harness, "g_characteristics", raising)
-    report = run_model_identities(analysis, asset)
-    assert list(report.identities) == IDENTITY_KEYS
-    assert report.identities["jump_set_identity"] == "ok"
-    assert report.identities["jump_characteristics"] == "violated"
-    assert len(alone) == 1
-
-    monkeypatch.setattr(harness, "jump_functionals", raising)
-    report = run_model_identities(analysis, asset)
-    assert list(report.identities) == IDENTITY_KEYS
-    assert report.identities["jump_set_identity"] == "violated"
-    assert report.identities["jump_characteristics"] == "violated"
+    assert {k for k, v in report.identities.items() if v != "ok"} == {
+        "jump_set_identity"}
     assert not report.ok
+    assert report.counterexample == {
+        "identity": "jump_set_identity",
+        "first": {"identity": "jump_set_identity", "t": t,
+                  "atom": list(atom), "misses_after_atom": True}}
+
+
+def _record_calls(monkeypatch, name, calls, record):
+    """Wrap the function `name` in every loaded enlab module that binds
+    it, so that each call first runs record(calls, args)."""
+    def wrap(real):
+        def wrapped(*args):
+            record(calls, args)
+            return real(*args)
+        return wrapped
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("enlab") and hasattr(module, name):
+            monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+
+def test_jump_functionals_calls_per_runner(monkeypatch):
+    # the cross-check makes none; the identity suite makes one per
+    # model, inside g_characteristics
+    calls = []
+    _record_calls(monkeypatch, "jump_functionals", calls,
+                  lambda calls, args: calls.append(args))
+    run_crosscheck(range(1, 4), depth=4, branching=3)
+    assert calls == []
+    assert run_identity_suite(range(1, 4), depth=4, branching=3).ok
+    assert len(calls) == 3
+
+
+def test_identity_rows_run_no_drift_test_of_the_fundamental_martingale(
+        monkeypatch):
+    # analyze has tested M for drift; of the identity rows only the hat
+    # transform's input check (inside build_deflator) tests it again
+    _, _, asset, analysis = generate_honest_model(3, depth=5, branching=3)
+    fund = analysis.fundamental_martingale
+    callers = []
+
+    def record(callers, args):
+        if args[0] is fund:
+            callers.append(sys._getframe(2).f_code.co_name)
+
+    _record_calls(monkeypatch, "is_martingale", callers, record)
+    report = run_model_identities(analysis, asset)
+    assert report.identities["fundamental_martingale"] == "ok"
+    assert callers == ["require_martingale"]

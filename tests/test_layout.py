@@ -1,9 +1,12 @@
 """Layout guards.
 
-Only `finite_prob` calls the process class itself.  Every other module
-constructs processes through the `finite_prob` constructors (`adapted`
-for outcome rows, `AdaptedProcess.from_increments`, the compensator,
-brackets, exponential and the process arithmetic), so the storage of a
+Only `finite_prob` touches the storage of a process: no other module of
+`src/enlab` reads or writes its `_nodes` or `_steps` slots or makes one
+with `AdaptedProcess.__new__`.  Every other module constructs processes
+through the `finite_prob` constructors (`adapted` for outcome rows,
+`AdaptedProcess.from_nodes`/`from_steps`/`from_increments`, the
+compensator, brackets, exponential and the process arithmetic) and reads
+them through `nodes`, `steps`, `at` and `delta`, so the storage of a
 process can change inside `finite_prob` alone.
 
 Every public top-level function and class of `src/enlab` is used by the
@@ -19,25 +22,39 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "enlab"
-ROW_TYPES = {"AdaptedProcess"}
+STORAGE = {"_nodes", "_steps"}
 
 
-def _called_name(call: ast.Call) -> str | None:
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
+def storage_offenders(source: str) -> list[int]:
+    """Lines of `source` that read or write a process storage slot, or
+    call AdaptedProcess.__new__ (also as object.__new__(AdaptedProcess))."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in STORAGE:
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__new__"
+              and any(isinstance(n, ast.Name) and n.id == "AdaptedProcess"
+                      for n in (node.func.value, *node.args))):
+            lines.append(node.lineno)
+    return lines
 
 
-def test_only_finite_prob_constructs_process_rows():
+def test_storage_guard_sees_each_kind_of_access():
+    planted = ("x._steps\nx._nodes = 1\n"
+               "AdaptedProcess.__new__(AdaptedProcess)\n"
+               "object.__new__(AdaptedProcess)\n")
+    assert sorted(storage_offenders(planted)) == [1, 2, 3, 4]
+    assert storage_offenders("x.steps\nx.nodes\ncls.__new__(cls)\n") == []
+
+
+def test_only_finite_prob_touches_process_storage():
     modules = sorted(SRC.glob("*.py"))
     assert any(p.name == "finite_prob.py" for p in modules)
-    offenders = [
-        f"{path.name}:{node.lineno}"
-        for path in modules if path.name != "finite_prob.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call) and _called_name(node) in ROW_TYPES]
+    offenders = [f"{path.name}:{line}"
+                 for path in modules if path.name != "finite_prob.py"
+                 for line in storage_offenders(path.read_text())]
     assert offenders == []
 
 

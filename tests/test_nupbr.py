@@ -24,7 +24,7 @@ from enlab.random_times import enlarge, generate_honest_model
 from enlab.rng import SplitMix64
 from enlab.simplex import solve_nonneg_equalities
 
-from .oracles import grid_feasible, ref_values
+from .oracles import grid_feasible, ref_jump_fibres, ref_values
 
 Q = Fraction
 
@@ -175,22 +175,36 @@ def test_fully_alive_model_has_null_pinned_martingale():
     # generator-selected model where every jump fibre below the survival
     # barrier stays alive: support equivalence holds and the compensated
     # pinned-jump martingale vanishes identically
-    from enlab.enlargement import jump_functionals
-
     for seed in range(1, 200):
-        _, _, asset, analysis = generate_honest_model(seed, depth=4,
-                                                      branching=3)
-        jf = jump_functionals(asset, analysis)
+        space, tau, asset, analysis = generate_honest_model(seed, depth=4,
+                                                            branching=3)
         # fully alive: unit alive probability on every fibre below the
         # barrier, i.e. the asset never jumps together with the pinning
-        alive = all(jf.alive_prob[key] == 1 for key in jf.support
-                    if analysis.survival.at(key[1][0], key[0] - 1) < 1)
-        if not alive:
+        below = [alive for (t, base, _), (alive, _) in
+                 ref_jump_fibres(space, tau, asset).items()
+                 if analysis.survival.at(base[0], t - 1) < 1]
+        if not all(alive == 1 for alive in below):
             continue
         report = levy_condition_check(asset, analysis)
-        assert report.equivalent and report.dead_support_empty
+        assert report.equivalent and report.witnesses == ()
         return
     raise AssertionError("no fully alive model found in the seed range")
+
+
+def test_levy_witnesses_are_the_dead_fibres_below_the_barrier(class_h_cases):
+    # the support condition fails exactly at the fibres below the
+    # barrier (Z_{t-1} < 1) where the reference alive probability is 0
+    witnessed = 0
+    for asset, analysis in class_h_cases:
+        dead = tuple(
+            (t, base, x) for (t, base, x), (alive, _) in
+            ref_jump_fibres(analysis.space, analysis.tau, asset).items()
+            if analysis.survival.at(base[0], t - 1) < 1 and alive == 0)
+        report = levy_condition_check(asset, analysis)
+        assert report.witnesses == dead
+        assert report.equivalent == (not dead)
+        witnessed += bool(dead)
+    assert 0 < witnessed < len(class_h_cases)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +271,6 @@ def test_transform_after_part_invariant(class_h_cases):
         for t, block in analysis.jump_set:
             assert all(tau[o] >= t for o in block)
             assert purged.delta(block[0], t) == 0
-        levy_condition_check(asset, analysis)  # route agreement inside
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from enlab.enlargement import after_atoms
 from enlab.errors import GenerationExhausted, NotHonest, SchemaError
+from enlab import random_times
 from enlab.finite_prob import build_space, is_martingale
 from enlab.random_times import (
+    BRANCHINGS,
+    DEPTHS,
     RandomTimeMap,
     analyze,
     enlarge,
@@ -22,6 +25,7 @@ from .oracles import (
     enum_enlarged,
     enum_honest,
     enum_stopping_time,
+    enum_survival,
     ref_cond_exp,
     ref_values,
 )
@@ -179,6 +183,32 @@ def test_generator_bounds():
         generate_honest_model(1, depth=9, branching=3)
     with pytest.raises(GenerationExhausted):
         generate_honest_model(1, depth=3, branching=5)
+
+
+def test_generator_builds_each_model_once(monkeypatch):
+    # over the generator's whole scope the one model built from a seed is
+    # a last visit on a full-support tree, honest and class H by
+    # enumeration, so nothing is resampled: analyze runs once per model
+    calls = []
+    real = random_times.analyze
+    monkeypatch.setattr(random_times, "analyze",
+                        lambda *args: calls.append(args) or real(*args))
+    models = 0
+    for depth in DEPTHS:
+        for branching in BRANCHINGS:
+            for seed in (1, 2, 3):
+                space, tau, _, analysis = generate_honest_model(
+                    seed, depth, branching)
+                models += 1
+                assert all(p > 0 for p in space.prob.values())
+                description = {"prob": space.prob,
+                               "partitions": space.filtration.partitions}
+                assert enum_honest(description, tau)
+                survival = [enum_survival(description, tau, t)
+                            for t in range(depth + 1)]
+                assert all(survival[tau[o]][o] < 1 for o in space.outcomes)
+                assert analysis.honest and analysis.class_h
+    assert len(calls) == models
 
 
 @settings(max_examples=40, deadline=None)
