@@ -271,9 +271,10 @@ def proj_identity_check(mart: AdaptedProcess, analysis: RandomTimeAnalysis
 
 @dataclass(frozen=True)
 class JumpFunctionals:
-    """Per (t, base atom B at t-1, jump size x): the conditional mean of
-    the fundamental-martingale increment on the jump fibre, the children
-    of B where the asset jumps by x (mart_mean).  Per (t, B): the base
+    """Per (t, base atom B at t-1 with an after-atom, jump size x): the
+    conditional mean of the fundamental-martingale increment on the jump
+    fibre, the children of B where the asset jumps by x (mart_mean; the
+    enlarged density reads it on after-atoms only).  Per (t, B): the base
     jump law P(dS = x | B) over the nonzero sizes x, in increasing order
     (law; empty where the asset does not jump)."""
 
@@ -289,7 +290,8 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     mart_mean = {}
     law = {}
     for t in range(1, f.horizon + 1):
-        for base in f.partitions[t - 1]:
+        for base, (pinned, _) in zip(f.partitions[t - 1],
+                                     analysis.split[t - 1]):
             # the fibre of a jump size: the children of the base atom
             # where the asset makes that jump
             fibres: dict[Fraction, list[Block]] = {}
@@ -303,8 +305,9 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
                 mass = sum(f.masses[t][f.block_of[t][child[0]]]
                            for child in members)
                 base_law[x] = Fraction(mass, base_mass)
-                mart_mean[(t, base, x)] = cond_average(
-                    f, t, members, lambda o: fund.delta(o, t))
+                if pinned:
+                    mart_mean[(t, base, x)] = cond_average(
+                        f, t, members, lambda o: fund.delta(o, t))
     return JumpFunctionals(mart_mean, law)
 
 

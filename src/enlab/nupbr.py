@@ -10,20 +10,28 @@ nonnegative and somewhere positive scales into unbounded profit at
 bounded risk.  Verdicts therefore always carry a witness, and every
 witness is re-verifiable by elementary means.
 
-The relative-interior test runs one exact feasibility subproblem per
-child: weights q >= 0 with the probed child's weight pinned at one and
-zero total increment.  All children pass exactly when a strictly
-positive solution exists (sum the per-child solutions).  Scalar
-increments short-circuit to a sign test.
+Each node is decided once, by `_node_verdict`; `node_verdicts` walks
+the nodes lazily in (t, atom) order and `nupbr_check` stops at the
+first failing one.  Scalar increments reduce to a sign test.  Otherwise
+the conditional probabilities are the weights when they already give
+zero mean increment; if not, each child j gets an exact feasibility
+subproblem, its weight LP: q >= 0 with q_j = 1 and zero weighted
+increment.  All children pass exactly when a strictly positive solution
+exists (sum the per-child solutions, each with q_j = 1).  By Farkas'
+lemma child j's weight LP is infeasible exactly when its direction LP
+is feasible: h with h.v_i >= 0 for every child i and h.v_j >= 1.  So
+the first child whose weight LP fails is the first whose direction LP
+succeeds, and that one LP gives the separating direction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionTooLarge, InternalCheckFailed, InvalidWitness
+from .errors import DimensionTooLarge, InvalidWitness
 from .finite_prob import (
     ONE,
     ZERO,
@@ -36,7 +44,7 @@ from .finite_prob import (
     stochastic_exponential,
 )
 from .random_times import RandomTimeAnalysis
-from .enlargement import _require_class_h, after_atoms, jump_functionals
+from .enlargement import _require_class_h, jump_functionals
 from .simplex import solve_nonneg_equalities
 
 NodeKey = tuple[int, Block]
@@ -51,19 +59,17 @@ class DeflatorWitness:
     """Strictly positive one-step weights per node, summing to one."""
 
     node_weights: dict[NodeKey, tuple[Fraction, ...]]
-    kind: str = "deflator"
 
 
 @dataclass(frozen=True)
 class ArbitrageWitness:
-    """First node (lexicographic) with one-step arbitrage, and the
-    direction whose wealth is nonnegative on all children and positive
-    on at least one."""
+    """A node with one-step arbitrage (in a failed verdict, the first in
+    (t, atom) order), and the direction whose wealth is nonnegative on
+    all children and positive on at least one."""
 
     t: int
     atom: Block
     direction: tuple[Fraction, ...]
-    kind: str = "arbitrage"
 
 
 @dataclass(frozen=True)
@@ -94,123 +100,98 @@ def _child_increments(components: list[AdaptedProcess],
             for child in children]
 
 
-def _scalar_node_weights(vectors, probs) -> tuple[Fraction, ...] | None:
-    """d = 1 short-circuit: feasible iff increments are all zero or carry
-    both signs; canonical weights split unit mass over each sign class."""
-    pos = [i for i, v in enumerate(vectors) if v[0] > 0]
-    neg = [i for i, v in enumerate(vectors) if v[0] < 0]
-    if not pos and not neg:
-        return tuple(probs)
-    if not pos or not neg:
-        return None
-    raw = [ZERO] * len(vectors)
-    for i in pos:
-        raw[i] = ONE / (len(pos) * vectors[i][0])
-    for i in neg:
-        raw[i] = -ONE / (len(neg) * vectors[i][0])
-    for i, v in enumerate(vectors):
-        if v[0] == 0:
-            raw[i] = ONE
-    total = sum(raw)
-    return tuple(w / total for w in raw)
-
-
-def _lp_node_weights(vectors, probs) -> tuple[Fraction, ...] | None:
-    """Exact relative-interior test: per child j, find q >= 0 with
-    q_j = 1 and zero weighted increment; sum the solutions."""
+def _node_verdict(vectors, probs) -> tuple[bool, tuple[Fraction, ...]]:
+    """One node's verdict from its children's increments and conditional
+    probabilities: (True, strictly positive weights summing to one with
+    zero weighted increment), or (False, a separating direction)."""
     d = len(vectors[0])
     n = len(vectors)
+    if d == 1:
+        # feasible iff the increments are all zero or carry both signs;
+        # the weights split unit mass over each sign class
+        pos = [i for i, v in enumerate(vectors) if v[0] > 0]
+        neg = [i for i, v in enumerate(vectors) if v[0] < 0]
+        if not pos and not neg:
+            return True, tuple(probs)
+        if not neg:
+            return False, (ONE,)
+        if not pos:
+            return False, (-ONE,)
+        raw = [ONE] * n
+        for i in pos:
+            raw[i] = ONE / (len(pos) * vectors[i][0])
+        for i in neg:
+            raw[i] = -ONE / (len(neg) * vectors[i][0])
+        total = sum(raw)
+        return True, tuple(w / total for w in raw)
     # canonical candidate first: the conditional probabilities themselves
     if all(sum(p * v[k] for p, v in zip(probs, vectors)) == 0
            for k in range(d)):
-        return tuple(probs)
+        return True, tuple(probs)
     combined = [ZERO] * n
     for j in range(n):
         rows = [[vectors[i][k] for i in range(n)] for k in range(d)]
         rows.append([ONE if i == j else ZERO for i in range(n)])
-        rhs = [ZERO] * d + [ONE]
-        sol = solve_nonneg_equalities(rows, rhs)
+        sol = solve_nonneg_equalities(rows, [ZERO] * d + [ONE])
         if sol is None:
-            return None
+            return False, _direction(vectors, j)
         combined = [a + b for a, b in zip(combined, sol)]
     total = sum(combined)
-    weights = tuple(w / total for w in combined)
-    if any(w <= 0 for w in weights):
-        raise InternalCheckFailed("summed node weights not strictly positive")
-    return weights
+    return True, tuple(w / total for w in combined)
 
 
-def _arbitrage_direction(vectors) -> tuple[Fraction, ...]:
-    """Separating direction at an infeasible node: h with h.v_i >= 0 for
-    all children and h.v_j >= 1 for the first violating child."""
+def _direction(vectors, j) -> tuple[Fraction, ...]:
+    """Child j's direction LP, feasible because its weight LP is not:
+    h = h+ - h- and slacks s >= 0 with h.v_i - s_i = [i == j], so h.v_i
+    >= 0 for every child i and h.v_j >= 1.  h in coprime integers."""
     d = len(vectors[0])
     n = len(vectors)
-    for j in range(n):
-        # variables: h+ (d), h- (d), slacks (n)
-        rows = []
-        rhs = []
-        for i in range(n):
-            row = ([vectors[i][k] for k in range(d)]
-                   + [-vectors[i][k] for k in range(d)]
-                   + [(-ONE if i == c else ZERO) for c in range(n)])
-            rows.append(row)
-            rhs.append(ONE if i == j else ZERO)
-        sol = solve_nonneg_equalities(rows, rhs)
-        if sol is None:
-            continue
-        h = tuple(sol[k] - sol[d + k] for k in range(d))
-        if _direction_valid(h, vectors):
-            return _canonical_direction(h)
-    raise InternalCheckFailed("infeasible node without separating direction")
-
-
-def _direction_valid(h, vectors) -> bool:
-    gains = [sum(a * b for a, b in zip(h, v)) for v in vectors]
-    return all(g >= 0 for g in gains) and any(g > 0 for g in gains)
-
-
-def _canonical_direction(h) -> tuple[Fraction, ...]:
-    """h scaled to coprime integers."""
+    rows = [[vectors[i][k] for k in range(d)]
+            + [-vectors[i][k] for k in range(d)]
+            + [(-ONE if i == c else ZERO) for c in range(n)]
+            for i in range(n)]
+    sol = solve_nonneg_equalities(rows, [ONE if i == j else ZERO
+                                         for i in range(n)])
+    h = [sol[k] - sol[d + k] for k in range(d)]
     denom = lcm(*(v.denominator for v in h))
     ints = [int(v * denom) for v in h]
-    g = gcd(*ints) or 1
+    g = gcd(*ints)
     return tuple(Fraction(v // g) for v in ints)
 
 
-def nupbr_check(x, space: FiniteFilteredSpace,
-                filtration: Filtration | None = None) -> NupbrVerdict:
-    """Node-by-node exact verdict for a scalar process or a sequence of
-    component processes (dimension at most 4), deterministic in node
-    order and witness construction."""
+def node_verdicts(x, space: FiniteFilteredSpace,
+                  filtration: Filtration | None = None
+                  ) -> Iterator[tuple[NodeKey,
+                                      tuple[Fraction, ...] | ArbitrageWitness]]:
+    """Each node's verdict, lazily and in (t, atom) order, for a scalar
+    process or a sequence of component processes (dimension at most 4):
+    the node's one-step weights, or an ArbitrageWitness naming it."""
     components = _components(x)
     if len(components) > 4:
         raise DimensionTooLarge(f"dimension {len(components)} exceeds 4")
     f = filtration or space.filtration
     components = [c.on(f) for c in components]
-    scalar = len(components) == 1
-
-    node_weights: dict[NodeKey, tuple[Fraction, ...]] = {}
     for t in range(1, space.horizon + 1):
         for atom in f.partitions[t - 1]:
             children = f.children(t - 1, atom)
-            vectors = _child_increments(components, children, t)
-            probs = [f.share(t, child) for child in children]
-            weights = (_scalar_node_weights(vectors, probs) if scalar
-                       else _lp_node_weights(vectors, probs))
-            if weights is None:
-                direction = (_scalar_arbitrage(vectors) if scalar
-                             else _arbitrage_direction(vectors))
-                return NupbrVerdict(False,
-                                    ArbitrageWitness(t, atom, direction),
-                                    f.label)
-            node_weights[(t, atom)] = weights
+            feasible, values = _node_verdict(
+                _child_increments(components, children, t),
+                [f.share(t, child) for child in children])
+            yield (t, atom), (values if feasible
+                              else ArbitrageWitness(t, atom, values))
+
+
+def nupbr_check(x, space: FiniteFilteredSpace,
+                filtration: Filtration | None = None) -> NupbrVerdict:
+    """The verdict of node_verdicts' walk: the witness of its first
+    failing node, or the weights of every node."""
+    f = filtration or space.filtration
+    node_weights: dict[NodeKey, tuple[Fraction, ...]] = {}
+    for key, verdict in node_verdicts(x, space, f):
+        if isinstance(verdict, ArbitrageWitness):
+            return NupbrVerdict(False, verdict, f.label)
+        node_weights[key] = verdict
     return NupbrVerdict(True, DeflatorWitness(node_weights), f.label)
-
-
-def _scalar_arbitrage(vectors) -> tuple[Fraction]:
-    if any(v[0] > 0 for v in vectors):
-        return (ONE,)
-    return (-ONE,)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +372,10 @@ def levy_condition_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     after-restriction of the base one.  The witnesses are the jump fibres
     (t, B, x) of base atoms B with an after-atom where the enlarged
     density 1 - mart_mean/(1 - left) vanishes: left + mart_mean = 1."""
-    jf = jump_functionals(asset, analysis)
-    after_reachable = {(a.t, a.base) for a in after_atoms(analysis)}
     witnesses = tuple(
-        (t, base, x) for (t, base, x), mean in jf.mart_mean.items()
-        if (t, base) in after_reachable
-        and analysis.survival.at(base[0], t - 1) + mean == 1)
+        (t, base, x) for (t, base, x), mean in
+        jump_functionals(asset, analysis).mart_mean.items()
+        if analysis.survival.at(base[0], t - 1) + mean == 1)
     return LevyConditionReport(
         equivalent=not witnesses, witnesses=witnesses,
         asset_nupbr_f=nupbr_check(asset, analysis.space).satisfied)

@@ -178,6 +178,15 @@ def test_jump_law_against_outcomes():
     assert empty > 0
 
 
+def _split_at_after_atoms(ref, tau):
+    """The reference fibres at base atoms with an after-atom (an outcome
+    with tau <= t - 1), where mart_mean is read, and the keys of the
+    others, where it is not computed."""
+    read = {k: v for k, v in ref.items()
+            if any(tau[o] <= k[0] - 1 for o in k[1])}
+    return read, [k for k in ref if k not in read]
+
+
 def test_jump_functionals_stop(tree_space, walk, stop_analysis):
     # constant fundamental martingale: zero jump means everywhere; the
     # alive probability is one on the support where survival_left < 1
@@ -187,7 +196,9 @@ def test_jump_functionals_stop(tree_space, walk, stop_analysis):
     jf = jump_functionals(walk, stop_analysis)
     assert all(v == 0 for v in jf.mart_mean.values())
     ref = ref_jump_fibres(tree_space, stop_analysis.tau, walk)
-    assert list(ref) == list(jf.mart_mean)
+    read, unread = _split_at_after_atoms(ref, stop_analysis.tau)
+    assert list(read) == list(jf.mart_mean)
+    assert unread and not set(unread) & set(jf.mart_mean)
     for (t, base, x), (alive, _) in ref.items():
         left = stop_analysis.survival.at(base[0], t - 1)
         assert alive == (1 if left < 1 else 0)
@@ -210,13 +221,17 @@ def test_jump_fibre_facts_against_outcomes(class_h_cases):
     # - mean <= alive, and Z~_t = 1 on every child of a dead fibre
     # (jump_functionals no longer checks these; they follow from
     # Z~ in [0, 1] and Z~_t = Z_{t-1} + dM_t)
-    dead = 0
+    # mart_mean is computed only at base atoms with an after-atom
+    dead = unread_total = 0
     for asset, analysis in class_h_cases:
         jf = jump_functionals(asset, analysis)
         ref = ref_jump_fibres(analysis.space, analysis.tau, asset)
-        assert list(jf.mart_mean) == list(ref)
+        read, unread = _split_at_after_atoms(ref, analysis.tau)
+        assert list(jf.mart_mean) == list(read)
+        assert jf.mart_mean == {k: mean for k, (_, mean) in read.items()}
+        assert not set(unread) & set(jf.mart_mean)
+        unread_total += len(unread)
         for (t, base, x), (alive, mean) in ref.items():
-            assert jf.mart_mean[(t, base, x)] == mean
             rest = 1 - analysis.survival.at(base[0], t - 1) - mean
             assert (alive == 0) == (rest == 0)
             assert 0 <= rest <= alive
@@ -224,7 +239,7 @@ def test_jump_fibre_facts_against_outcomes(class_h_cases):
                 dead += 1
                 assert all(analysis.survival_incl.at(o, t) == 1
                            for o in base if asset.delta(o, t) == x)
-    assert dead > 0
+    assert dead > 0 and unread_total > 0
 
 
 def test_g_characteristics_tent(tree_space, walk, tent_analysis):
