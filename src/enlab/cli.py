@@ -1,7 +1,9 @@
 """Deterministic command-line front end.
 
-Exit codes: 0 all hard checks passed, 1 a hard check failed (the report
-points at the first failure), 2 usage error.  Reports are JSON, tabular
+Exit codes: 0 all hard checks passed; 1 a hard check failed (each
+failing row of a verify report carries its counterexample, and the FAIL
+line names the first failing model, its first violated row and the
+command that replays it); 2 usage error.  Reports are JSON, tabular
 Monte Carlo output is CSV.  --threads (a positive count, on the commands
 that run worker threads: verify, crosscheck, example1, example2, psi),
 else ENLAB_THREADS, caps worker threads (clamped to the core count);
@@ -150,10 +152,16 @@ def cmd_verify(args) -> int:
                                args.depth, args.branching,
                                threads=thread_count(args.threads))
     _write_json(args.out, suite.to_json())
-    status = 0 if suite.ok else 1
-    return _summary(status, f"verify models={suite.n_models} "
-                            f"violations={suite.n_violations} "
-                            f"elapsed={suite.elapsed:.1f}s")
+    line = (f"verify models={suite.n_models} "
+            f"violations={suite.n_violations} elapsed={suite.elapsed:.1f}s")
+    if suite.ok:
+        return _summary(0, line)
+    seed, row = next((seed, row) for seed, row in
+                     zip(args.models_seed_range, suite.rows) if not row["ok"])
+    return _summary(1, f"{line} first={row['model_id']} "
+                       f"row={row['counterexample']['identity']} replay: "
+                       f"enlab verify --models-seed-range {seed}..{seed} "
+                       f"--depth {args.depth} --branching {args.branching}")
 
 
 def cmd_nupbr(args) -> int:

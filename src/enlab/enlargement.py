@@ -3,7 +3,10 @@ enlargement by an honest time, and the explicit deflator construction.
 
 Every operation here computes its target two independent ways, from
 first principles on the enlarged atoms and through the closed-form
-transfer expression, and the two are compared with zero tolerance.  The
+transfer expression, and the two are compared with zero tolerance.  A
+check returns the places where they differ as violations, one dict each
+naming the identity, the step t, the atom and the two sides (lhs, rhs);
+the constructors (hat_transform, build_deflator) raise instead.  The
 "strictly after" region is the set of increments at t with t - 1 >= tau:
 on it, the enlarged time-(t-1) atom inside a base atom B is the single
 set B & {tau <= t-1} (honesty pins the past value), which is what makes
@@ -100,20 +103,13 @@ def hat_transform(mart: AdaptedProcess, analysis: RandomTimeAnalysis
 # Compensators across filtrations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompensatorComparison:
-    direct: AdaptedProcess
-    via_formula: AdaptedProcess
-    u_direct: AdaptedProcess
-    u_via_formula: AdaptedProcess
-
-
 def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
-                        ) -> CompensatorComparison:
+                        ) -> list[dict]:
     """Enlarged compensator of the strictly-after part of a base
     finite-variation process, against its closed-form expression through
     base-compensators; also runs the weighted mode, where the integrand
-    carries 1/(1 - inclusive survival).
+    carries 1/(1 - inclusive survival).  Returns the nodes where the two
+    sides differ, as violations ([] when both modes hold).
 
     On the strictly-after region the inclusive supermartingale sits below
     one on a full-support space, so the weight is well defined; a unit
@@ -153,9 +149,18 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
     u_via_formula = analysis.after_integral(
         lambda o, t: gated_comp.delta(o, t) / (1 - analysis.survival.at(o, t - 1)))
 
-    if not (direct.equals(via_formula) and u_direct.equals(u_via_formula)):
-        raise InternalCheckFailed("compensator transfer mismatch")
-    return CompensatorComparison(direct, via_formula, u_direct, u_via_formula)
+    violations = []
+    for name, lhs, rhs in (("compensator", direct, via_formula),
+                           ("weighted_compensator", u_direct, u_via_formula)):
+        if not lhs.equals(rhs):
+            # each node, (t, atom at t), where the increments differ
+            violations += [
+                {"identity": name, "t": t,
+                 "atom": list(enlarged.partitions[t][i]),
+                 "lhs": str(a), "rhs": str(b)}
+                for t, rows in enumerate(zip(lhs.steps, rhs.steps))
+                for i, (a, b) in enumerate(zip(*rows)) if a != b]
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -231,38 +236,34 @@ def transfer_rows(analysis: RandomTimeAnalysis, atom: AfterAtom, integrands,
     return rows
 
 
-@dataclass(frozen=True)
-class ProjIdentityRow:
-    t: int
-    atom: Block
-    lhs: Fraction
-    rhs: Fraction
-    identity: str
-
-
-@dataclass(frozen=True)
-class ProjIdentityReport:
-    rows: tuple[ProjIdentityRow, ...]
+def transfer_check(analysis: RandomTimeAnalysis, integrands,
+                   names: tuple[str, str, str]) -> list[dict]:
+    """The transfer identities of `transfer_rows` on every after-atom,
+    with integrands(atom) the integrands there; returns the rows whose
+    two sides differ, as violations naming the step and the after-atom."""
+    violations = []
+    for atom in after_atoms(analysis):
+        for name, lhs, rhs in transfer_rows(analysis, atom, integrands(atom),
+                                            names):
+            if lhs != rhs:
+                violations.append({"identity": name, "t": atom.t,
+                                   "atom": list(atom.members),
+                                   "lhs": str(lhs), "rhs": str(rhs)})
+    return violations
 
 
 def proj_identity_check(mart: AdaptedProcess, analysis: RandomTimeAnalysis
-                        ) -> ProjIdentityReport:
+                        ) -> list[dict]:
     """The transfer identities for the increment of a base martingale on
     every after-tau predictable atom: the enlarged projections of dM, of
     dM/(1 - inclusive) and of 1/(1 - inclusive), each against its base
-    form divided by the left survival gap.
+    form divided by the left survival gap.  Returns the violated ones.
     """
     _require_class_h(analysis)
     mart = mart.on(analysis.space.filtration)
-    rows = []
-    for atom in after_atoms(analysis):
-        for name, lhs, rhs in transfer_rows(
-                analysis, atom, (lambda o, t=atom.t: mart.delta(o, t),),
-                ("weighted_jump", "jump_over_gap", "one_over_gap")):
-            rows.append(ProjIdentityRow(atom.t, atom.members, lhs, rhs, name))
-    if any(r.lhs != r.rhs for r in rows):
-        raise InternalCheckFailed("projection identity mismatch")
-    return ProjIdentityReport(tuple(rows))
+    return transfer_check(
+        analysis, lambda atom: (lambda o, t=atom.t: mart.delta(o, t),),
+        ("weighted_jump", "jump_over_gap", "one_over_gap"))
 
 
 # ---------------------------------------------------------------------------
@@ -311,66 +312,36 @@ def jump_functionals(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     return JumpFunctionals(mart_mean, law)
 
 
-@dataclass(frozen=True)
-class CharTuple:
-    """Predictable characteristics on the un-truncated convention
-    (identity truncation): drift per unit time step equals the first
-    moment of the jump kernel and there is no continuous part.  The
-    clock is the step counter, restricted after the time for the
-    enlarged tuple, whose keys are after-atoms."""
-
-    drift: dict[tuple[int, Block], Fraction]
-    kernel: dict[tuple[int, Block], dict[Fraction, Fraction]]
-
-
-@dataclass(frozen=True)
-class GCharReport:
-    direct: dict[tuple[int, Block, Fraction], Fraction]
-    via_formula: dict[tuple[int, Block, Fraction], Fraction]
-    char_base: CharTuple
-    char_enlarged: CharTuple
-
-
 def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
-                      ) -> GCharReport:
-    """Enlarged jump compensator of the strictly-after jump measure, from
-    first principles on after atoms and through the density
-    1 - mart_mean/(left gap) against the base kernel; exact equality is
-    asserted.  Also returns both predictable characteristic tuples.
+                      ) -> list[dict]:
+    """Enlarged jump compensator of the strictly-after jump measure, per
+    after-atom and jump size x: from first principles (lhs) and through
+    the density 1 - mart_mean/(left gap) against the base jump law (rhs).
+    Returns the pairs where the two differ, as violations.  Where they
+    agree the kernel is a conditional law of disjoint jump events
+    (density >= 0, mass <= 1), because the first-principles side is one.
     """
     _require_class_h(analysis)
     asset = asset.on(analysis.space.filtration)
     enlarged = analysis.enlarged
     jf = jump_functionals(asset, analysis)
 
-    char_base = CharTuple({key: sum(x * p for x, p in law.items())
-                           for key, law in jf.law.items()}, jf.law)
-
-    direct = {}
-    via_formula = {}
-    g_drift = {}
-    g_kernel = {}
+    violations = []
     for atom in after_atoms(analysis):
         t, base, members = atom.t, atom.base, atom.members
         left_gap = 1 - analysis.survival.at(base[0], t - 1)
         children = enlarged.children(t - 1, members)
-        law = {}
         for x, p in jf.law[(t, base)].items():
-            density = 1 - jf.mart_mean[(t, base, x)] / left_gap
-            law[x] = density * p
-            via_formula[(t, members, x)] = law[x]
-            direct[(t, members, x)] = cond_average(
+            via_formula = (1 - jf.mart_mean[(t, base, x)] / left_gap) * p
+            direct = cond_average(
                 enlarged, t, children,
                 lambda o: ONE if asset.delta(o, t) == x else ZERO)
-        g_kernel[(t, members)] = law
-        g_drift[(t, members)] = sum(x * p for x, p in law.items())
-    char_enlarged = CharTuple(g_drift, g_kernel)
-
-    # the kernels are conditional laws of disjoint jump events (density
-    # >= 0, mass <= 1) because the first-principles side equals them
-    if direct != via_formula:
-        raise InternalCheckFailed("enlarged jump compensator mismatch")
-    return GCharReport(direct, via_formula, char_base, char_enlarged)
+            if direct != via_formula:
+                violations.append({"identity": "jump_kernel", "t": t,
+                                   "atom": list(members), "x": str(x),
+                                   "lhs": str(direct),
+                                   "rhs": str(via_formula)})
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .enlargement import (
     g_compensator_after,
     hat_transform,
     proj_identity_check,
-    transfer_rows,
+    transfer_check,
 )
 from .errors import EnlabError
 from .finite_prob import (
@@ -53,21 +53,15 @@ def check_transfer_basis(analysis) -> list[dict]:
     martingale.
     """
     f = analysis.space.filtration
-    violations = []
-    for atom in after_atoms(analysis):
+
+    def indicators(atom):
         look = f.block_of[atom.t]
-        indicators = [lambda o, i=look[child[0]], look=look:
-                      ONE if look[o] == i else ZERO
-                      for child in f.children(atom.t - 1, atom.base)]
-        for name, lhs, rhs in transfer_rows(
-                analysis, atom, indicators,
-                ("after_indicator", "after_indicator_over_gap",
-                 "after_one_over_gap")):
-            if lhs != rhs:
-                violations.append({"identity": name, "t": atom.t,
-                                   "atom": list(atom.members),
-                                   "lhs": str(lhs), "rhs": str(rhs)})
-    return violations
+        return [lambda o, i=look[child[0]]: ONE if look[o] == i else ZERO
+                for child in f.children(atom.t - 1, atom.base)]
+
+    return transfer_check(analysis, indicators,
+                          ("after_indicator", "after_indicator_over_gap",
+                           "after_one_over_gap"))
 
 
 def check_hat_basis(analysis) -> list[dict]:
@@ -153,61 +147,53 @@ class ModelReport:
                 "counterexample": self.counterexample}
 
 
-def _holds(check, *args) -> bool:
-    """Run a hard-asserting operation; False when it raises."""
+def _built(construct, *args):
+    """(construct(*args), []), or (None, [the raised error]) when the
+    constructor raises: the one violation of the row that reads it."""
     try:
-        check(*args)
-    except EnlabError:
-        return False
-    return True
-
-
-def _status(ok: bool) -> str:
-    return "ok" if ok else "violated"
+        return construct(*args), []
+    except EnlabError as exc:
+        return None, [{"error": f"{type(exc).__name__}: {exc}"}]
 
 
 def run_model_identities(analysis, asset) -> ModelReport:
     space = analysis.space
-    identities: dict[str, str] = {}
     counterexample = None
 
-    def record(name: str, violations) -> None:
+    def record(name: str, violations) -> bool:
         nonlocal counterexample
-        identities[name] = "ok" if not violations else "violated"
         if violations and counterexample is None:
             counterexample = {"identity": name, "first": violations[0]}
+        return not violations
 
-    # analyze raises InvariantError when the fundamental martingale has
-    # drift, so every analysis that reaches here passed that test
-    record("fundamental_martingale", [])
-    record("hat_basis", check_hat_basis(analysis))
-    record("transfer_basis", check_transfer_basis(analysis))
-
-    # full operations on whole processes; each hard-asserts internally.
     # build_deflator runs the hat transform of the fundamental martingale;
     # only when the deflator fails is that transform re-run on its own,
-    # to tell whether the failure was the transform's.
+    # to tell whether the failure was the transform's
     mart = asset - compensator(asset, space)
-    try:
-        bundle = build_deflator(analysis)
-    except EnlabError:
-        bundle = None
-    fund_hat_ok = bundle is not None or _holds(
-        hat_transform, analysis.fundamental_martingale, analysis)
-    identities["hat_full"] = _status(
-        _holds(hat_transform, mart, analysis) and fund_hat_ok)
-    identities["g_compensator"] = _status(
-        _holds(g_compensator_after, bracket(asset, asset), analysis))
-    identities["proj_identities"] = _status(
-        _holds(proj_identity_check, mart, analysis))
-    record("jump_set_identity", check_jump_set(analysis))
-    identities["jump_characteristics"] = _status(
-        _holds(g_characteristics, asset, analysis))
+    bundle, deflator_errors = _built(build_deflator, analysis)
+    _, hat_errors = _built(hat_transform, mart, analysis)
+    if bundle is None:
+        hat_errors += _built(hat_transform, analysis.fundamental_martingale,
+                             analysis)[1]
 
+    rows = {
+        # analyze raises InvariantError when the fundamental martingale
+        # has drift, so every analysis that reaches here passed that test
+        "fundamental_martingale": [],
+        "hat_basis": check_hat_basis(analysis),
+        "transfer_basis": check_transfer_basis(analysis),
+        "hat_full": hat_errors,
+        "g_compensator": g_compensator_after(bracket(asset, asset), analysis),
+        "proj_identities": proj_identity_check(mart, analysis),
+        "jump_set_identity": check_jump_set(analysis),
+        "jump_characteristics": g_characteristics(asset, analysis),
+    }
+    identities = {name: "ok" if record(name, violations) else "violated"
+                  for name, violations in rows.items()}
     # build_deflator raises unless the driver is positive and zero
     # before the time, so both deflator rows read whether it returned
-    deflator = {"positivity": bundle is not None,
-                "pre_tau_zero": bundle is not None}
+    built = record("deflator", deflator_errors)
+    deflator = {"positivity": built, "pre_tau_zero": built}
     harvest = {"hypothesis": False, "conclusion": False}
     if bundle is not None:
         try:

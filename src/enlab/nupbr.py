@@ -256,25 +256,33 @@ def verify_witness(verdict: NupbrVerdict, x, space: FiniteFilteredSpace,
 
 @dataclass(frozen=True)
 class TransformBundle:
+    """The transforms of a scalar asset, or per field the list of those
+    of each component of a vector one."""
+
     purged: AdaptedProcess           # asset minus its jump-set jumps
     scaled: AdaptedProcess           # (1 - survival_left) . purged
     indicator_scaled: AdaptedProcess  # 1{survival_left < 1} . purged
 
 
-def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
-              ) -> TransformBundle:
+def transform(asset, analysis: RandomTimeAnalysis) -> TransformBundle:
     _require_class_h(analysis)
     f = analysis.space.filtration
-    asset = asset.on(f)
-    purged = asset - analysis.jump_part(asset)
-    scaled = AdaptedProcess.from_increments(
-        f, step=lambda o, t: ((1 - analysis.survival.at(o, t - 1))
-                              * purged.delta(o, t)))
-    indicator_scaled = AdaptedProcess.from_increments(
-        f, step=lambda o, t: (purged.delta(o, t)
-                              if analysis.survival.at(o, t - 1) < 1 else ZERO))
-    return TransformBundle(purged=purged, scaled=scaled,
-                           indicator_scaled=indicator_scaled)
+
+    def one(x: AdaptedProcess) -> tuple[AdaptedProcess, ...]:
+        x = x.on(f)
+        purged = x - analysis.jump_part(x)
+        scaled = AdaptedProcess.from_increments(
+            f, step=lambda o, t: ((1 - analysis.survival.at(o, t - 1))
+                                  * purged.delta(o, t)))
+        indicator_scaled = AdaptedProcess.from_increments(
+            f, step=lambda o, t: (purged.delta(o, t)
+                                  if analysis.survival.at(o, t - 1) < 1
+                                  else ZERO))
+        return purged, scaled, indicator_scaled
+
+    if isinstance(asset, AdaptedProcess):
+        return TransformBundle(*one(asset))
+    return TransformBundle(*map(list, zip(*map(one, asset))))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +291,8 @@ def transform(asset: AdaptedProcess, analysis: RandomTimeAnalysis
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    """The three verdicts, each with the process it judged."""
+    """The three verdicts, each with the process it judged (for a vector
+    asset, the list of its components' processes)."""
 
     after_g: NupbrVerdict        # after-part under the enlarged filtration
     scaled_f: NupbrVerdict       # gap-scaled purged asset under the base one
@@ -310,10 +319,11 @@ class CrosscheckReport:
         return self.a == self.b == self.c
 
 
-def theorem2_crosscheck(asset: AdaptedProcess, analysis: RandomTimeAnalysis
+def theorem2_crosscheck(asset, analysis: RandomTimeAnalysis
                         ) -> CrosscheckReport:
-    """Three verdicts whose equivalence is the continuous-time theorem;
-    the discrete engine only reports whether they agree."""
+    """Three verdicts whose equivalence is the continuous-time theorem,
+    for a scalar asset or a list of components; the discrete engine only
+    reports whether they agree."""
     space = analysis.space
     bundle = transform(asset, analysis)
     after = analysis.after_part(asset)

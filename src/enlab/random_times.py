@@ -106,13 +106,19 @@ class RandomTimeAnalysis:
             step=lambda o, t: (increments(o, t) if self.strictly_after(o, t)
                                else ZERO))
 
-    def after_part(self, x: AdaptedProcess) -> AdaptedProcess:
-        """The after-part x - x^tau of a base process."""
+    def after_part(self, x):
+        """The after-part x - x^tau of a base process; of a list of
+        components, the list of theirs."""
+        if not isinstance(x, AdaptedProcess):
+            return [self.after_part(c) for c in x]
         return self.after_integral(x.on(self.space.filtration).delta)
 
-    def jump_part(self, x: AdaptedProcess) -> AdaptedProcess:
+    def jump_part(self, x):
         """Pathwise sum of the increments of a base process on the jump
-        set, tagged with the base filtration."""
+        set, tagged with the base filtration; of a list of components,
+        the list of theirs."""
+        if not isinstance(x, AdaptedProcess):
+            return [self.jump_part(c) for c in x]
         f = self.space.filtration
         steps = x.on(f).steps
         jumps = [[ZERO] * len(part) for part in f.partitions]

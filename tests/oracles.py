@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -155,8 +156,14 @@ def grid_feasible(vectors, max_weight):
     covers every solvable case (the solution lattice of the nonzero
     columns is generated by 2x2 minors, each at most 18 in absolute
     value; rank-one systems reduce to two-term integer balances with
-    coefficients at most 9).
+    coefficients at most 9).  Answers are memoized on the vectors, so
+    tests that check the same instances enumerate them once per session.
     """
+    return _grid_feasible(tuple(map(tuple, vectors)), max_weight)
+
+
+@cache
+def _grid_feasible(vectors, max_weight):
     nonzero = [tuple(int(c) for c in v) for v in vectors
                if any(c != 0 for c in v)]
     if not nonzero:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from enlab import harness
 from enlab.cli import main
 from enlab.errors import (
     NonRefiningFiltration,
@@ -137,6 +139,34 @@ def test_cli_gen_nupbr_verify(tmp_path):
                  "--branching", "3", "--out", str(suite)]) == 0
     report = json.loads(suite.read_text())
     assert report["violations"] == 0 and report["models"] == 6
+
+
+def test_cli_verify_fail_line_names_the_first_failure(monkeypatch, capsys):
+    # a jump set that lacks a node, planted in the second model only:
+    # the FAIL line names that model, its violated row and the command
+    # that replays it
+    calls = []
+    real = harness.check_jump_set
+
+    def planted(analysis):
+        calls.append(analysis)
+        if len(calls) == 2:
+            analysis = dataclasses.replace(analysis,
+                                           jump_set=analysis.jump_set[1:])
+        return real(analysis)
+
+    monkeypatch.setattr(harness, "check_jump_set", planted)
+    assert main(["verify", "--models-seed-range", "1..3", "--depth", "5",
+                 "--branching", "3", "--threads", "1"]) == 1
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("FAIL verify models=3 violations=1 elapsed=")
+    assert line.endswith(
+        " first=seed-2 row=jump_set_identity replay: enlab verify "
+        "--models-seed-range 2..2 --depth 5 --branching 3")
+    monkeypatch.undo()
+    assert main(["verify", "--models-seed-range", "2..2", "--depth", "5",
+                 "--branching", "3"]) == 0
+    assert capsys.readouterr().out.startswith("PASS verify models=1 ")
 
 
 def test_cli_nupbr_on_tent(capsys):

@@ -13,6 +13,7 @@ from enlab.finite_prob import (
     bracket,
     build_space,
     compensator,
+    cond_average,
     is_martingale,
 )
 from enlab.enlargement import (
@@ -90,17 +91,17 @@ def test_hat_transform_tent_fundamental(tree_space, tent_analysis):
 
 def test_g_compensator_after_tent(tree_space, walk, tent_analysis):
     qv = bracket(walk, walk)
-    cmp = g_compensator_after(qv, tent_analysis)
-    assert ref_values(cmp.direct) == ref_values(cmp.via_formula)
+    assert g_compensator_after(qv, tent_analysis) == []
 
 
 def test_g_compensator_after_deterministic(tree_space, tent_analysis):
     det = adapted({o: [Q(0), Q(2), Q(3)] for o in tree_space.outcomes},
                   tree_space)
-    cmp = g_compensator_after(det, tent_analysis)
+    assert g_compensator_after(det, tent_analysis) == []
     # deterministic integrand: the direct increment on the after atom is
     # dV_t * (1 - E[incl survival | atom]) / (1 - survival_left)
     a = tent_analysis
+    direct = compensator(a.after_part(det), tree_space, a.enlarged)
     for o in ("uu", "dd"):
         for t in (1, 2):
             gap = 1 - a.survival.at(o, t - 1)
@@ -110,13 +111,13 @@ def test_g_compensator_after_deterministic(tree_space, tent_analysis):
                       for w in atom.base)
             avg /= sum(tree_space.prob[w] for w in atom.base)
             dv = det.at(o, t) - det.at(o, t - 1)
-            assert cmp.direct.delta(o, t) == dv * avg / gap
+            assert direct.delta(o, t) == dv * avg / gap
 
 
 def test_proj_identities(tree_space, walk, stop_analysis, tent_analysis):
     for analysis in (stop_analysis, tent_analysis):
-        report = proj_identity_check(walk, analysis)
-        assert len(report.rows) > 0
+        assert after_atoms(analysis)
+        assert proj_identity_check(walk, analysis) == []
 
 
 def test_transfer_rows_tent(tree_space, walk, tent_analysis):
@@ -154,7 +155,7 @@ def test_jump_law_against_outcomes():
         space, _, asset, analysis = generate_honest_model(seed, depth=4,
                                                           branching=3)
         jf = jump_functionals(asset, analysis)
-        chars = g_characteristics(asset, analysis)
+        assert g_characteristics(asset, analysis) == []
         f = space.filtration
         rows = ref_values(asset)
         keys = []
@@ -170,10 +171,7 @@ def test_jump_law_against_outcomes():
                 law = jf.law[(t, base)]
                 assert list(law) == sorted(expected)
                 assert law == {x: p / mass for x, p in expected.items()}
-                assert chars.char_base.kernel[(t, base)] == law
-                if not law:
-                    empty += 1
-                    assert chars.char_base.drift[(t, base)] == 0
+                empty += not law
         assert list(jf.law) == keys
     assert empty > 0
 
@@ -242,33 +240,49 @@ def test_jump_fibre_facts_against_outcomes(class_h_cases):
     assert dead > 0 and unread_total > 0
 
 
+def _enlarged_jump_law(asset, analysis, atom, x):
+    """P(the asset jumps by x at atom.t | the after-atom), from first
+    principles on the enlarged filtration."""
+    t = atom.t
+    return cond_average(analysis.enlarged, t,
+                        analysis.enlarged.children(t - 1, atom.members),
+                        lambda o: Q(1) if asset.delta(o, t) == x else Q(0))
+
+
 def test_g_characteristics_tent(tree_space, walk, tent_analysis):
-    report = g_characteristics(walk, tent_analysis)
-    assert report.direct[(2, ("uu",), Q(1))] == 1
-    assert report.direct[(2, ("uu",), Q(-1))] == 0
-    assert report.char_enlarged.kernel[(2, ("uu",))][Q(1)] == 1
+    assert g_characteristics(walk, tent_analysis) == []
+    atom = [a for a in after_atoms(tent_analysis)
+            if (a.t, a.members) == (2, ("uu",))][0]
+    assert _enlarged_jump_law(walk, tent_analysis, atom, Q(1)) == 1
+    assert _enlarged_jump_law(walk, tent_analysis, atom, Q(-1)) == 0
 
 
 def test_g_characteristics_stop(tree_space, walk, stop_analysis):
-    report = g_characteristics(walk, stop_analysis)
+    assert g_characteristics(walk, stop_analysis) == []
     # zero jump mean: the enlarged kernel is the restriction of the base one
-    for (t, members, x), v in report.direct.items():
-        base = [a.base for a in after_atoms(stop_analysis)
-                if a.t == t and a.members == members][0]
-        assert v == report.char_base.kernel[(t, base)][x]
+    law = jump_functionals(walk, stop_analysis).law
+    atoms = after_atoms(stop_analysis)
+    assert any(law[(a.t, a.base)] for a in atoms)
+    for atom in atoms:
+        for x, p in law[(atom.t, atom.base)].items():
+            assert _enlarged_jump_law(walk, stop_analysis, atom, x) == p
 
 
 def test_g_characteristics_kernels(class_h_cases):
-    # both tuples: nonnegative kernels of mass at most one, and the drift
-    # is the kernel mean (g_characteristics no longer checks either)
+    # the enlarged kernel, density 1 - mart_mean/(1 - left) times the
+    # base law, is nonnegative of mass at most one on every after-atom
+    # (g_characteristics does not check it; its first-principles side,
+    # which it equals, is a conditional law of disjoint jump events)
     for asset, analysis in class_h_cases:
-        report = g_characteristics(asset, analysis)
-        for char in (report.char_base, report.char_enlarged):
-            assert char.drift.keys() == char.kernel.keys()
-            for key, law in char.kernel.items():
-                assert all(p >= 0 for p in law.values())
-                assert sum(law.values()) <= 1
-                assert char.drift[key] == sum(x * p for x, p in law.items())
+        assert g_characteristics(asset, analysis) == []
+        jf = jump_functionals(asset, analysis)
+        for atom in after_atoms(analysis):
+            t, base = atom.t, atom.base
+            gap = 1 - analysis.survival.at(base[0], t - 1)
+            kernel = [(1 - jf.mart_mean[(t, base, x)] / gap) * p
+                      for x, p in jf.law[(t, base)].items()]
+            assert all(p >= 0 for p in kernel)
+            assert sum(kernel) <= 1
 
 
 def test_build_deflator_stop(tree_space, stop_analysis):
@@ -343,8 +357,7 @@ def test_hat_transform_martingale_for_all_basis(seed):
 def test_transfer_identities_on_models(seed):
     space, _, asset, analysis = generate_honest_model(seed, depth=4,
                                                       branching=3)
-    g_compensator_after(bracket(asset, asset), analysis)
-    proj_identity_check(_mart(asset, space), analysis)
-    jump_functionals(asset, analysis)
-    g_characteristics(asset, analysis)
-    build_deflator(analysis)
+    assert g_compensator_after(bracket(asset, asset), analysis) == []
+    assert proj_identity_check(_mart(asset, space), analysis) == []
+    assert g_characteristics(asset, analysis) == []
+    build_deflator(analysis)  # hard-asserts internally

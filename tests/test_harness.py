@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enlab import harness, random_times
 from enlab.enlargement import after_atoms, hat_transform
-from enlab.finite_prob import adapted, is_martingale
+from enlab.errors import InvariantError
+from enlab.finite_prob import MartingaleReport, adapted, is_martingale
 from enlab.harness import (
     check_hat_basis,
     check_transfer_basis,
@@ -119,6 +124,100 @@ def test_jump_set_row_names_a_dropped_node():
         "identity": "jump_set_identity",
         "first": {"identity": "jump_set_identity", "t": t,
                   "atom": list(atom), "misses_after_atom": True}}
+
+
+SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schemas"
+                     / "verify_report.schema.json").read_text())
+ROW_SCHEMA = SCHEMA["properties"]["rows"]["items"]
+
+
+def test_schema_lists_exactly_the_identity_keys_the_suite_writes():
+    written = run_identity_suite([1], depth=3, branching=3).rows[0]
+    identities = ROW_SCHEMA["properties"]["identities"]
+    assert list(written["identities"]) == IDENTITY_KEYS
+    assert list(identities["properties"]) == IDENTITY_KEYS
+    assert identities["required"] == IDENTITY_KEYS
+    assert identities["additionalProperties"] is False
+    counterexample = ROW_SCHEMA["properties"]["counterexample"]
+    assert counterexample["properties"]["identity"]["enum"] == [
+        *IDENTITY_KEYS, "deflator"]
+
+
+def _unenlarged(analysis):
+    """The analysis with the base filtration in place of the enlarged
+    one."""
+    broken = dataclasses.replace(analysis)
+    broken.__dict__["enlarged"] = analysis.space.filtration
+    return broken
+
+
+def _inclusive_as_left(analysis):
+    """The analysis with the left survival in place of the inclusive
+    one."""
+    return dataclasses.replace(analysis, survival_incl=analysis.survival)
+
+
+# per row: the harness function whose analysis is broken, how, and the
+# keys of the row's violations besides identity, t and atom
+PLANTS = {
+    "hat_basis": ("check_hat_basis", _unenlarged, {"drift"}),
+    "transfer_basis": ("check_transfer_basis", _inclusive_as_left, {"lhs", "rhs"}),
+    "hat_full": ("hat_transform", _unenlarged, None),
+    "g_compensator": ("g_compensator_after", _unenlarged, {"lhs", "rhs"}),
+    "proj_identities": ("proj_identity_check", _inclusive_as_left, {"lhs", "rhs"}),
+    "jump_set_identity": (
+        "check_jump_set",
+        lambda a: dataclasses.replace(a, jump_set=a.jump_set[1:]),
+        {"misses_after_atom"}),
+    "jump_characteristics": ("g_characteristics", _unenlarged,
+                             {"x", "lhs", "rhs"}),
+    "deflator": ("build_deflator", _unenlarged, None),
+}
+
+
+@pytest.mark.parametrize("row", PLANTS)
+def test_each_failed_row_names_its_node(monkeypatch, row):
+    # one broken input per run: only that row fails, and the
+    # counterexample names it with its first (t, atom), or with the
+    # error of the constructor it reads
+    jsonschema = pytest.importorskip("jsonschema")
+    _, _, asset, analysis = generate_honest_model(3, depth=5, branching=3)
+    name, plant, keys = PLANTS[row]
+    real = getattr(harness, name)
+    monkeypatch.setattr(harness, name,
+                        lambda *args: real(*args[:-1], plant(args[-1])))
+    report = run_model_identities(analysis, asset)
+    payload = report.to_json() | {"ok": report.ok}
+    jsonschema.validate(payload, ROW_SCHEMA)
+    assert not payload["ok"]
+    violated = {k for k, v in report.identities.items() if v != "ok"}
+    assert violated == {row} - {"deflator"}
+    assert all(report.deflator.values()) == (row != "deflator")
+    assert payload["counterexample"]["identity"] == row
+    first = payload["counterexample"]["first"]
+    if keys is None:
+        assert set(first) == {"error"}
+        assert first["error"].startswith("InternalCheckFailed: ")
+        assert " at t=" in first["error"]
+        return
+    assert set(first) == {"identity", "t", "atom"} | keys
+    if "lhs" in keys:
+        assert first["lhs"] != first["rhs"]
+    # a node: a sorted set of outcomes inside one base atom at t - 1
+    t, atom = first["t"], first["atom"]
+    f = analysis.space.filtration
+    assert 1 <= t <= f.horizon and atom == sorted(atom)
+    assert len({f.block_of[t - 1][o] for o in atom}) == 1
+
+
+def test_fundamental_martingale_row_is_decided_by_analyze(monkeypatch):
+    # that row cannot read violated in a report: a fundamental
+    # martingale with drift stops analyze, and so the suite
+    monkeypatch.setattr(random_times, "is_martingale",
+                        lambda *args: MartingaleReport(False, 1, ("0",), Q(1)))
+    with pytest.raises(InvariantError,
+                       match="fundamental martingale has drift"):
+        run_identity_suite([3], depth=5, branching=3)
 
 
 def _record_calls(monkeypatch, name, calls, record):

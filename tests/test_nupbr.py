@@ -194,6 +194,41 @@ def test_crosscheck_tent_all_false(tree_space, walk, tent_analysis):
     assert report.jump_set_size == 2
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_crosscheck_of_vector_assets(d):
+    # each process is the list of its components' processes, every
+    # verdict re-verifies, and b == c: per node, the gap-scaled and the
+    # gated increments differ by the positive factor 1 - Z_{t-1}, or
+    # both vanish
+    for seed in range(1, 6):
+        space, _, asset, analysis = generate_honest_model(seed, 4, 3, d=d)
+        report = theorem2_crosscheck(asset, analysis)
+        for processes in (report.after, report.scaled,
+                          report.indicator_scaled):
+            assert isinstance(processes, list) and len(processes) == d
+        for component, after, jumps in zip(asset, report.after,
+                                           analysis.jump_part(asset)):
+            assert ref_values(after) == ref_values(
+                analysis.after_part(component))
+            assert ref_values(jumps) == ref_values(
+                analysis.jump_part(component))
+        assert verify_witness(report.after_g, report.after, space,
+                              analysis.enlarged)
+        assert verify_witness(report.scaled_f, report.scaled, space)
+        assert verify_witness(report.indicator_f, report.indicator_scaled,
+                              space)
+        assert report.b == report.c
+
+
+def test_crosscheck_of_a_vector_on_the_tree(tree_space, walk, stop_analysis):
+    anti = adapted({o: [-v for v in row]
+                    for o, row in ref_values(walk).items()}, tree_space)
+    report = theorem2_crosscheck([walk, anti], stop_analysis)
+    assert report.a and report.b and report.c
+    assert verify_witness(report.after_g, report.after, tree_space)
+    assert verify_witness(report.scaled_f, report.scaled, tree_space)
+
+
 def test_corollary_check(tree_space, walk, stop_analysis, tent_analysis):
     stop = corollary_check(walk, stop_analysis)
     assert stop.jump_set_empty and stop.after_nupbr_g
