@@ -156,6 +156,14 @@ def _built(construct, *args):
         return None, [{"error": f"{type(exc).__name__}: {exc}"}]
 
 
+def _checked(check, *args) -> list[dict]:
+    """The violations check(*args) returns, or, when a guard inside it
+    raises (DivisionGuard, NotHonest, ...), that error as the row's one
+    violation."""
+    violations, errors = _built(check, *args)
+    return errors or violations
+
+
 def run_model_identities(analysis, asset) -> ModelReport:
     space = analysis.space
     counterexample = None
@@ -180,13 +188,14 @@ def run_model_identities(analysis, asset) -> ModelReport:
         # analyze raises InvariantError when the fundamental martingale
         # has drift, so every analysis that reaches here passed that test
         "fundamental_martingale": [],
-        "hat_basis": check_hat_basis(analysis),
-        "transfer_basis": check_transfer_basis(analysis),
+        "hat_basis": _checked(check_hat_basis, analysis),
+        "transfer_basis": _checked(check_transfer_basis, analysis),
         "hat_full": hat_errors,
-        "g_compensator": g_compensator_after(bracket(asset, asset), analysis),
-        "proj_identities": proj_identity_check(mart, analysis),
-        "jump_set_identity": check_jump_set(analysis),
-        "jump_characteristics": g_characteristics(asset, analysis),
+        "g_compensator": _checked(g_compensator_after,
+                                  bracket(asset, asset), analysis),
+        "proj_identities": _checked(proj_identity_check, mart, analysis),
+        "jump_set_identity": _checked(check_jump_set, analysis),
+        "jump_characteristics": _checked(g_characteristics, asset, analysis),
     }
     identities = {name: "ok" if record(name, violations) else "violated"
                   for name, violations in rows.items()}

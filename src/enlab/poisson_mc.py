@@ -14,6 +14,16 @@ drawn from counter-based Philox streams keyed by (master seed, stream
 id, chunk index, round), so results are bit-identical across runs,
 chunk scheduling orders, and thread counts; per-path replay rebuilds any
 row of a run from its indices alone.
+
+A chunk advances in rounds of COLS jumps per row.  Each round draws its
+(rows, COLS) block of exponential gaps into a buffer and forms its jump
+times, surplus and ladder in place, and each worker hands the same
+buffers to its chunks in turn (_map_chunks, _buffer), so a run does not
+allocate fresh full-width arrays per operation.  ruin_mc stops stepping
+a row once it is decided, at the first round end where its ladder is at
+or below -u_dec; it still draws every round's full block, so each row
+keeps its place in the stream, and the decided row's running maximum is
+final.
 """
 
 from __future__ import annotations
@@ -113,44 +123,82 @@ class _ChunkPaths:
     censored: np.ndarray
 
 
+def _buffer(scratch: dict, key, rows: int, cols: int = COLS, dtype=float,
+            keep: int = 0) -> np.ndarray:
+    """The leading `cols` columns of the uninitialised array that
+    `scratch` keeps under `key`.  A worker passes one scratch dict to
+    each of its chunks in turn, so a chunk refills the arrays of the one
+    before instead of faulting in fresh pages; an array lives until the
+    next chunk.  A kept array of other rows or dtype, or narrower, is
+    replaced by one that keeps its first `keep` columns."""
+    buf = scratch.get(key)
+    if buf is None or buf.shape[0] != rows or buf.shape[1] < cols \
+            or buf.dtype != dtype:
+        wide = np.empty((rows, cols), dtype)
+        if keep:
+            wide[:, :keep] = buf[:, :keep]
+        buf = scratch[key] = wide
+    return buf[:, :cols]
+
+
 def _simulate_chunk(model: PoissonModel, master_seed: int, chunk_index: int,
-                    rows: int, min_time: float) -> _ChunkPaths:
+                    rows: int, min_time: float,
+                    scratch: dict | None = None) -> _ChunkPaths:
     mu, a = model.mu, model.a
-    rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    scratch = {} if scratch is None else scratch
+    # each round draws into `gaps` and forms its jump times, post-jump
+    # and pre-jump surplus in its own columns of the chunk's arrays; the
+    # stop test then reuses `gaps`
+    gaps = _buffer(scratch, "gaps", rows)
+    stop_ok = _buffer(scratch, "stop_ok", rows, dtype=bool)
     has_stop = np.zeros(rows, dtype=bool)
+    first_stop = np.zeros(rows, dtype=np.intp)
     last = np.zeros(rows)
     max_rounds = int(model.t_max * 2 / COLS) + 8
     for rnd in range(max_rounds):
-        gen = _stream(master_seed, _STREAM_PATHS, chunk_index, rnd)
-        gaps = gen.standard_exponential((rows, COLS))
+        cols = (rnd + 1) * COLS
+        T, post_y, pre_y = (_buffer(scratch, name, rows, cols,
+                                    keep=rnd * COLS)
+                            for name in ("T", "post_y", "pre_y"))
+        now = np.s_[:, rnd * COLS:cols]
+        _stream(master_seed, _STREAM_PATHS, chunk_index,
+                rnd).standard_exponential(out=gaps)
         # seeded with the last jump time, the cumsum adds the same floats
         # in the same order as one cumsum over every round drawn so far
         gaps[:, 0] += last
-        T = np.cumsum(gaps, axis=1)
-        post_y = mu * T - np.arange(rnd * COLS + 1, (rnd + 1) * COLS + 1)
-        stop_ok = (post_y - a >= model.u_star) & (T >= min_time)
-        rounds.append((T, post_y, stop_ok))
-        has_stop |= stop_ok.any(axis=1)
+        np.cumsum(gaps, axis=1, out=T[now])
+        # mu * T, formed once in pre_y, gives both surpluses
+        k = np.arange(rnd * COLS + 1, cols + 1)
+        np.multiply(mu, T[now], out=pre_y[now])
+        np.subtract(pre_y[now], k, out=post_y[now])
+        pre_y[now] -= k - 1
+        np.greater_equal(np.subtract(post_y[now], a, out=gaps), model.u_star,
+                         out=stop_ok)
+        # jump times are nonnegative: a min_time <= 0 passes every column
+        if min_time > 0:
+            stop_ok &= np.greater_equal(
+                T[now], min_time, out=_buffer(scratch, "late", rows,
+                                              dtype=bool))
+        first = stop_ok.any(axis=1) & ~has_stop
+        first_stop[first] = rnd * COLS + np.argmax(stop_ok[first], axis=1)
+        has_stop |= first
         last = T[:, -1]
         if (has_stop | (last > model.t_max)).all():
             break
     else:
         raise EnlabError("chunk simulation exceeded the round cap")
-    T, post_y, stop_ok = (parts[0] if len(parts) == 1
-                          else np.concatenate(parts, axis=1)
-                          for parts in zip(*rounds))
-    cols = T.shape[1]
-    k = np.arange(1, cols + 1)
-
-    first_stop = np.argmax(stop_ok, axis=1)
-    over_cap = T > model.t_max
-    first_over = np.where(over_cap.any(axis=1), np.argmax(over_cap, axis=1),
-                          cols - 1)
     row_idx = np.arange(rows)
     censored = ~has_stop | (T[row_idx, first_stop] > model.t_max)
-    k_stop = np.where(has_stop & ~censored, first_stop, first_over)
+    # a censored row stops at its first jump past the cap, or at its
+    # last column when it has none
+    k_stop = first_stop.copy()
+    over_cap = T[censored] > model.t_max
+    k_stop[censored] = np.where(over_cap.any(axis=1),
+                                np.argmax(over_cap, axis=1), cols - 1)
 
-    below = (post_y <= a) & (k - 1 <= k_stop[:, None])
+    below = np.less_equal(post_y, a,
+                          out=_buffer(scratch, "below", rows, cols, bool))
+    below &= np.arange(cols) <= k_stop[:, None]
     any_below = below.any(axis=1)
     last_below = cols - 1 - np.argmax(below[:, ::-1], axis=1)
     k_star = np.where(any_below, last_below, -1)
@@ -158,9 +206,8 @@ def _simulate_chunk(model: PoissonModel, master_seed: int, chunk_index: int,
     base_y = np.where(any_below, post_y[row_idx, k_star], 0.0)
     tau_hat = base_t + (a - base_y) / mu
 
-    return _ChunkPaths(T=T, post_y=post_y, pre_y=mu * T - (k - 1),
-                       k_stop=k_stop, k_star=k_star, tau_hat=tau_hat,
-                       censored=censored)
+    return _ChunkPaths(T=T, post_y=post_y, pre_y=pre_y, k_stop=k_stop,
+                       k_star=k_star, tau_hat=tau_hat, censored=censored)
 
 
 def replay_path(model: PoissonModel, master_seed: int, path_index: int,
@@ -189,13 +236,22 @@ def _chunk_layout(n_paths: int) -> list[tuple[int, int]]:
 
 
 def _map_chunks(fn, n_paths: int, threads: int | None):
+    """[fn(chunk_index, rows, scratch) for each chunk], in chunk order.
+    Worker w runs chunks w, w + workers, ... in turn with one scratch
+    dict (see _buffer), so fn must be done with a chunk's scratch arrays
+    when it returns."""
     layout = _chunk_layout(n_paths)
-    workers = thread_count(threads)
-    if workers == 1 or len(layout) == 1:
-        return [fn(idx, rows) for idx, rows in layout]
+    workers = max(1, min(thread_count(threads), len(layout)))
+
+    def run(first: int) -> list:
+        scratch: dict = {}
+        return [fn(idx, rows, scratch) for idx, rows in layout[first::workers]]
+
+    if workers == 1:
+        return run(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, idx, rows) for idx, rows in layout]
-        return [f.result() for f in futures]  # merge preserves chunk order
+        parts = list(pool.map(run, range(workers)))
+    return [parts[i % workers][i // workers] for i in range(len(layout))]
 
 
 def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
@@ -240,8 +296,8 @@ def example1_run(model: PoissonModel, paths: int, seed: int,
     """
     mu, a = model.mu, model.a
 
-    def work(chunk_index: int, rows: int):
-        c = _simulate_chunk(model, seed, chunk_index, rows, 0.0)
+    def work(chunk_index: int, rows: int, scratch: dict):
+        c = _simulate_chunk(model, seed, chunk_index, rows, 0.0, scratch)
         cols = c.T.shape[1]
         j = np.arange(cols)
         window = (j > c.k_star[:, None]) & (j <= c.k_stop[:, None])
@@ -249,7 +305,10 @@ def example1_run(model: PoissonModel, paths: int, seed: int,
         # structural monotonicity: no post-detection jump from the band
         bad = live & (c.pre_y <= a + 1.0)
         in_band = live & (c.post_y > a) & (c.post_y < a + 1.0)
-        landings = np.where(in_band, (a + 1.0) - c.post_y, 0.0).sum(axis=1)
+        landings = np.subtract(a + 1.0, c.post_y,
+                               out=_buffer(scratch, "landings", rows, cols))
+        landings[~in_band] = 0.0
+        landings = landings.sum(axis=1)
         wealth = (1.0 + landings) / mu
         return {
             "bad": int(bad.sum()),
@@ -441,8 +500,8 @@ def example2_run(model: PoissonModel, paths: int, seed: int,
     min_time = max(checkpoints)
     grids = _deflator_grids(mu, a, min_time)
 
-    def work(chunk_index: int, rows: int):
-        c = _simulate_chunk(model, seed, chunk_index, rows, min_time)
+    def work(chunk_index: int, rows: int, scratch: dict):
+        c = _simulate_chunk(model, seed, chunk_index, rows, min_time, scratch)
         w = _Window(c, mu, min_time)
         y0 = w.seg_y + mu * (w.s0 - w.seg_t)
         above_from = np.maximum(w.s0, w.crossing(a + 1.0))
@@ -520,18 +579,20 @@ def example2_selftest(model: PoissonModel, paths: int, seed: int,
     a = model.a
     min_time = max(checkpoints)
 
-    def work(chunk_index: int, rows: int):
-        c = _simulate_chunk(model, seed, chunk_index, rows, min_time)
+    def work(chunk_index: int, rows: int, scratch: dict):
+        c = _simulate_chunk(model, seed, chunk_index, rows, min_time, scratch)
         w = _Window(c, model.mu, min_time)
-        gen = _stream(seed, _STREAM_INDEP, chunk_index, 0)
-        cols_w = COLS
-        WT = np.cumsum(gen.standard_exponential((rows, cols_w)), axis=1)
-        while (WT[:, -1] < min_time).any():
-            cols_w += COLS
-            more = _stream(seed, _STREAM_INDEP, chunk_index,
-                           cols_w // COLS).standard_exponential((rows, COLS))
-            WT = np.concatenate([WT, WT[:, -1:] + np.cumsum(more, axis=1)],
-                                axis=1)
+        # the independent asset's jump times, one round of COLS per row
+        # at a time until every row passes min_time
+        w_rounds: list[np.ndarray] = []
+        while not w_rounds or (w_rounds[-1][:, -1] < min_time).any():
+            WT = _buffer(scratch, ("indep", len(w_rounds)), rows)
+            _stream(seed, _STREAM_INDEP, chunk_index,
+                    len(w_rounds)).standard_exponential(out=WT)
+            np.cumsum(WT, axis=1, out=WT)
+            if w_rounds:
+                WT += w_rounds[-1][:, -1:]
+            w_rounds.append(WT)
         # occupation of [a, a+1) inside the window
         band_from = np.maximum(w.s0, w.crossing(a))
         band_to = w.crossing(a + 1.0)
@@ -545,7 +606,8 @@ def example2_selftest(model: PoissonModel, paths: int, seed: int,
             _, band_jumps = w.jumps(cp, in_band)
             band = band_jumps.sum(axis=1) - band_leb
 
-            w_jumps = ((WT > c.tau_hat[:, None]) & (WT <= cp)).sum(axis=1)
+            w_jumps = sum(((WT > c.tau_hat[:, None]) & (WT <= cp)).sum(axis=1)
+                          for WT in w_rounds)
             indep = w_jumps - np.clip(cp - c.tau_hat, 0.0, None)
             out[cp] = (band[w.live], indep[w.live])
         return out
@@ -571,29 +633,52 @@ def ruin_mc(mu: float, us, n_paths: int, seed: int,
     """Monte Carlo ruin frequencies at several initial reserves from one
     set of claim arrival paths.
 
-    A path is decided once the dual ladder process has drifted below
-    minus the decision level, where the oracle bounds any later record
-    by _DECISION_EPS; per-path decision error is negligible against the
-    binomial standard errors returned.
+    A path is decided at the first round end where its dual ladder
+    process is at or below minus the decision level u_dec, where the
+    oracle bounds the probability of any later record by _DECISION_EPS:
+    its running maximum is final from then on, and later rounds step
+    only the undecided rows.  Every round still draws the chunk's full
+    block, so each row reads the same draws whichever rows are stepped.
+    A chunk ends when all its rows are decided, or raises at 400 rounds.
+    The per-path decision error is at most _DECISION_EPS, negligible
+    against the binomial standard errors returned.
     """
     us = np.asarray(us, dtype=float)
     u_dec = shared_tail_level(mu, _DECISION_EPS)
 
-    def work(chunk_index: int, rows: int):
+    def work(chunk_index: int, rows: int, scratch: dict):
         runmax = np.full(rows, -np.inf)
-        offset_k = 0
+        # the undecided rows, with their running maxima and last jump times
+        live = np.arange(rows)
+        live_max = runmax.copy()
         offset_t = np.zeros(rows)
+        block = _buffer(scratch, "block", rows)
+        steps = _buffer(scratch, "steps", rows)
         for rnd in range(400):
-            gen = _stream(seed, _STREAM_PATHS, chunk_index, rnd)
-            gaps = gen.standard_exponential((rows, COLS))
-            T = offset_t[:, None] + np.cumsum(gaps, axis=1)
-            k = offset_k + np.arange(1, COLS + 1)
-            ladder = k - mu * T
-            runmax = np.maximum(runmax, ladder.max(axis=1))
-            offset_k += COLS
-            offset_t = T[:, -1]
-            if (ladder[:, -1] <= -u_dec).all():
-                break
+            # the full block, so that every row keeps its place in the
+            # stream whichever rows are still stepped
+            _stream(seed, _STREAM_PATHS, chunk_index,
+                    rnd).standard_exponential(out=block)
+            # the undecided rows' gaps, gathered into `steps` (every index
+            # is in range; clip mode only spares take a temporary)
+            n = live.size
+            T = block if n == rows else np.take(block, live, axis=0,
+                                                out=steps[:n], mode="clip")
+            np.cumsum(T, axis=1, out=T)
+            T += offset_t[:, None]
+            offset_t = T[:, -1].copy()
+            k = np.arange(rnd * COLS + 1, (rnd + 1) * COLS + 1)
+            ladder = np.subtract(k, np.multiply(mu, T, out=T), out=T)
+            np.maximum(live_max, ladder.max(axis=1), out=live_max)
+            decided = ladder[:, -1] <= -u_dec
+            if decided.any():
+                runmax[live[decided]] = live_max[decided]
+                undecided = ~decided
+                live = live[undecided]
+                if not live.size:
+                    break
+                live_max = live_max[undecided]
+                offset_t = offset_t[undecided]
         else:
             raise EnlabError("ruin chunk exceeded the round cap")
         return (runmax[:, None] >= us[None, :]).sum(axis=0)

@@ -1,6 +1,7 @@
 """Independent brute-force oracles for the exact engine, plain-loop
-references for the ruin oracle, and one-jump-at-a-time and full-width
-references for the Monte Carlo paths and example-2 chunks.
+references for the ruin oracle, one-jump-at-a-time and full-width
+references for the Monte Carlo paths and example-2 chunks, and a
+row-at-a-time reference for the ruin estimator.
 
 These deliberately re-derive quantities from first principles, bypassing
 the package's grouped-atom machinery and its batched numerics, so that
@@ -386,6 +387,44 @@ def ref_simulate_chunk(model, master_seed, chunk_index, rows, min_time):
     return _ChunkPaths(T=T, post_y=post_y, pre_y=mu * T - (k - 1),
                        k_stop=k_stop, k_star=k_star, tau_hat=tau_hat,
                        censored=censored)
+
+
+def ref_ruin_runmax(mu, n_paths, seed):
+    """Per path of a ruin_mc run, the running maximum of the dual ladder
+    k - mu T_k up to the first round end where the ladder is at or below
+    -u_dec.  Each round draws its chunk's full block afresh, and each
+    row is stepped alone, only until its own decision."""
+    from enlab.poisson_mc import (
+        _DECISION_EPS,
+        _STREAM_PATHS,
+        CHUNK,
+        COLS,
+        _stream,
+    )
+    from enlab.ruin import shared_tail_level
+
+    u_dec = shared_tail_level(mu, _DECISION_EPS)
+    out = []
+    for chunk_index, start in enumerate(range(0, n_paths, CHUNK)):
+        rows = min(CHUNK, n_paths - start)
+        runmax = [-math.inf] * rows
+        last_t = [0.0] * rows
+        undecided = set(range(rows))
+        rnd = 0
+        while undecided:
+            gen = _stream(seed, _STREAM_PATHS, chunk_index, rnd)
+            block = gen.standard_exponential((rows, COLS))
+            k = np.arange(rnd * COLS + 1, (rnd + 1) * COLS + 1)
+            for row in sorted(undecided):
+                T = last_t[row] + np.cumsum(block[row])
+                ladder = k - mu * T
+                runmax[row] = max(runmax[row], float(ladder.max()))
+                last_t[row] = T[-1]
+                if ladder[-1] <= -u_dec:
+                    undecided.discard(row)
+            rnd += 1
+        out.extend(runmax)
+    return np.array(out)
 
 
 def ref_simulate_path(model, seed, min_time=0.0, path_index=0):

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enlab import harness, random_times
+from enlab.cli import main
 from enlab.enlargement import after_atoms, hat_transform
-from enlab.errors import InvariantError
+from enlab.errors import InvariantError, NotClassH, NotHonest
 from enlab.finite_prob import MartingaleReport, adapted, is_martingale
 from enlab.harness import (
     check_hat_basis,
@@ -208,6 +209,58 @@ def test_each_failed_row_names_its_node(monkeypatch, row):
     f = analysis.space.filtration
     assert 1 <= t <= f.horizon and atom == sorted(atom)
     assert len({f.block_of[t - 1][o] for o in atom}) == 1
+
+
+# per row: the harness name a guard raises from in the second model, and
+# the guard.  DivisionGuard comes from the real check given the base
+# filtration as the enlarged one (a transfer row then divides by a unit
+# inclusive survival); NotHonest and NotClassH are raised in its place.
+GUARDS = {
+    "transfer_basis": ("check_transfer_basis", "DivisionGuard"),
+    "proj_identities": ("proj_identity_check", "DivisionGuard"),
+    "hat_basis": ("after_atoms", "NotHonest"),
+    "jump_set_identity": ("check_jump_set", "NotClassH"),
+}
+
+
+@pytest.mark.parametrize("row", GUARDS)
+def test_guard_raised_in_a_check_is_that_rows_violation(monkeypatch, capsys,
+                                                        tmp_path, row):
+    # the guard is the row's one violation: the suite reports the other
+    # models, and the FAIL line names the model, row and replay command
+    jsonschema = pytest.importorskip("jsonschema")
+    name, guard = GUARDS[row]
+    real = getattr(harness, name)
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        if len(calls) != 2:
+            return real(*args)
+        if guard == "DivisionGuard":
+            return real(*args[:-1], _unenlarged(args[-1]))
+        raise {"NotHonest": NotHonest, "NotClassH": NotClassH}[guard](
+            "planted guard")
+
+    monkeypatch.setattr(harness, name, planted)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--models-seed-range", "1..3", "--depth", "5",
+                 "--branching", "3", "--threads", "1", "--out",
+                 str(out)]) == 1
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("FAIL verify models=3 violations=1 elapsed=")
+    assert line.endswith(
+        f" first=seed-2 row={row} replay: enlab verify "
+        "--models-seed-range 2..2 --depth 5 --branching 3")
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["ok"] for r in rows] == [True, False, True]
+    failed = rows[1]
+    jsonschema.validate(failed, ROW_SCHEMA)
+    assert {k for k, v in failed["identities"].items() if v != "ok"} == {row}
+    assert failed["counterexample"]["identity"] == row
+    first = failed["counterexample"]["first"]
+    assert set(first) == {"error"}
+    assert first["error"].startswith(f"{guard}: ")
 
 
 def test_fundamental_martingale_row_is_decided_by_analyze(monkeypatch):

@@ -6,19 +6,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from enlab import poisson_mc
 from enlab.errors import InvalidDrift
-from enlab.poisson_mc import ruin_mc
+from enlab.poisson_mc import CHUNK, COLS, ruin_mc
 from enlab.ruin import (
     RuinOracle,
     _alternating_cdf,
     _log_factorials,
     _sf_block,
+    shared_tail_level,
 )
 
 from .oracles import (
     ref_irwin_hall_cdf,
     ref_irwin_hall_sf,
     ref_psi_many,
+    ref_ruin_runmax,
     ref_tail_level,
 )
 
@@ -149,6 +152,60 @@ def test_ruin_mc_deterministic_and_thread_safe():
     two = ruin_mc(2.0, us, 30_000, seed=4, threads=3)
     assert np.array_equal(one[0], two[0])
     assert np.array_equal(one[1], two[1])
+
+
+@pytest.mark.parametrize("mu", [1.5, 2.0, 4.0])
+def test_ruin_mc_counts_match_row_reference(mu):
+    # two chunks, the second partial: every row stepped alone until its
+    # own decision gives the same counts, bit for bit, at 1 and 2 threads
+    us = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    n_paths, seed = CHUNK + 700, 61
+    runmax = ref_ruin_runmax(mu, n_paths, seed)
+    counts = (runmax[:, None] >= us[None, :]).sum(axis=0)
+    assert n_paths > counts[0] and counts[-1] > 0
+    for threads in (1, 2):
+        freq, _ = ruin_mc(mu, us, n_paths, seed, threads=threads)
+        assert np.array_equal(freq, counts / n_paths)
+
+
+class _PlantedStream:
+    """Stands in for a Philox generator: its exponential draws are the
+    rows of a fixed block."""
+
+    def __init__(self, gaps):
+        self.gaps = gaps
+
+    def standard_exponential(self, size=None, out=None):
+        rows = out.shape[0] if out is not None else size[0]
+        if out is None:
+            return self.gaps[:rows].copy()
+        out[...] = self.gaps[:rows]
+        return out
+
+
+def test_ruin_mc_decisions_are_final(monkeypatch):
+    # row 0 ends round 0 at -(u_dec + 1), never above 0 before: decided.
+    # Its round-1 draws would lift it far above u = 2, but a decided row
+    # is not stepped again.  The other rows climb in round 0 (ruined,
+    # undecided) and fall in round 1, so the chunk ends after two rounds
+    mu, rows = 2.0, 4
+    u_dec = shared_tail_level(mu, poisson_mc._DECISION_EPS)
+    rounds = []
+
+    def planted(seed, stream, chunk_index, rnd):
+        rounds.append(rnd)
+        gaps = np.full((rows, COLS), 10.0)
+        if rnd == 0:
+            gaps[0] = (COLS + u_dec + 1) / (mu * COLS)
+            gaps[1:] = 1e-3
+        elif rnd == 1:
+            gaps[0] = 1e-3
+        return _PlantedStream(gaps)
+
+    monkeypatch.setattr(poisson_mc, "_stream", planted)
+    freq, _ = ruin_mc(mu, [0.0, 2.0], rows, seed=0)
+    assert freq.tolist() == [0.75, 0.75]
+    assert rounds == [0, 1]
 
 
 # the reserve grid of the bit-for-bit checks: zero, integers, half
