@@ -4,10 +4,11 @@ Exit codes: 0 all hard checks passed; 1 a hard check failed (each
 failing row of a verify report carries its counterexample, and the FAIL
 line names the first failing model, its first violated row and the
 command that replays it); 2 usage error.  Reports are JSON, tabular
-Monte Carlo output is CSV.  --threads (a positive count, on the commands
-that run worker threads: verify, crosscheck, example1, example2, psi),
-else ENLAB_THREADS, caps worker threads (clamped to the core count);
-results are independent of its value.
+Monte Carlo output is CSV.  --threads (a positive count, on the Monte
+Carlo commands example1, example2 and psi) caps their worker threads,
+clamped to the core count and the chunk count; results are independent
+of its value.  The exact commands run in one thread and take no
+--threads.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .poisson_mc import (
     example1_run,
     example2_run,
     ruin_mc,
-    thread_count,
 )
 from .random_times import BRANCHINGS, DEPTHS, analyze, generate_honest_model
 from .ruin import RuinOracle
@@ -149,8 +149,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = run_identity_suite(args.models_seed_range,
-                               args.depth, args.branching,
-                               threads=thread_count(args.threads))
+                               args.depth, args.branching)
     _write_json(args.out, suite.to_json())
     line = (f"verify models={suite.n_models} "
             f"violations={suite.n_violations} elapsed={suite.elapsed:.1f}s")
@@ -190,8 +189,7 @@ def cmd_nupbr(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     suite = run_crosscheck(args.seeds, args.depth,
-                           args.branching, fixtures_dir=args.fixtures_dir,
-                           threads=thread_count(args.threads))
+                           args.branching, fixtures_dir=args.fixtures_dir)
     if args.csv:
         Path(args.csv).write_text("\n".join(suite.csv_lines()) + "\n")
     status = 0 if suite.n_witness_failures == 0 else 1
@@ -204,7 +202,7 @@ def cmd_crosscheck(args) -> int:
 def cmd_example1(args) -> int:
     model = PoissonModel(mu=args.mu, a=args.a)
     report = example1_run(model, args.paths, args.seed,
-                          threads=thread_count(args.threads))
+                          threads=args.threads)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("path_id,terminal_wealth,min_wealth\n")
@@ -220,10 +218,10 @@ def cmd_example1(args) -> int:
 
 def cmd_example2(args) -> int:
     model = PoissonModel(mu=args.mu, a=args.a)
-    threads = thread_count(args.threads)
     try:
         report = example2_run(model, args.paths, args.seed,
-                              checkpoints=args.checkpoints, threads=threads)
+                              checkpoints=args.checkpoints,
+                              threads=args.threads)
     except UsageError as exc:
         raise UsageError(f"argument --checkpoints: {exc}",
                          field="--checkpoints") from exc
@@ -248,7 +246,7 @@ def cmd_psi(args) -> int:
     us = np.asarray(args.u)
     pk = oracle.psi_many(us)
     freq, se = ruin_mc(args.mu, us, args.mc_paths, args.seed,
-                       threads=thread_count(args.threads))
+                       threads=args.threads)
     ok = bool(np.all(np.abs(pk - freq) <= 3 * se + 1e-12))
     lines = ["u,psi_pk,psi_mc,se"]
     for u, p, f, s in zip(us, pk, freq, se):
@@ -312,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_tree_shape(p)
     p.add_argument("--out", type=_output_file, required=True)
 
-    p = add("verify", cmd_verify, threads=True,
-            help="run the exact identity suite")
+    p = add("verify", cmd_verify, help="run the exact identity suite")
     p.add_argument("--models-seed-range", type=_seed_range, default="1..500")
     add_tree_shape(p)
     p.add_argument("--out", type=_output_file)
@@ -322,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", type=_output_file)
 
-    p = add("crosscheck", cmd_crosscheck, threads=True,
-            help="three-way theorem harness")
+    p = add("crosscheck", cmd_crosscheck, help="three-way theorem harness")
     p.add_argument("--seeds", type=_seed_range, default="1..1000")
     add_tree_shape(p)
     p.add_argument("--csv", type=_output_file)

@@ -13,7 +13,6 @@ collapsed checks agree with the full operations on sampled elements.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -234,15 +233,10 @@ class SuiteReport:
                 "elapsed_seconds": round(self.elapsed, 3), "rows": self.rows}
 
 
-def _threaded_map(fn, items, threads):
-    if not threads or threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_identity_suite(seeds, depth: int = 5, branching: int = 3,
                        threads: int | None = None) -> SuiteReport:
+    """One identity row per seed, in seed order.  `threads` is accepted
+    and unused: exact `Fraction` work does not run in parallel."""
     start = time.time()
 
     def one(seed: int) -> dict:
@@ -251,7 +245,7 @@ def run_identity_suite(seeds, depth: int = 5, branching: int = 3,
         report.model_id = f"seed-{seed}"
         return report.to_json() | {"ok": report.ok}
 
-    rows = _threaded_map(one, list(seeds), threads)
+    rows = [one(seed) for seed in seeds]
     suite = SuiteReport(rows=rows, n_models=len(rows),
                         n_violations=sum(not r["ok"] for r in rows),
                         elapsed=time.time() - start)
@@ -275,6 +269,8 @@ class CrosscheckSuite:
 def run_crosscheck(seeds, depth: int = 5, branching: int = 3,
                    fixtures_dir=None, threads: int | None = None
                    ) -> CrosscheckSuite:
+    """One theorem-2 row per seed, in seed order.  `threads` is accepted
+    and unused, as in `run_identity_suite`."""
     start = time.time()
 
     def one(seed: int) -> dict:
@@ -297,7 +293,7 @@ def run_crosscheck(seeds, depth: int = 5, branching: int = 3,
                        target / f"disagreement-seed-{seed}.json")
         return row
 
-    rows = _threaded_map(one, list(seeds), threads)
+    rows = [one(seed) for seed in seeds]
     return CrosscheckSuite(
         rows=rows,
         n_disagreements=sum(not r["agree"] for r in rows),

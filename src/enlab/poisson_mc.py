@@ -21,7 +21,8 @@ times, surplus and ladder in place, and each worker hands the same
 buffers to its chunks in turn (_map_chunks, _buffer), so a run does not
 allocate fresh full-width arrays per operation.  ruin_mc stops stepping
 a row once it is decided, at the first round end where its ladder is at
-or below -u_dec; it still draws every round's full block, so each row
+or below -u_dec, and draws each round's block only through its last
+undecided row.  Philox fills a block row by row, so every stepped row
 keeps its place in the stream, and the decided row's running maximum is
 final.
 """
@@ -57,16 +58,9 @@ _GRID_STEP = 1e-3
 
 
 def thread_count(explicit: int | None = None) -> int:
-    """Worker threads: the explicit value, else ENLAB_THREADS, else 1,
-    clamped to [1, os.cpu_count()]."""
-    if explicit is None:
-        env = os.environ.get("ENLAB_THREADS", "")
-        try:
-            explicit = int(env) if env else 1
-        except ValueError:
-            raise UsageError(
-                f"ENLAB_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(explicit, os.cpu_count() or 1))
+    """Worker threads: the explicit value, else 1, clamped to
+    [1, os.cpu_count()]."""
+    return max(1, min(explicit or 1, os.cpu_count() or 1))
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -637,8 +631,9 @@ def ruin_mc(mu: float, us, n_paths: int, seed: int,
     process is at or below minus the decision level u_dec, where the
     oracle bounds the probability of any later record by _DECISION_EPS:
     its running maximum is final from then on, and later rounds step
-    only the undecided rows.  Every round still draws the chunk's full
-    block, so each row reads the same draws whichever rows are stepped.
+    only the undecided rows.  Each round draws the chunk's block through
+    its last undecided row: Philox fills a block row by row, so each row
+    reads the same draws whichever rows are stepped.
     A chunk ends when all its rows are decided, or raises at 400 rounds.
     The per-path decision error is at most _DECISION_EPS, negligible
     against the binomial standard errors returned.
@@ -655,10 +650,10 @@ def ruin_mc(mu: float, us, n_paths: int, seed: int,
         block = _buffer(scratch, "block", rows)
         steps = _buffer(scratch, "steps", rows)
         for rnd in range(400):
-            # the full block, so that every row keeps its place in the
-            # stream whichever rows are still stepped
+            # the block's leading rows through the last undecided one;
+            # they hold the same draws as in the full block
             _stream(seed, _STREAM_PATHS, chunk_index,
-                    rnd).standard_exponential(out=block)
+                    rnd).standard_exponential(out=block[:live[-1] + 1])
             # the undecided rows' gaps, gathered into `steps` (every index
             # is in range; clip mode only spares take a temporary)
             n = live.size

@@ -157,7 +157,7 @@ def test_cli_verify_fail_line_names_the_first_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(harness, "check_jump_set", planted)
     assert main(["verify", "--models-seed-range", "1..3", "--depth", "5",
-                 "--branching", "3", "--threads", "1"]) == 1
+                 "--branching", "3"]) == 1
     line = capsys.readouterr().out.strip()
     assert line.startswith("FAIL verify models=3 violations=1 elapsed=")
     assert line.endswith(
@@ -339,13 +339,12 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
      "--paths"),
     (["example2", "--mu", "2", "--a", "1", "--paths", "-3", "--seed", "1"],
      "--paths"),
-    # commands that run no worker threads take no --threads
-    (["gen", "--seed", "1", "--out", os.devnull, "--threads", "7"],
+    # a worker-thread count below one ran as one thread with exit 0
+    (["example1", "--mu", "2", "--a", "1", "--seed", "1", "--threads", "0"],
      "--threads"),
-    (["nupbr", "--model", str(FIXTURES / "tent.json"), "--threads", "7"],
+    (["example2", "--mu", "2", "--a", "1", "--seed", "1", "--threads", "-1"],
      "--threads"),
-    (["brownian", "--epsilon", "0.25", "--dt", "1e-3", "--paths", "1",
-      "--seed", "1", "--time-cap", "0.002", "--threads", "7"], "--threads"),
+    (["psi", "--mu", "2", "--u", "0", "--threads", "0"], "--threads"),
     # at 1.0001 the ruin series would need more terms than the oracle's cap
     (["psi", "--mu", "1.0001", "--u", "0.5"], "--mu"),
     (["psi", "--mu", "0.5", "--u", "0.5"], "--mu"),
@@ -399,17 +398,18 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
     (["psi", "--mu", "2", "--u", "0", "--csv", MISSING], "--csv"),
     (["brownian", "--epsilon", "0.25", "--seed", "1", "--out", MISSING],
      "--out"),
-    # a worker-thread count below one ran as one thread with exit 0
-    (["verify", "--models-seed-range", "1..1", "--depth", "2",
-      "--threads", "-4"], "--threads"),
-    (["verify", "--models-seed-range", "1..1", "--depth", "2",
-      "--threads", "0"], "--threads"),
-    (["crosscheck", "--seeds", "1..1", "--threads", "0"], "--threads"),
-    (["example1", "--mu", "2", "--a", "1", "--seed", "1", "--threads", "0"],
+    # commands that run no worker threads take no --threads
+    (["gen", "--seed", "1", "--out", os.devnull, "--threads", "7"],
      "--threads"),
-    (["example2", "--mu", "2", "--a", "1", "--seed", "1", "--threads", "-1"],
+    (["nupbr", "--model", str(FIXTURES / "tent.json"), "--threads", "7"],
      "--threads"),
-    (["psi", "--mu", "2", "--u", "0", "--threads", "0"], "--threads"),
+    (["brownian", "--epsilon", "0.25", "--dt", "1e-3", "--paths", "1",
+      "--seed", "1", "--time-cap", "0.002", "--threads", "7"], "--threads"),
+    (["verify", "--models-seed-range", "1..1", "--depth", "2",
+      "--threads", "1"], "--threads"),
+    (["verify", "--models-seed-range", "1..1", "--depth", "2",
+      "--threads", "2"], "--threads"),
+    (["crosscheck", "--seeds", "1..1", "--threads", "2"], "--threads"),
     # a non-finite value compared 0 with 0 and passed, or escaped as a
     # traceback, or failed a check that had nothing to run on (a nan
     # --mu and an infinite --dt already exited 2)
@@ -446,9 +446,3 @@ def test_example2_builds_one_oracle_per_rate(monkeypatch, capsys):
                  "--seed", "1"]) == 0
     capsys.readouterr()
     assert built == [2.0]
-
-
-def test_cli_rejects_malformed_thread_setting(monkeypatch, capsys):
-    monkeypatch.setenv("ENLAB_THREADS", "two")
-    assert main(["psi", "--mu", "2", "--u", "0", "--mc-paths", "100"]) == 2
-    assert "ENLAB_THREADS" in capsys.readouterr().err

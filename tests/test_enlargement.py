@@ -149,30 +149,27 @@ def test_unit_inclusive_survival_trips_the_guard(tree_space, walk,
 
 def test_jump_law_against_outcomes():
     # P(dS = x | B) over the nonzero sizes, summed outcome by outcome;
-    # every base atom has a law, empty where the asset does not jump
+    # a law is emitted at each base atom with an after-atom, the only
+    # ones g_characteristics reads, and is empty where the asset does
+    # not jump
     empty = 0
     for seed in range(1, 21):
         space, _, asset, analysis = generate_honest_model(seed, depth=4,
                                                           branching=3)
         jf = jump_functionals(asset, analysis)
         assert g_characteristics(asset, analysis) == []
-        f = space.filtration
         rows = ref_values(asset)
-        keys = []
-        for t in range(1, space.horizon + 1):
-            for base in f.partitions[t - 1]:
-                keys.append((t, base))
-                mass = sum(space.prob[o] for o in base)
-                expected = {}
-                for o in base:
-                    x = rows[o][t] - rows[o][t - 1]
-                    if x != 0:
-                        expected[x] = expected.get(x, 0) + space.prob[o]
-                law = jf.law[(t, base)]
-                assert list(law) == sorted(expected)
-                assert law == {x: p / mass for x, p in expected.items()}
-                empty += not law
-        assert list(jf.law) == keys
+        assert list(jf.law) == [(a.t, a.base) for a in after_atoms(analysis)]
+        for (t, base), law in jf.law.items():
+            mass = sum(space.prob[o] for o in base)
+            expected = {}
+            for o in base:
+                x = rows[o][t] - rows[o][t - 1]
+                if x != 0:
+                    expected[x] = expected.get(x, 0) + space.prob[o]
+            assert list(law) == sorted(expected)
+            assert law == {x: p / mass for x, p in expected.items()}
+            empty += not law
     assert empty > 0
 
 

@@ -39,12 +39,6 @@ def test_identity_suite_small():
     assert row["counterexample"] is None
 
 
-def test_identity_suite_thread_invariance():
-    one = run_identity_suite(range(1, 7), depth=4, branching=3, threads=1)
-    two = run_identity_suite(range(1, 7), depth=4, branching=3, threads=3)
-    assert one.rows == two.rows
-
-
 def test_crosscheck_archives_nothing_without_disagreement(tmp_path):
     suite = run_crosscheck(range(1, 9), depth=4, branching=3,
                            fixtures_dir=tmp_path)
@@ -245,8 +239,7 @@ def test_guard_raised_in_a_check_is_that_rows_violation(monkeypatch, capsys,
     monkeypatch.setattr(harness, name, planted)
     out = tmp_path / "verify.json"
     assert main(["verify", "--models-seed-range", "1..3", "--depth", "5",
-                 "--branching", "3", "--threads", "1", "--out",
-                 str(out)]) == 1
+                 "--branching", "3", "--out", str(out)]) == 1
     line = capsys.readouterr().out.strip()
     assert line.startswith("FAIL verify models=3 violations=1 elapsed=")
     assert line.endswith(

@@ -9,6 +9,11 @@ compensator, brackets, exponential and the process arithmetic) and reads
 them through `nodes`, `steps`, `at` and `delta`, so the storage of a
 process can change inside `finite_prob` alone.
 
+Only `poisson_mc` runs worker threads: no other module of `src/enlab`
+imports `threading` or `concurrent.futures`.  The exact `Fraction`
+engine gains nothing from threads, so its runners map seeds in one
+loop.
+
 Every public top-level function and class of `src/enlab` is used by the
 package or by the benchmark in `perfbench/`, so code that only tests
 call lives in `tests/`.
@@ -23,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "enlab"
 STORAGE = {"_nodes", "_steps"}
+THREAD_MODULES = {"concurrent", "threading"}
 
 
 def storage_offenders(source: str) -> list[int]:
@@ -56,6 +62,42 @@ def test_only_finite_prob_touches_process_storage():
                  for path in modules if path.name != "finite_prob.py"
                  for line in storage_offenders(path.read_text())]
     assert offenders == []
+
+
+def thread_imports(source: str) -> list[int]:
+    """Lines of `source` that import `threading` or `concurrent.futures`,
+    in any import form."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in THREAD_MODULES for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_thread_guard_sees_each_kind_of_import():
+    planted = ("import threading\n"
+               "from concurrent.futures import ThreadPoolExecutor\n"
+               "import concurrent.futures as cf\n"
+               "from concurrent import futures\n"
+               "import os, threading\n"
+               "def f():\n    from threading import Lock\n")
+    assert sorted(thread_imports(planted)) == [1, 2, 3, 4, 5, 7]
+    assert thread_imports("import os\nimport threadingx\n"
+                          "from .threading import x\n"
+                          "from concurrent_x import y\n") == []
+
+
+def test_only_poisson_mc_imports_thread_machinery():
+    offenders = {path.name: thread_imports(path.read_text())
+                 for path in sorted(SRC.glob("*.py"))}
+    assert offenders.pop("poisson_mc.py")
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
 
 
 # Public names that only tests call, each kept for the ROADMAP item that

@@ -152,23 +152,15 @@ def test_example1_with_every_path_censored(capsys):
     assert not report.positive_at_99
 
 
-def test_thread_count_env(monkeypatch):
+def test_thread_count_clamps(monkeypatch):
     from enlab.poisson_mc import thread_count
 
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    monkeypatch.delenv("ENLAB_THREADS", raising=False)
     assert thread_count() == 1
-    monkeypatch.setenv("ENLAB_THREADS", "6")
-    assert thread_count() == 6
-    assert thread_count(2) == 2   # explicit argument wins
-    # both sources are clamped to the core count
+    assert thread_count(2) == 2
+    # clamped to the core count
     assert thread_count(1000) == 8
     assert thread_count(0) == 1
-    monkeypatch.setenv("ENLAB_THREADS", "64")
-    assert thread_count() == 8
-    monkeypatch.setenv("ENLAB_THREADS", "junk")
-    with pytest.raises(UsageError, match="ENLAB_THREADS"):
-        thread_count()
 
 
 def test_example1_deterministic_across_threads(model):
