@@ -1,14 +1,15 @@
 """Deterministic command-line front end.
 
 Exit codes: 0 all hard checks passed; 1 a hard check failed (each
-failing row of a verify report carries its counterexample, and the FAIL
-line names the first failing model, its first violated row and the
-command that replays it); 2 usage error.  Reports are JSON, tabular
-Monte Carlo output is CSV.  --threads (a positive count, on the Monte
-Carlo commands example1, example2 and psi) caps their worker threads,
-clamped to the core count and the chunk count; results are independent
-of its value.  The exact commands run in one thread and take no
---threads.
+failing row of a verify report carries its counterexample; the FAIL
+line of verify names the first failing model, its first violated row
+and the command that replays it, and that of brownian the first path
+failing the structural check and the command that replays it); 2 usage
+error.  Reports are JSON, tabular Monte Carlo output is CSV.  --threads
+(a positive count, on the Monte Carlo commands example1, example2 and
+psi) caps their worker threads, clamped to the core count and the chunk
+count; results are independent of its value.  The exact commands run in
+one thread and take no --threads.
 """
 
 from __future__ import annotations
@@ -281,10 +282,16 @@ def cmd_brownian(args) -> int:
                "class_h_plausible": report.class_h_plausible}
     _write_json(args.out, payload)
     status = 0 if report.structural_ok else 1
-    return _summary(status, f"brownian structural={report.structural_ok} "
-                            f"censored={report.n_censored}/{report.n_paths} "
-                            f"inner_mean={payload['inner_mean']:.4f} "
-                            f"(lattice {report.lattice_survival:.4f})")
+    line = (f"brownian structural={report.structural_ok} "
+            f"censored={report.n_censored}/{report.n_paths} "
+            f"inner_mean={payload['inner_mean']:.4f} "
+            f"(lattice {report.lattice_survival:.4f})")
+    if report.first_failed_path is not None:
+        i = report.first_failed_path
+        line += (f" first_path={i} replay: enlab brownian --epsilon "
+                 f"{args.epsilon} --dt {args.dt} --paths {i + 1} "
+                 f"--seed {args.seed} --time-cap {args.time_cap}")
+    return _summary(status, line)
 
 
 def build_parser() -> argparse.ArgumentParser:

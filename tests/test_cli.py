@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from enlab import harness
+from enlab import brownian_demo, harness
 from enlab.cli import main
 from enlab.errors import (
     NonRefiningFiltration,
@@ -313,13 +313,34 @@ def test_cli_brownian(tmp_path):
     assert payload["structural_ok"] is True
 
 
+def test_cli_brownian_fail_line_replays_the_first_failed_path(
+        tmp_path, monkeypatch, capsys):
+    failing = brownian_demo.simulate_ladder_path(0.25, 1e-3, 5, 3, 5.0)
+    monkeypatch.setattr(brownian_demo, "_structural_check",
+                        lambda path: path != failing)
+    out = tmp_path / "bd.json"
+    assert main(["brownian", "--epsilon", "0.25", "--dt", "0.001",
+                 "--paths", "6", "--seed", "5", "--time-cap", "5",
+                 "--out", str(out)]) == 1
+    replay = ("enlab brownian --epsilon 0.25 --dt 0.001 --paths 4 --seed 5 "
+              "--time-cap 5.0")
+    line = capsys.readouterr().out
+    assert line.startswith("FAIL ") and f"first_path=3 replay: {replay}" in line
+    assert "first_failed_path" not in json.loads(out.read_text())
+    # the replay fails on the same path, now the last one it runs
+    assert main(replay.split()[1:]) == 1
+    assert "first_path=3 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag, value", [("--paths", "0"), ("--dt", "0"),
                                          ("--time-cap", "0"),
                                          ("--time-cap", "-1"),
                                          ("--epsilon", "1.5"),
                                          ("--dt", "0.01"),
                                          ("--epsilon", "0.999"),
-                                         ("--time-cap", "0.0005")])
+                                         ("--time-cap", "0.0005"),
+                                         ("--dt", "1e-7"),
+                                         ("--time-cap", "1e6")])
 def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
     out = tmp_path / "bd.json"
     args = ["brownian", "--epsilon", "0.25", "--dt", "0.001", "--paths",
@@ -424,6 +445,12 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
      "--time-cap"),
     (["brownian", "--epsilon", "0.25", "--seed", "1", "--dt", "inf"],
      "--dt"),
+    # the nested walks started 250,000 steps from either boundary and
+    # never finished; a 10^8-step cap is the most the walk may take
+    (["brownian", "--epsilon", "0.25", "--dt", "1e-12", "--time-cap",
+      "1e-4", "--paths", "1", "--seed", "1"], "--dt"),
+    (["brownian", "--epsilon", "0.25", "--dt", "1e-6", "--time-cap", "101",
+      "--paths", "1", "--seed", "1"], "--time-cap"),
 ])
 def test_cli_rejects_out_of_range_flags(args, flag, capsys):
     assert main(args) == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 
@@ -409,6 +410,17 @@ def test_ladder_guards():
         simulate_ladder_path(0.5, 1e-4, 1, 0, 0.0)
     with pytest.raises(EnlabError):
         brownian_demo(0.25, 1e-3, paths=0, seed=1)
+    # below dt = 1e-6 the level one lies more than 1,000 steps up, and
+    # the nested walks would run for ever
+    with pytest.raises(UsageError) as small_dt:
+        simulate_ladder_path(0.25, 1e-12, 1, 0, 1e-4)
+    assert small_dt.value.field == "dt"
+    # a step cap above 10^8 is refused before any step is drawn
+    with pytest.raises(UsageError) as long_cap:
+        simulate_ladder_path(0.25, 1e-6, 1, 0, 101.0)
+    assert long_cap.value.field == "time_cap"
+    assert bd._levels(0.25, 1e-6) == (250, 1000)
+    assert simulate_ladder_path(0.25, 1e-6, 1, 0, 1e-4).censored
 
 
 def _reference_ladder(steps, k_eps, k_one, cap):
@@ -476,6 +488,64 @@ def test_ladder_extraction_matches_reference_scan():
             _reference_ladder(steps, k_eps, k_one, cap)
 
 
+def _drifting_steps(rng, n_segments):
+    """Segments of 50..600 steps, each biased down, up or neither, so the
+    walk wanders more than a word (64 steps) away from the levels and
+    comes back."""
+    steps = []
+    for _ in range(n_segments):
+        p_up = rng.choice([0.1, 0.5, 0.9])
+        steps += (2 * (rng.random(int(rng.integers(50, 600))) < p_up)
+                  - 1).tolist()
+    return steps
+
+
+def _far_block(steps, k_eps, k_one, block_bytes):
+    """Whether some block of whole words starts each of its words more
+    than 64 steps from every level."""
+    word_starts = np.concatenate([[0], np.cumsum(steps)])[:len(steps):64]
+    per_block = block_bytes // 8
+    far = np.min(np.abs(word_starts[:, None] - [0, k_eps, k_one]), axis=1) > 64
+    return any(far[i:i + per_block].all()
+               for i in range(0, len(far) - per_block + 1, per_block))
+
+
+def test_ladder_extraction_over_whole_words_matches_reference_scan():
+    # blocks of whole 64-bit words take the word-count path, and blocks
+    # all of whose words start far from every level are passed over; a
+    # word started exactly 64 steps from a level can still reach it
+    below = ([1, 1, -1, -1] + [-1] * 60            # up at 2, return at 4
+             + [-1, -1] + [-1, 1] * 31             # at -62 after step 128
+             + [1] * 64)                           # up again at 192
+    down = [1] * 64 + [-1] * 64                    # up at 2, return at 128
+    above = ([1] * 128 + [1] * 36 + [-1] * 28      # at 136 after step 192
+             + [1] * 64)                           # one (200) at 256
+    for steps, k_eps, k_one, expected in (
+            (below, 2, 300, ([2, 192], [4], None)),
+            (down, 2, 300, ([2], [128], None)),
+            (above, 2, 200, ([2], [], 256))):
+        for block_bytes in (8, 16):
+            assert bd._ladder_steps(_packed_blocks(steps, block_bytes), k_eps,
+                                    k_one, len(steps)) == expected
+        assert _reference_ladder(steps, k_eps, k_one, len(steps)) == expected
+    rng = np.random.default_rng(2025)
+    far_cases = 0
+    for _ in range(300):
+        steps = _drifting_steps(rng, int(rng.integers(2, 12)))
+        steps += [1] * (-len(steps) % 64)
+        k_eps = int(rng.integers(1, 30))
+        k_one = k_eps + int(rng.integers(1, 300))
+        cap = int(rng.integers(1, len(steps) + 1))
+        block_bytes = int(rng.choice([8, 16, 40, 64]))
+        expected = _reference_ladder(steps, k_eps, k_one, cap)
+        assert bd._ladder_steps(_packed_blocks(steps, block_bytes),
+                                k_eps, k_one, cap) == expected
+        # the blocks read: through the one that holds the cap or the hit
+        read = -(-(expected[2] or cap) // (8 * block_bytes)) * 8 * block_bytes
+        far_cases += _far_block(steps[:read], k_eps, k_one, block_bytes)
+    assert far_cases >= 50
+
+
 def test_ladder_path_replays_from_its_stream():
     dt, time_cap = 1e-4, 10.0
     cap = int(time_cap / dt)
@@ -517,7 +587,8 @@ def test_time_cap_binds_at_the_step():
 
 def _reference_lockstep(k_eps, k_one, seed, outer_index, inner_paths):
     """Step-by-step scan of the lockstep rounds: each round hands the
-    walks still running one row of _LOCKSTEP steps each, in order."""
+    walks still running one row of _LOCKSTEP steps each, in order.
+    Returns the estimate and the number of rounds."""
     width = bd._LOCKSTEP
     pos = [k_eps] * inner_paths
     wins = 0
@@ -536,13 +607,21 @@ def _reference_lockstep(k_eps, k_one, seed, outer_index, inner_paths):
                 running.append(start)
         pos = running
         if not pos:
-            return wins / inner_paths
+            return wins / inner_paths, rnd + 1
 
 
 def test_lockstep_estimate_matches_reference_scan():
-    for outer_index in range(3):
-        assert bd._inner_survival_estimate(8, 32, 5, outer_index, 40) == \
-            _reference_lockstep(8, 32, 5, outer_index, 40)
+    assert bd._inner_survival_estimates(8, 32, 5, range(3), 40) == \
+        [_reference_lockstep(8, 32, 5, i, 40)[0] for i in range(3)]
+
+
+def test_grouped_estimates_match_each_index_alone():
+    # a group of 8 whose members finish in different rounds
+    indices = range(16, 24)
+    alone = [_reference_lockstep(8, 32, 3, i, 30) for i in indices]
+    assert len({rounds for _, rounds in alone}) > 1
+    assert bd._inner_survival_estimates(8, 32, 3, indices, 30) == \
+        [estimate for estimate, _ in alone]
 
 
 def test_nested_estimate_within_4se_of_lattice_survival():
@@ -553,6 +632,27 @@ def test_nested_estimate_within_4se_of_lattice_survival():
     pooled = float(report.inner_estimates.mean())
     se = math.sqrt(p * (1 - p) / (64 * 500))
     assert abs(pooled - p) <= 4 * se
+
+
+def test_brownian_demo_matches_recorded_values():
+    # recorded before the byte-level walk and the grouped nested
+    # estimate were rewritten; every value must stay bit for bit
+    report = brownian_demo(0.25, 1e-4, paths=300, seed=1)
+    assert report.structural_ok and report.first_failed_path is None
+    assert report.n_censored == 23
+    assert report.mean_last_return.hex() == "0x1.98e2ed61b606ep+2"
+    assert hashlib.sha256(report.inner_estimates.tobytes()).hexdigest() == \
+        "c82dcbc337abfb3080b7d1f6ebeb9eec828ae6fd7d8b1181c3193b0dd493bd45"
+
+
+def test_brownian_demo_names_the_first_failed_path(monkeypatch):
+    failing = {simulate_ladder_path(0.25, 1e-3, 9, i, 20.0) for i in (4, 7)}
+    monkeypatch.setattr(bd, "_structural_check",
+                        lambda path: path not in failing)
+    report = brownian_demo(0.25, 1e-3, paths=10, seed=9, time_cap=20.0,
+                           nested_outer=2, nested_inner=20)
+    assert not report.structural_ok
+    assert report.first_failed_path == 4
 
 
 def test_brownian_demo_is_deterministic():
