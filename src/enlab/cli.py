@@ -1,15 +1,15 @@
 """Deterministic command-line front end.
 
 Exit codes: 0 all hard checks passed; 1 a hard check failed (each
-failing row of a verify report carries its counterexample; the FAIL
-line of verify names the first failing model, its first violated row
-and the command that replays it, and that of brownian the first path
-failing the structural check and the command that replays it); 2 usage
-error.  Reports are JSON, tabular Monte Carlo output is CSV.  --threads
-(a positive count, on the Monte Carlo commands example1, example2 and
-psi) caps their worker threads, clamped to the core count and the chunk
-count; results are independent of its value.  The exact commands run in
-one thread and take no --threads.
+failing row of a verify report carries its counterexample, and the
+FAIL line names the first failure and the command that replays it: the
+model and its violated row for verify, the seed whose witness fails for
+crosscheck, the path failing the structural check for brownian); 2
+usage error.  Reports are JSON, tabular Monte Carlo output is CSV.
+--threads (a positive count, on the Monte Carlo commands example1,
+example2 and psi) caps their worker threads, clamped to the core count
+and the chunk count; results are independent of its value.  The exact
+commands run in one thread and take no --threads.
 """
 
 from __future__ import annotations
@@ -87,6 +87,9 @@ def _within(bounds: range):
         return value
     parse.__name__ = "int"  # argparse names the type in errors
     return parse
+
+
+_PATHS = range(1, 10**7 + 1)  # past 10^7 paths the chunk list outgrows memory
 
 
 def _stream_seed(text: str) -> int:
@@ -194,10 +197,15 @@ def cmd_crosscheck(args) -> int:
     if args.csv:
         Path(args.csv).write_text("\n".join(suite.csv_lines()) + "\n")
     status = 0 if suite.n_witness_failures == 0 else 1
-    return _summary(status, f"crosscheck seeds={len(suite.rows)} "
-                            f"disagreements={suite.n_disagreements} "
-                            f"witness_failures={suite.n_witness_failures} "
-                            f"elapsed={suite.elapsed:.1f}s")
+    line = (f"crosscheck seeds={len(suite.rows)} "
+            f"disagreements={suite.n_disagreements} "
+            f"witness_failures={suite.n_witness_failures} "
+            f"elapsed={suite.elapsed:.1f}s")
+    if status:
+        seed = next(r["seed"] for r in suite.rows if not r["witnesses_ok"])
+        line += (f" first={seed} replay: enlab crosscheck --seeds {seed}..{seed}"
+                 f" --depth {args.depth} --branching {args.branching}")
+    return _summary(status, line)
 
 
 def cmd_example1(args) -> int:
@@ -336,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="after-time arbitrage strategy run")
     p.add_argument("--mu", type=_premium_rate, required=True)
     p.add_argument("--a", type=_positive(float), required=True)
-    p.add_argument("--paths", type=_positive(int), default=100_000)
+    p.add_argument("--paths", type=_within(_PATHS), default=100_000)
     p.add_argument("--seed", type=_stream_seed, required=True)
     p.add_argument("--csv", type=_output_file)
 
@@ -344,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="deflator martingale run")
     p.add_argument("--mu", type=_premium_rate, required=True)
     p.add_argument("--a", type=_positive(float), required=True)
-    p.add_argument("--paths", type=_positive(int), default=100_000)
+    p.add_argument("--paths", type=_within(_PATHS), default=100_000)
     p.add_argument("--seed", type=_stream_seed, required=True)
     p.add_argument("--checkpoints", type=_floats, default=(1.0, 2.0, 5.0))
     p.add_argument("--csv", type=_output_file)
@@ -353,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="ruin probability with MC cross-check")
     p.add_argument("--mu", type=_premium_rate, required=True)
     p.add_argument("--u", type=_reserves, required=True)
-    p.add_argument("--mc-paths", type=_positive(int), default=200_000)
+    p.add_argument("--mc-paths", type=_within(_PATHS), default=200_000)
     p.add_argument("--seed", type=_stream_seed, default=1)
     p.add_argument("--csv", type=_output_file)
 
     p = add("brownian", cmd_brownian, help="excursion-ladder diagnostic")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--dt", type=_positive(float), default=1e-4)
-    p.add_argument("--paths", type=_positive(int), default=20_000)
+    p.add_argument("--paths", type=_within(_PATHS), default=20_000)
     p.add_argument("--seed", type=_stream_seed, required=True)
     p.add_argument("--time-cap", type=_positive(float), default=100.0)
     p.add_argument("--out", type=_output_file)

@@ -35,10 +35,10 @@ first outcome.
 Adaptedness is structural.  Outcome rows become a process in one way,
 ``adapted``, which checks that they are constant on the atoms of the
 filtration, raising NotAdapted if not: rows are never read at a
-representative outcome unchecked.  Binding a process to another
-filtration (``on``) lifts it onto the atoms of a finer one as it is, and
-otherwise makes the same check.  Arithmetic between processes of two
-filtrations works on the atoms of the finer one.
+representative outcome unchecked.  A process is read only on the
+filtration it was built on: ``on``, arithmetic, ``equals`` and
+``bracket`` raise NotAdapted for any other, even one with the same
+atoms, and never lift a process onto a finer one or a coarser one.
 """
 
 from __future__ import annotations
@@ -134,12 +134,6 @@ class Filtration:
         """Probability of the time-t atom given its parent at t - 1."""
         i = self.block_of[t][atom[0]]
         return Fraction(self.masses[t][i], self.masses[t - 1][self.up[t][i]])
-
-    def refines(self, other: "Filtration") -> bool:
-        """True when every atom of this filtration lies inside one atom
-        of `other` at the same time."""
-        return len(self.partitions) == len(other.partitions) and all(
-            map(_refines, self.partitions, other.block_of))
 
 
 @dataclass(frozen=True)
@@ -278,21 +272,24 @@ class AdaptedProcess:
         return self.steps[t][self.filtration.block_of[t][outcome]]
 
     def on(self, f: Filtration) -> "AdaptedProcess":
-        """This process on the atoms of f: lifted when f refines its own
-        filtration, else checked constant on f's atoms (NotAdapted)."""
-        return _bind(self, f)
+        """This process, read on f, which must be the filtration it was
+        built on: any other, even with the same atoms, raises NotAdapted."""
+        if f is not self.filtration:
+            raise NotAdapted(f"process of {self.filtration.label} read on "
+                             f"another filtration ({f.label})")
+        return self
 
     def equals(self, other: "AdaptedProcess") -> bool:
-        """The same value at every outcome and time: on one filtration,
-        the same time-0 values and increments."""
-        a, b = _common(self, other)
-        if a._steps is not None and b._steps is not None:
-            return a._steps == b._steps
-        return a.nodes == b.nodes
+        """The same value at every outcome and time: the same time-0
+        values and increments."""
+        other = other.on(self.filtration)
+        if self._steps is not None and other._steps is not None:
+            return self._steps == other._steps
+        return self.nodes == other.nodes
 
     def _combine(self, other, op, linear: bool) -> "AdaptedProcess":
         """op node by node; a linear op acts on the increments alone."""
-        a, b = _common(self, other)
+        a, b = self, other.on(self.filtration)
         rows = zip(a.steps, b.steps) if linear else zip(a.nodes, b.nodes)
         out = [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in rows]
         if linear:
@@ -318,36 +315,6 @@ def _require_constant(f: Filtration, value) -> None:
             if any(value(o, t) != v0 for o in block[1:]):
                 raise NotAdapted(f"process not constant on block {block} "
                                  f"at t={t}")
-
-
-def _bind(x: AdaptedProcess, f: Filtration) -> AdaptedProcess:
-    """x on the atoms of f.  Unless f refines x's filtration, the value
-    at t is first checked constant on f's atoms at t (NotAdapted)."""
-    src = x.filtration
-    if src is f:
-        return x
-    if len(x.nodes) != len(f.partitions):
-        raise SchemaError(f"process of horizon {src.horizon} on a filtration "
-                          f"of horizon {f.horizon}")
-    if not f.refines(src):
-        _require_constant(f, lambda o, t: x.nodes[t][src.block_of[t][o]])
-
-    def read(rows: Nodes | None) -> Nodes | None:
-        if rows is None:
-            return None
-        return [[row[look[block[0]]] for block in part]
-                for part, look, row in zip(f.partitions, src.block_of, rows)]
-
-    return AdaptedProcess.from_nodes(f, read(x._nodes), read(x._steps))
-
-
-def _common(*xs: AdaptedProcess) -> list[AdaptedProcess]:
-    """The processes on one filtration, the finest among theirs."""
-    f = xs[0].filtration
-    for x in xs[1:]:
-        if x.filtration is not f and not f.refines(x.filtration):
-            f = x.filtration
-    return [x.on(f) for x in xs]
 
 
 def adapted(values: Mapping[str, Sequence], space: FiniteFilteredSpace,
@@ -415,8 +382,8 @@ def cond_average(f: Filtration, t: int, atoms: Iterable[Block],
 def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
                 filtration: Filtration | None = None) -> AdaptedProcess:
     """Dual predictable projection: increment at t is E[dV_t | t-1], and
-    the value at 0 is V_0.  V minus the result is a martingale of the
-    tagged filtration."""
+    the value at 0 is V_0.  V must be on the given filtration (the base
+    one by default); V minus the result is a martingale of it."""
     f = filtration or space.filtration
     v = v.on(f)
     steps = [v.steps[0]]
@@ -440,7 +407,7 @@ def _integral(f: Filtration, increments: Nodes) -> AdaptedProcess:
 
 def bracket(x: AdaptedProcess, y: AdaptedProcess) -> AdaptedProcess:
     """Covariation [X, Y]_t = sum_{s<=t} dX_s dY_s, starting at 0."""
-    x, y = _common(x, y)
+    y = y.on(x.filtration)
     return _integral(x.filtration, [[a * b if a and b else ZERO
                                      for a, b in zip(ra, rb)]
                                     for ra, rb in zip(x.steps[1:],

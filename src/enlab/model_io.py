@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import NotAdapted, SchemaError
 from .finite_prob import AdaptedProcess, FiniteFilteredSpace, adapted, build_space
-from .random_times import RandomTimeMap
+from .random_times import RandomTimeMap, last_visit
 
 
 def _fraction(text, where: str) -> Fraction:
@@ -80,13 +80,7 @@ def parse_model(payload: dict):
         levels = {_fraction(v, "tau.last_visit.set")
                   for v in _typed(recipe.get("set", []), list,
                                   "tau.last_visit.set")}
-        driver = processes[name]
-        tau_map = {}
-        for o in space.outcomes:
-            hits = [t for t in range(space.horizon + 1)
-                    if driver.at(o, t) in levels]
-            tau_map[o] = max(hits) if hits else 0
-        tau = RandomTimeMap.build(tau_map, space)
+        tau = last_visit(space, processes[name], levels.__contains__)
     else:
         for o, v in tau_raw.items():
             if isinstance(v, bool) or not isinstance(v, int):

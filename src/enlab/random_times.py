@@ -209,6 +209,18 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
         class_h=class_h, is_stopping_time=stopping)
 
 
+def last_visit(space: FiniteFilteredSpace, driver: AdaptedProcess,
+               hit) -> RandomTimeMap:
+    """The last t with hit(driver at t), else 0, node by node down the
+    tree: t on a hit node at t, else its parent's; hit runs per node."""
+    f = space.filtration
+    nodes = driver.on(f).nodes
+    last = [0] * len(f.partitions[0])
+    for t in range(1, len(f.partitions)):
+        last = [t if hit(v) else last[p] for v, p in zip(nodes[t], f.up[t])]
+    return RandomTimeMap({o: last[f.block_of[-1][o]] for o in space.outcomes})
+
+
 # ---------------------------------------------------------------------------
 # Progressive enlargement
 # ---------------------------------------------------------------------------
@@ -297,15 +309,9 @@ def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1):
 
     # driver walk for the last-visit time
     driver = _random_walk(rng, space)
-    visited = sorted({driver.at(block[0], t) for t, part in
-                      enumerate(space.filtration.partitions)
-                      for block in part})
+    visited = sorted({v for row in driver.nodes for v in row})
     level = visited[rng.randint(0, max(len(visited) - 2, 0))]
-    tau_map = {}
-    for o in space.outcomes:
-        hits = [t for t in range(depth + 1) if driver.at(o, t) <= level]
-        tau_map[o] = max(hits) if hits else 0
-    tau = RandomTimeMap.build(tau_map, space)
+    tau = last_visit(space, driver, lambda v: v <= level)
 
     components = []
     for i in range(d):

@@ -16,7 +16,7 @@ from enlab.errors import (
     SchemaError,
 )
 from enlab.model_io import dump_model, load_model, parse_model
-from enlab.random_times import analyze
+from enlab.random_times import analyze, generate_honest_model
 from enlab.ruin import RuinOracle
 
 from .oracles import ref_values
@@ -187,6 +187,32 @@ def test_cli_crosscheck(tmp_path):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "seed,a,b,c,agree,jump_set_size"
     assert len(lines) == 9
+
+
+def test_cli_crosscheck_fail_line_replays_the_first_failed_seed(
+        monkeypatch, capsys):
+    # a witness re-verification that fails on the second model only: the
+    # FAIL line names that seed and the command that replays it
+    planted = generate_honest_model(2, 4, 3)[0]
+    real = harness.verify_witness
+
+    def failing(verdict, x, space, filtration=None):
+        return space.prob != planted.prob and real(verdict, x, space,
+                                                   filtration)
+
+    monkeypatch.setattr(harness, "verify_witness", failing)
+    assert main(["crosscheck", "--seeds", "1..3", "--depth", "4",
+                 "--branching", "3"]) == 1
+    replay = "enlab crosscheck --seeds 2..2 --depth 4 --branching 3"
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("FAIL crosscheck seeds=3 ")
+    assert line.endswith(f" first=2 replay: {replay}")
+    # the replay fails on the same seed, and passes once the fault is gone
+    assert main(replay.split()[1:]) == 1
+    assert capsys.readouterr().out.strip().endswith(f" first=2 replay: {replay}")
+    monkeypatch.undo()
+    assert main(replay.split()[1:]) == 0
+    assert capsys.readouterr().out.startswith("PASS crosscheck seeds=1 ")
 
 
 def test_cli_example_runs_and_determinism(tmp_path):
@@ -451,6 +477,16 @@ def test_cli_brownian_rejects_bad_input(flag, value, tmp_path, capsys):
       "1e-4", "--paths", "1", "--seed", "1"], "--dt"),
     (["brownian", "--epsilon", "0.25", "--dt", "1e-6", "--time-cap", "101",
       "--paths", "1", "--seed", "1"], "--time-cap"),
+    # path counts stop at 10^7: at 10^12, example1 would first build a
+    # list of 2.4e8 chunk tuples, tens of GB
+    (["example1", "--mu", "2", "--a", "1", "--paths", "1000000000000",
+      "--seed", "1"], "--paths"),
+    (["example2", "--mu", "2", "--a", "1", "--paths", "10000001",
+      "--seed", "1"], "--paths"),
+    (["psi", "--mu", "2", "--u", "0", "--mc-paths", "10000001"],
+     "--mc-paths"),
+    (["brownian", "--epsilon", "0.25", "--paths", "10000001", "--seed", "1"],
+     "--paths"),
 ])
 def test_cli_rejects_out_of_range_flags(args, flag, capsys):
     assert main(args) == 2

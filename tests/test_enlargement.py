@@ -64,12 +64,13 @@ def test_hat_transform_requires_honest_class_h(tree_space, walk):
 
 def test_hat_transform_stop_is_after_part(tree_space, walk, stop_analysis):
     # constant fundamental martingale: the transform is the plain
-    # strictly-after part, a martingale of the (unchanged) filtration
+    # strictly-after part, a martingale of the enlarged filtration (whose
+    # atoms are the base ones: the time is a stopping time)
     hat = hat_transform(walk, stop_analysis)
     for o in tree_space.outcomes:
         assert hat.at(o, 0) == 0 and hat.at(o, 1) == 0
         assert hat.at(o, 2) == walk.delta(o, 2)
-    assert is_martingale(hat, tree_space).ok
+    assert is_martingale(hat, tree_space, stop_analysis.enlarged).ok
 
 
 def test_hat_transform_tent_walk(tree_space, walk, tent_analysis):

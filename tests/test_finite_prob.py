@@ -209,6 +209,47 @@ def test_equals_from_values_or_increments(tree_space, walk):
     assert from_steps(f, shifted).equals(walk + ref_constant(1, f))
 
 
+# Each way an F-process can be read on G (y is a G-process): none lifts it.
+_READS_ON_G = {
+    "on": lambda space, g, x, y: x.on(g),
+    "add": lambda space, g, x, y: y + x,
+    "add_f_first": lambda space, g, x, y: x + y,
+    "mul": lambda space, g, x, y: y * x,
+    "equals": lambda space, g, x, y: y.equals(x),
+    "bracket": lambda space, g, x, y: bracket(y, x),
+    "compensator": lambda space, g, x, y: compensator(x, space, g),
+    "is_martingale": lambda space, g, x, y: is_martingale(x, space, g),
+}
+
+
+@pytest.mark.parametrize("read", _READS_ON_G.values(), ids=_READS_ON_G)
+def test_a_base_process_is_not_read_on_the_enlarged_filtration(
+        read, tree_space, walk, tent_analysis):
+    g = tent_analysis.enlarged
+    after = tent_analysis.after_part(walk)
+    assert after.filtration is g and g.partitions != \
+        tree_space.filtration.partitions
+    with pytest.raises(NotAdapted):
+        read(tree_space, g, walk, after)
+
+
+def test_a_process_is_read_only_on_the_filtration_it_was_built_on(
+        tree_space, walk, tent_analysis):
+    # the rule is identity, not equal atoms: a second enlargement of the
+    # same time has the same partitions and still does not read the first
+    # one's processes
+    g = tent_analysis.enlarged
+    after = tent_analysis.after_part(walk)
+    assert after.on(g) is after and walk.on(tree_space.filtration) is walk
+    again = enlarge(tree_space, tent_analysis)
+    assert again is not g and again.partitions == g.partitions
+    for read in (lambda: after.on(again),
+                 lambda: is_martingale(after, tree_space, again),
+                 lambda: compensator(after, tree_space, again)):
+        with pytest.raises(NotAdapted):
+            read()
+
+
 def test_is_martingale(tree_space, walk, tent_analysis):
     assert is_martingale(walk, tree_space).ok
     assert is_martingale(tent_analysis.fundamental_martingale, tree_space).ok

@@ -22,7 +22,7 @@ from enlab.harness import (
     run_identity_suite,
     run_model_identities,
 )
-from enlab.random_times import enlarge, generate_honest_model
+from enlab.random_times import generate_honest_model
 
 Q = Fraction
 
@@ -60,7 +60,7 @@ def test_collapsed_hat_check_agrees_with_operation(seed):
     harness must coincide with running the real transform on the
     explicit basis martingale and testing it atom by atom."""
     space, _, _, analysis = generate_honest_model(seed, depth=4, branching=3)
-    enlarged = enlarge(space, analysis)
+    enlarged = analysis.enlarged
     assert check_hat_basis(analysis) == []
     f = space.filtration
     checked = 0

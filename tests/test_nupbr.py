@@ -225,7 +225,8 @@ def test_crosscheck_of_a_vector_on_the_tree(tree_space, walk, stop_analysis):
                     for o, row in ref_values(walk).items()}, tree_space)
     report = theorem2_crosscheck([walk, anti], stop_analysis)
     assert report.a and report.b and report.c
-    assert verify_witness(report.after_g, report.after, tree_space)
+    assert verify_witness(report.after_g, report.after, tree_space,
+                          stop_analysis.enlarged)
     assert verify_witness(report.scaled_f, report.scaled, tree_space)
 
 

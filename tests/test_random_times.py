@@ -168,6 +168,20 @@ def test_generator_determinism():
     assert ref_values(one[2]) == ref_values(two[2])
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_last_visit_against_an_outcome_scan(seed):
+    # node by node down the tree against the per-outcome definition: the
+    # largest t with a hit, 0 when there is none
+    space, _, asset, _ = generate_honest_model(seed, depth=4, branching=3)
+    rows = ref_values(asset)
+    levels = {v for row in rows.values() for v in row}
+    for hit in (lambda v: v <= min(levels), lambda v: v > 0,
+                lambda v: v == 1, lambda v: False):
+        expected = {o: max([t for t, v in enumerate(row) if hit(v)],
+                           default=0) for o, row in rows.items()}
+        assert random_times.last_visit(space, asset, hit).tau == expected
+
+
 def test_generator_vector_asset():
     space, tau, asset, _ = generate_honest_model(17, depth=3, branching=3, d=2)
     assert isinstance(asset, list) and len(asset) == 2
