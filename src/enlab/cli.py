@@ -4,8 +4,9 @@ Exit codes: 0 all hard checks passed; 1 a hard check failed (each
 failing row of a verify report carries its counterexample, and the
 FAIL line names the first failure and the command that replays it: the
 model and its violated row for verify, the seed whose witness fails for
-crosscheck, the path failing the structural check for brownian); 2
-usage error.  Reports are JSON, tabular Monte Carlo output is CSV.
+crosscheck, the verdict whose witness fails and its node for nupbr,
+the path failing the structural check for brownian); 2 usage error.
+Reports are JSON, tabular Monte Carlo output is CSV.
 --threads (a positive count, on the Monte Carlo commands example1,
 example2 and psi) caps their worker threads, clamped to the core count
 and the chunk count; results are independent of its value.  The exact
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .harness import run_crosscheck, run_identity_suite
 from .model_io import dump_model, load_model
-from .nupbr import nupbr_check, verify_witness
+from .nupbr import nupbr_check, verify_witness, witness_node
 from .poisson_mc import (
     PoissonModel,
     example1_run,
@@ -178,8 +179,11 @@ def cmd_nupbr(args) -> int:
     after = analysis.after_part(asset)
     base = nupbr_check(asset, space)
     after_verdict = nupbr_check(after, space, enlarged)
-    sound = (verify_witness(base, asset, space)
-             and verify_witness(after_verdict, after, space, enlarged))
+    checks = (("base", base, asset, None),
+              ("after", after_verdict, after, enlarged))
+    failed = next(((name, verdict, x, f) for name, verdict, x, f in checks
+                   if not verify_witness(verdict, x, space, f)), None)
+    sound = failed is None
     payload = {"model": str(args.model),
                "honest": analysis.honest, "class_h": analysis.class_h,
                "base": base.to_json(), "after": after_verdict.to_json(),
@@ -187,8 +191,15 @@ def cmd_nupbr(args) -> int:
     _write_json(args.out, payload)
     print(json.dumps(payload["base"]))
     print(json.dumps(payload["after"]))
-    return _summary(0 if sound else 1,
-                    f"nupbr base={base.satisfied} after={after_verdict.satisfied}")
+    line = f"nupbr base={base.satisfied} after={after_verdict.satisfied}"
+    if failed:
+        name, verdict, x, f = failed
+        node = witness_node(verdict, x, space, f)
+        kind = "deflator" if verdict.satisfied else "arbitrage"
+        line += (f" failed={name} witness={kind}"
+                 + (f" t={node[0]} atom={','.join(node[1])}" if node else "")
+                 + f" replay: enlab nupbr --model {args.model}")
+    return _summary(0 if sound else 1, line)
 
 
 def cmd_crosscheck(args) -> int:

@@ -87,8 +87,8 @@ def hat_transform(mart: AdaptedProcess, analysis: RandomTimeAnalysis
     sharp = angle_bracket(mart, analysis.fundamental_martingale, space)
 
     def increments(o: str, t: int) -> Fraction:
-        gap = 1 - analysis.survival.at(o, t - 1)
-        if gap == 0:
+        gap = analysis.gap.at(o, t - 1)
+        if not gap:
             raise DivisionGuard(f"unit survival_left strictly after tau "
                                 f"at ({o}, {t})")
         return mart.delta(o, t) + sharp.delta(o, t) / gap
@@ -122,20 +122,20 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
 
     direct = compensator(analysis.after_part(v), space, enlarged)
 
+    gap, gap_incl = analysis.gap, analysis.gap_incl
     # base-compensator of (1 - inclusive survival) . V, rescaled after tau
     weighted = AdaptedProcess.from_increments(
-        space.filtration,
-        step=lambda o, t: (1 - analysis.survival_incl.at(o, t)) * v.delta(o, t))
+        space.filtration, step=lambda o, t: gap_incl.at(o, t) * v.delta(o, t))
     inner = compensator(weighted, space)
     via_formula = analysis.after_integral(
-        lambda o, t: inner.delta(o, t) / (1 - analysis.survival.at(o, t - 1)))
+        lambda o, t: inner.delta(o, t) / gap.at(o, t - 1))
 
     def incl_gap(o: str, t: int) -> Fraction:
-        gap = 1 - analysis.survival_incl.at(o, t)
-        if gap == 0:
+        value = gap_incl.at(o, t)
+        if not value:
             raise DivisionGuard(f"inclusive survival is one strictly after "
                                 f"tau at ({o}, {t})")
-        return gap
+        return value
 
     u_process = analysis.after_integral(
         lambda o, t: v.delta(o, t) / incl_gap(o, t))
@@ -143,11 +143,10 @@ def g_compensator_after(v: AdaptedProcess, analysis: RandomTimeAnalysis
 
     gated = AdaptedProcess.from_increments(
         space.filtration,
-        step=lambda o, t: (v.delta(o, t) if analysis.survival_incl.at(o, t) < 1
-                           else ZERO))
+        step=lambda o, t: v.delta(o, t) if gap_incl.at(o, t) else ZERO)
     gated_comp = compensator(gated, space)
     u_via_formula = analysis.after_integral(
-        lambda o, t: gated_comp.delta(o, t) / (1 - analysis.survival.at(o, t - 1)))
+        lambda o, t: gated_comp.delta(o, t) / gap.at(o, t - 1))
 
     violations = []
     for name, lhs, rhs in (("compensator", direct, via_formula),
@@ -197,8 +196,8 @@ def transfer_rows(analysis: RandomTimeAnalysis, atom: AfterAtom, integrands,
     base_f, enlarged = analysis.space.filtration, analysis.enlarged
     t, base, members = atom.t, atom.base, atom.members
     up = base_f.block_of[t - 1][base[0]]
-    gap_mass = base_f.masses[t - 1][up] - _scaled(
-        base_f.masses[t - 1][up], analysis.survival.at(base[0], t - 1))
+    gap_mass = _scaled(base_f.masses[t - 1][up],
+                       analysis.gap.at(base[0], t - 1))
     look = base_f.block_of[t]
     part = base_f.partitions[t]
     kids = base_f.kids[t - 1][up]
@@ -206,8 +205,8 @@ def transfer_rows(analysis: RandomTimeAnalysis, atom: AfterAtom, integrands,
     after_children = enlarged.children(t - 1, members)
     # (1 - incl) m_c >= 0 on each child c of B, positive exactly where
     # incl < 1
-    before = {c: masses[c] - _scaled(
-        masses[c], analysis.survival_incl.at(part[c][0], t)) for c in kids}
+    gap_incl = analysis.gap_incl
+    before = {c: _scaled(masses[c], gap_incl.at(part[c][0], t)) for c in kids}
     alive_kids = [c for c in kids if before[c]]
     weighted, over_gap, one_over_gap = names
 
@@ -330,7 +329,7 @@ def g_characteristics(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     violations = []
     for atom in after_atoms(analysis):
         t, base, members = atom.t, atom.base, atom.members
-        left_gap = 1 - analysis.survival.at(base[0], t - 1)
+        left_gap = analysis.gap.at(base[0], t - 1)
         children = enlarged.children(t - 1, members)
         for x, p in jf.law[(t, base)].items():
             via_formula = (1 - jf.mart_mean[(t, base, x)] / left_gap) * p
@@ -368,23 +367,21 @@ def build_deflator(analysis: RandomTimeAnalysis) -> DeflatorBundle:
     _require_class_h(analysis)
     space = analysis.space
     fund = analysis.fundamental_martingale
-    incl = analysis.survival_incl
+    gap, gap_incl = analysis.gap, analysis.gap_incl
 
     hat = hat_transform(fund, analysis)
 
     def weight_increment(o: str, t: int) -> Fraction:
-        d = fund.delta(o, t)
-        gap_left = 1 - analysis.survival.at(o, t - 1)
-        gap_incl = 1 - incl.at(o, t)
-        if gap_left == 0 or gap_incl == 0:
+        gaps = gap.at(o, t - 1) * gap_incl.at(o, t)
+        if not gaps:
             raise DivisionGuard(f"survival gap vanished after tau at ({o}, {t})")
-        return d * d / (gap_left * gap_incl)
+        return fund.delta(o, t) ** 2 / gaps
 
     weight = analysis.after_integral(weight_increment)
     weight_comp = compensator(weight, space, analysis.enlarged)
 
     driver = analysis.after_integral(
-        lambda o, t: (hat.delta(o, t) / (1 - analysis.survival.at(o, t - 1))
+        lambda o, t: (hat.delta(o, t) / gap.at(o, t - 1)
                       + weight.delta(o, t) - weight_comp.delta(o, t)))
 
     base_f = space.filtration
@@ -393,8 +390,8 @@ def build_deflator(analysis: RandomTimeAnalysis) -> DeflatorBundle:
         # atom at t - 1 that holds an after-atom (the jump identity reads
         # it strictly after the time only)
         pinned_proj = [cond_average(base_f, t, base_f.children(t - 1, base),
-                                    lambda o: ONE if incl.at(o, t) == 1
-                                    else ZERO) if pinned else None
+                                    lambda o: ZERO if gap_incl.at(o, t)
+                                    else ONE) if pinned else None
                        for base, (pinned, _) in zip(base_f.partitions[t - 1],
                                                     analysis.split[t - 1])]
         for block in analysis.enlarged.partitions[t]:
@@ -404,9 +401,7 @@ def build_deflator(analysis: RandomTimeAnalysis) -> DeflatorBundle:
                 raise InternalCheckFailed(
                     f"driver increment at or below -1 at ({o}, {t})")
             if analysis.strictly_after(o, t):
-                gap_left = 1 - analysis.survival.at(o, t - 1)
-                gap_incl = 1 - incl.at(o, t)
-                expected = (gap_left / gap_incl
+                expected = (gap.at(o, t - 1) / gap_incl.at(o, t)
                             + pinned_proj[base_f.block_of[t - 1][o]])
                 if 1 + step != expected:
                     raise InternalCheckFailed(

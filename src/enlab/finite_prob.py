@@ -65,57 +65,54 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _canonical_partition(blocks: Iterable[Iterable[str]]) -> Partition:
-    out = tuple(tuple(sorted(b)) for b in blocks)
-    return tuple(sorted(out, key=lambda b: b[0]))
-
-
-def _refines(fine: Partition, coarse: Mapping[str, int]) -> bool:
-    """True when every block of `fine` lies inside one atom of the
-    partition that `coarse` (outcome -> atom index) describes."""
-    return all(len({coarse.get(o, -1) for o in block}) == 1 for block in fine)
-
-
 class Filtration:
     """A partition per time with the tree of its atoms: ``block_of[t]``
     maps an outcome to its atom's index at t, ``up[t][i]`` is the index
     of the parent at t - 1 of atom i at t, ``kids[t][i]`` the indices of
     its children at t + 1 (in partition order), and ``masses[t][i]`` its
-    reference probability times ``scale``, an integer.
+    reference probability times ``scale``, an integer, as ``weight[o]``
+    is for an outcome.
 
     ``label`` is "F" for the base filtration and "G" for a progressively
     enlarged one.
     """
 
     __slots__ = ("label", "outcomes", "partitions", "block_of", "up", "kids",
-                 "scale", "masses")
+                 "scale", "weight", "masses")
 
     def __init__(self, label: str, partitions: Sequence[Partition],
                  prob: Mapping[str, Fraction]):
         self.label = label
         self.outcomes = tuple(prob)
-        self.partitions = tuple(_canonical_partition(p) for p in partitions)
+        # canonical: each block sorted, blocks by their first outcome
+        self.partitions = tuple(
+            tuple(sorted((tuple(sorted(b)) for b in p), key=lambda b: b[0]))
+            for p in partitions)
         self.block_of: list[dict[str, int]] = [
             {o: i for i, block in enumerate(part) for o in block}
             for part in self.partitions]
-        for t in range(1, len(self.partitions)):
-            if not _refines(self.partitions[t], self.block_of[t - 1]):
+        # each atom's parent is that of its first outcome, and the
+        # partition refines the previous one when every outcome agrees
+        self.up: list[tuple[int, ...]] = [()]
+        self.kids: list[tuple[tuple[int, ...], ...]] = []
+        for t, part in enumerate(self.partitions[1:], 1):
+            coarse = self.block_of[t - 1]
+            up = tuple(coarse[block[0]] for block in part)
+            if any(coarse[o] != p for p, block in zip(up, part)
+                   for o in block[1:]):
                 raise NonRefiningFiltration(
                     f"partition at t={t} does not refine t={t - 1} "
                     f"({self.label})")
-        self.up: list[tuple[int, ...]] = [()] + [
-            tuple(self.block_of[t - 1][block[0]] for block in part)
-            for t, part in enumerate(self.partitions) if t]
-        kids: list[list[list[int]]] = [[[] for _ in part]
-                                       for part in self.partitions[:-1]]
-        for t in range(1, len(self.partitions)):
-            for i, p in enumerate(self.up[t]):
-                kids[t - 1][p].append(i)
-        self.kids = [tuple(map(tuple, row)) for row in kids]
+            kids = [[] for _ in self.partitions[t - 1]]
+            for i, p in enumerate(up):
+                kids[p].append(i)
+            self.up.append(up)
+            self.kids.append(tuple(map(tuple, kids)))
         # leaf masses from the outcomes, every other atom from its children
         scale = self.scale = lcm(*(p.denominator for p in prob.values()))
-        masses = [[sum(prob[o].numerator * (scale // prob[o].denominator)
-                       for o in block)
+        weight = self.weight = {o: p.numerator * (scale // p.denominator)
+                                for o, p in prob.items()}
+        masses = [[sum(map(weight.__getitem__, block))
                    for block in self.partitions[-1]]]
         for row in reversed(self.kids):
             masses.append([sum(masses[-1][c] for c in kids) for kids in row])
@@ -161,33 +158,41 @@ def build_space(description: Mapping) -> FiniteFilteredSpace:
         raw_parts = description["partitions"]
     except KeyError as exc:
         raise SchemaError(f"missing key {exc}") from exc
-    if len(set(outcomes)) != len(outcomes):
+    names = set(outcomes)
+    if len(names) != len(outcomes):
         raise SchemaError("duplicate outcomes", field="outcomes")
 
     prob: dict[str, Fraction] = {}
     for outcome in outcomes:
         if outcome not in raw_prob:
             raise SchemaError(f"no probability for {outcome!r}", field="prob")
-        value = Fraction(raw_prob[outcome])
-        if value <= 0:
+        value = raw_prob[outcome]
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        if value.numerator <= 0:
             raise ZeroProbabilityOutcome(f"p({outcome}) = {value}")
         prob[outcome] = value
-    if sum(prob.values()) != 1:
-        raise ProbabilityNotOne(f"probabilities sum to {sum(prob.values())}")
+    if len(raw_prob) != len(prob):
+        ghost = next(o for o in raw_prob if o not in names)
+        raise SchemaError(f"probability for unknown outcome {ghost!r}",
+                          field=f"prob.{ghost}")
 
-    partitions = [_canonical_partition(p) for p in raw_parts]
-    full = _canonical_partition([outcomes])
+    partitions = list(raw_parts)
     if not partitions:
         raise SchemaError("no partitions given", field="partitions")
     horizon = description.get("horizon")
     if horizon is not None and len(partitions) == horizon:
-        partitions = [full] + partitions  # time-0 partition left implicit
+        partitions = [[outcomes]] + partitions  # time-0 partition left implicit
     for t, part in enumerate(partitions):
         seen = [o for block in part for o in block]
-        if sorted(seen) != sorted(outcomes):
+        if len(seen) != len(names) or set(seen) != names or not all(part):
             raise SchemaError(f"partition at t={t} is not a partition of "
                               "the outcome set", field="partitions")
     filtration = Filtration("F", partitions, prob)
+    total = sum(filtration.masses[0])  # over the lcm of the denominators
+    if total != filtration.scale:
+        raise ProbabilityNotOne(
+            f"probabilities sum to {Fraction(total, filtration.scale)}")
     space = FiniteFilteredSpace(outcomes=outcomes, prob=prob,
                                 horizon=filtration.horizon,
                                 filtration=filtration)

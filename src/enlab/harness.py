@@ -76,7 +76,7 @@ def check_hat_basis(analysis) -> list[dict]:
     violations = []
     for atom in after_atoms(analysis):
         t, base, members = atom.t, atom.base, atom.members
-        gap = 1 - analysis.survival.at(base[0], t - 1)
+        gap = analysis.gap.at(base[0], t - 1)
         children = f.children(t - 1, base)
         if len(children) < 2:
             # the increment is trivial: hat increment is a constant with

@@ -49,6 +49,15 @@ def _names(value, where: str) -> list:
     return value
 
 
+def _known(raw: dict, space: FiniteFilteredSpace, where: str) -> dict:
+    """``raw``, keyed by outcome names, else a SchemaError naming its
+    first key that names no outcome."""
+    ghost = next((o for o in raw if o not in space.prob), None)
+    if ghost is not None:
+        raise SchemaError(f"unknown outcome {ghost!r}", field=f"{where}.{ghost}")
+    return raw
+
+
 def parse_model(payload: dict):
     _typed(payload, dict, "(model)")
     for key in ("outcomes", "prob", "partitions", "S", "tau"):
@@ -72,6 +81,9 @@ def parse_model(payload: dict):
 
     tau_raw = _typed(payload["tau"], dict, "tau")
     if "last_visit" in tau_raw:
+        if len(tau_raw) > 1:
+            raise SchemaError("a last_visit recipe takes no other key",
+                              field="tau")
         recipe = _typed(tau_raw["last_visit"], dict, "tau.last_visit")
         name = recipe.get("process", "S")
         if name not in processes:
@@ -86,13 +98,13 @@ def parse_model(payload: dict):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise SchemaError(f"time {v!r} is not an integer",
                                   field=f"tau.{o}")
-        tau = RandomTimeMap.build(tau_raw, space)
+        tau = RandomTimeMap.build(_known(tau_raw, space, "tau"), space)
     return space, tau, processes["S"]
 
 
 def _parse_process(raw: dict, space: FiniteFilteredSpace,
                    where: str) -> AdaptedProcess:
-    _typed(raw, dict, where)
+    _known(_typed(raw, dict, where), space, where)
     values = {}
     for o in space.outcomes:
         if o not in raw:

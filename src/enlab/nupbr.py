@@ -250,6 +250,25 @@ def verify_witness(verdict: NupbrVerdict, x, space: FiniteFilteredSpace,
     return all(g >= 0 for g in gains) and any(g > 0 for g in gains)
 
 
+def witness_node(verdict: NupbrVerdict, x, space: FiniteFilteredSpace,
+                 filtration: Filtration | None = None) -> NodeKey | None:
+    """The node a failed re-verification names: an arbitrage witness's
+    node, or the first node in (t, atom) order whose deflator weights
+    are not all positive, do not sum to one, or leave a component with
+    a nonzero weighted increment; None when no node fails on its own."""
+    if not verdict.satisfied:
+        return verdict.witness.t, verdict.witness.atom
+    f = filtration or space.filtration
+    components = [c.on(f) for c in _components(x)]
+    for (t, atom), weights in sorted(verdict.witness.node_weights.items()):
+        vectors = _child_increments(components, f.children(t - 1, atom), t)
+        if (min(weights) <= 0 or sum(weights) != 1
+                or any(sum(w * v[k] for w, v in zip(weights, vectors))
+                       for k in range(len(components)))):
+            return t, atom
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Transforms of the asset induced by the random time
 # ---------------------------------------------------------------------------
@@ -267,16 +286,15 @@ class TransformBundle:
 def transform(asset, analysis: RandomTimeAnalysis) -> TransformBundle:
     _require_class_h(analysis)
     f = analysis.space.filtration
+    gap = analysis.gap
 
     def one(x: AdaptedProcess) -> tuple[AdaptedProcess, ...]:
         x = x.on(f)
         purged = x - analysis.jump_part(x)
         scaled = AdaptedProcess.from_increments(
-            f, step=lambda o, t: ((1 - analysis.survival.at(o, t - 1))
-                                  * purged.delta(o, t)))
+            f, step=lambda o, t: gap.at(o, t - 1) * purged.delta(o, t))
         indicator_scaled = AdaptedProcess.from_increments(
-            f, step=lambda o, t: (purged.delta(o, t)
-                                  if analysis.survival.at(o, t - 1) < 1
+            f, step=lambda o, t: (purged.delta(o, t) if gap.at(o, t - 1)
                                   else ZERO))
         return purged, scaled, indicator_scaled
 
@@ -381,11 +399,11 @@ def levy_condition_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     """Support equivalence of the enlarged jump compensator with the
     after-restriction of the base one.  The witnesses are the jump fibres
     (t, B, x) of base atoms B with an after-atom where the enlarged
-    density 1 - mart_mean/(1 - left) vanishes: left + mart_mean = 1."""
+    density 1 - mart_mean/(1 - left) vanishes: mart_mean = 1 - left."""
     witnesses = tuple(
         (t, base, x) for (t, base, x), mean in
         jump_functionals(asset, analysis).mart_mean.items()
-        if analysis.survival.at(base[0], t - 1) + mean == 1)
+        if mean == analysis.gap.at(base[0], t - 1))
     return LevyConditionReport(
         equivalent=not witnesses, witnesses=witnesses,
         asset_nupbr_f=nupbr_check(asset, analysis.space).satisfied)

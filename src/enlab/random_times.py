@@ -1,11 +1,12 @@
 """Random times on finite filtered spaces.
 
-analyze() derives the two Azema supermartingales, the fundamental
-martingale, the dual optional projection of the occurrence indicator, the
-set where the inclusive supermartingale is pinned at one while its left
-limit is below one (the "jump set", decided once, node by node; every
-reader reads ``jump_set``), and the honesty / class-H / stopping-time
-flags.
+analyze() derives, from integer masses, the two Azema supermartingales
+Z and Z~, the fundamental martingale, the set where Z~ is pinned at one
+while its left limit is below one (the "jump set", decided once, node by
+node; every reader reads ``jump_set``), and the honesty / class-H /
+stopping-time flags.  The analysis owns the survival gaps 1 - Z and
+1 - Z~ (``gap``, ``gap_incl``): every reader reads them.  The generator
+draws each tree as parent arrays and sums its walks on integers.
 
 One pass splits each atom at each time t by the time: into its outcomes
 with tau <= t grouped by the value of tau ("pinned" groups) and those
@@ -38,6 +39,7 @@ from .finite_prob import (
     Block,
     Filtration,
     FiniteFilteredSpace,
+    _cumulate,
     build_space,
     compensator,
     is_martingale,
@@ -79,7 +81,6 @@ class RandomTimeAnalysis:
     tau: RandomTimeMap
     survival: AdaptedProcess          # P(tau > t | time-t atom)
     survival_incl: AdaptedProcess     # P(tau >= t | time-t atom)
-    occurrence_proj: AdaptedProcess   # dual optional projection of 1[t >= tau]
     fundamental_martingale: AdaptedProcess  # survival + occurrence_proj
     jump_set: tuple[tuple[int, Block], ...]
     split: tuple[tuple[AtomSplit, ...], ...]  # [t][i]: the i-th atom at t
@@ -97,14 +98,23 @@ class RandomTimeAnalysis:
         on first use."""
         return enlarge(self.space, self)
 
+    @cached_property
+    def occurrence_proj(self) -> AdaptedProcess:
+        """The dual optional projection of 1[t >= tau]."""
+        return self.fundamental_martingale - self.survival
+
+    # 1 - survival and 1 - survival_incl node by node, formed only here
+    gap = cached_property(lambda self: _complement(self.survival))
+    gap_incl = cached_property(lambda self: _complement(self.survival_incl))
+
     def after_integral(self, increments) -> AdaptedProcess:
         """Pathwise sum of increments(o, t) over the strictly-after region,
         tagged with the enlarged filtration; increments is evaluated only
         there."""
+        times = self.tau.tau
         return AdaptedProcess.from_increments(
             self.enlarged,
-            step=lambda o, t: (increments(o, t) if self.strictly_after(o, t)
-                               else ZERO))
+            step=lambda o, t: increments(o, t) if t > times[o] else ZERO)
 
     def after_part(self, x):
         """The after-part x - x^tau of a base process; of a list of
@@ -126,6 +136,14 @@ class RandomTimeAnalysis:
             i = f.block_of[t][block[0]]
             jumps[t][i] = steps[t][i]
         return AdaptedProcess.from_steps(f, jumps)
+
+
+def _complement(x: AdaptedProcess) -> AdaptedProcess:
+    """1 - x node by node, as (d - n)/d for x = n/d in [0, 1]."""
+    return AdaptedProcess.from_nodes(x.filtration, [
+        [ONE if not v else ZERO if v == 1
+         else Fraction(v.denominator - v.numerator, v.denominator)
+         for v in row] for row in x.nodes])
 
 
 def _split_by_tau(f: Filtration, tau: RandomTimeMap
@@ -158,11 +176,11 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
     """
     f = space.filtration
     T = space.horizon
+    times = tau.tau
     hit = [[0] * len(part) for part in f.partitions]
-    for o in space.outcomes:
-        p = space.prob[o]
-        hit[tau[o]][f.block_of[tau[o]][o]] += (
-            p.numerator * (f.scale // p.denominator))
+    for o, w in f.weight.items():
+        t = times[o]
+        hit[t][f.block_of[t][o]] += w
     alive = [[0] * len(f.partitions[T])]       # P(tau > t, atom)
     alive_incl = [hit[T]]                      # P(tau >= t, atom)
     for t in range(T - 1, -1, -1):
@@ -171,16 +189,23 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
         alive_incl.insert(0, [a + h for a, h in zip(alive[0], hit[t])])
 
     def conditional(masses):
-        return [[Fraction(m, w) for m, w in zip(row, weights)]
+        return [[ZERO if not m else ONE if m == w else Fraction(m, w)
+                 for m, w in zip(row, weights)]
                 for row, weights in zip(masses, f.masses)]
 
-    surv, incl = conditional(alive), conditional(alive_incl)
-    survival = AdaptedProcess.from_nodes(f, surv)
+    incl = conditional(alive_incl)
+    survival = AdaptedProcess.from_nodes(f, conditional(alive))
     survival_incl = AdaptedProcess.from_nodes(f, incl)
-    # the dual optional projection of 1[t >= tau] has the increment
-    # E[1(tau = t) | atom at t] at t, and that value at 0
-    occurrence_proj = AdaptedProcess.from_steps(f, conditional(hit))
-    fundamental = survival + occurrence_proj
+    # M = Z + occurrence_proj starts at Z~_0 and steps by Z~_t - Z_{t-1}
+    # = (a w - b m) / (m w): a, m the alive_incl and mass of the atom at t,
+    # b, w the alive and mass of its parent
+    steps = [incl[0]]
+    for t in range(1, T + 1):
+        above, weights = alive[t - 1], f.masses[t - 1]
+        steps.append([Fraction(n, m * weights[p])
+                      if (n := a * weights[p] - above[p] * m) else ZERO
+                      for a, m, p in zip(alive_incl[t], f.masses[t], f.up[t])])
+    fundamental = AdaptedProcess.from_steps(f, steps)
     # only the drift of M is tested: Z_T = 0 (alive starts at zero at T),
     # Z and the inclusive Z lie in [0, 1] (masses of sub-events of the
     # atom) and inclusive Z_t = Z_{t-1} + dM_t (alive_incl = alive + hit)
@@ -190,21 +215,23 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
 
     jump_set_t = tuple(
         (t, block) for t in range(1, T + 1)
-        for block, i, p in zip(f.partitions[t], incl[t], f.up[t])
-        if i == 1 and surv[t - 1][p] < 1)
+        for block, a, m, p in zip(f.partitions[t], alive_incl[t],
+                                  f.masses[t], f.up[t])
+        if a == m and alive[t - 1][p] < f.masses[t - 1][p])
 
     split = _split_by_tau(f, tau)
     # honest: no atom has two pinned groups; a stopping time: no atom
     # mixes pinned and later outcomes
     honest = all(len(pinned) <= 1 for row in split for pinned, _ in row)
     class_h = honest and all(
-        survival.at(o, tau[o]) < 1 for o in space.outcomes)
+        alive[t][i] < f.masses[t][i]
+        for t, i in ((t, f.block_of[t][o]) for o, t in times.items()))
     stopping = not any(pinned and later
                        for row in split for pinned, later in row)
 
     return RandomTimeAnalysis(
         space=space, tau=tau, survival=survival, survival_incl=survival_incl,
-        occurrence_proj=occurrence_proj, fundamental_martingale=fundamental,
+        fundamental_martingale=fundamental,
         jump_set=jump_set_t, split=split, honest=honest,
         class_h=class_h, is_stopping_time=stopping)
 
@@ -241,51 +268,44 @@ def enlarge(space: FiniteFilteredSpace, analysis: RandomTimeAnalysis) -> Filtrat
 
 _BRANCH_WEIGHTS = (1, 2, 2, 3, 3, 3)  # children counts drawn from {1,2,3}-ish
 DEPTHS, BRANCHINGS = range(1, 9), range(1, 5)  # the generator's scope
-_INCREMENTS = tuple(map(Fraction, (-2, -1, -1, 0, 1, 1, 2)))
+_INCREMENTS = (-2, -1, -1, 0, 1, 1, 2)
+# every value a walk takes within the generator's depths, as a Fraction
+_VALUES = {v: Fraction(v) for v in range(-2 * DEPTHS[-1], 2 * DEPTHS[-1] + 1)}
 
 
 def _grow_tree(rng: SplitMix64, depth: int, branching: int):
-    """Returns (outcomes, prob, partitions) of a random refining tree."""
-    edges: dict[str, list[tuple[str, Fraction]]] = {"": []}
-    frontier = [""]
+    """Returns (leaves, partitions, prob) of a random refining tree drawn
+    as parent arrays: generation order is canonical order."""
+    level = [("", 1, 1)]  # per node: name, probability numerator, denominator
+    ups = []  # ups[t - 1][i]: the parent at t - 1 of the i-th node at t
     for t in range(depth):
-        nxt = []
-        for node in frontier:
+        up, kids = [], []
+        for j, (name, num, den) in enumerate(level):
             k = min(rng.choice(_BRANCH_WEIGHTS), branching)
             if t == 0 and k == 1:
                 k = min(2, branching)  # avoid a fully deterministic first step
             raw = [rng.randint(1, 4) for _ in range(k)]
-            total = sum(raw)
-            for i in range(k):
-                child = f"{node}{i}" if node else str(i)
-                edges[node].append((child, Fraction(raw[i], total)))
-                edges[child] = []
-                nxt.append(child)
-        frontier = nxt
-    leaves = frontier
-    prob: dict[str, Fraction] = {}
-
-    def walk(node: str, mass: Fraction):
-        kids = edges[node]
-        if not kids:
-            prob[node] = mass
-            return
-        for child, p in kids:
-            walk(child, mass * p)
-
-    walk("", ONE)
-    partitions = []
-    for t in range(depth + 1):
-        groups: dict[str, list[str]] = {}
-        for leaf in leaves:
-            groups.setdefault(leaf[:t], []).append(leaf)
-        partitions.append(tuple(tuple(g) for g in groups.values()))
-    return leaves, prob, partitions
+            den *= sum(raw)
+            kids += [(f"{name}{i}", num * r, den) for i, r in enumerate(raw)]
+            up += [j] * k
+        ups.append(up)
+        level = kids
+    names = [name for name, _, _ in level]
+    prob = {name: Fraction(num, den) for name, num, den in level}
+    blocks = [(leaf,) for leaf in names]
+    partitions = [blocks]
+    for up in reversed(ups):
+        merged = [()] * (up[-1] + 1)
+        for block, p in zip(blocks, up):
+            merged[p] += block
+        partitions.append(blocks := merged)
+    return names, partitions[::-1], prob
 
 
 def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1):
     """Random model (space, tau, asset, analysis) with an honest class-H
-    time, built once from one SplitMix64 stream of the seed.
+    time, built once from one SplitMix64 stream of the seed: the tree as
+    parent arrays, then walks summed on integers over its nodes.
 
     The time is the last visit of an adapted walk X to a level set, with
     sup of the empty set taken as 0: the end of the adapted set
@@ -303,15 +323,16 @@ def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1):
         raise GenerationExhausted(f"d {d} outside 1..4")
 
     rng = SplitMix64((seed << 8) ^ 0xE17AB)
-    outcomes, prob, partitions = _grow_tree(rng, depth, branching)
+    outcomes, partitions, prob = _grow_tree(rng, depth, branching)
     space = build_space({"outcomes": outcomes, "prob": prob,
                          "partitions": partitions})
 
     # driver walk for the last-visit time
     driver = _random_walk(rng, space)
-    visited = sorted({v for row in driver.nodes for v in row})
+    # the walk's values are whole, so the level set reads numerators
+    visited = sorted({v.numerator for row in driver.nodes for v in row})
     level = visited[rng.randint(0, max(len(visited) - 2, 0))]
-    tau = last_visit(space, driver, lambda v: v <= level)
+    tau = last_visit(space, driver, lambda v: v.numerator <= level)
 
     components = []
     for i in range(d):
@@ -326,10 +347,11 @@ def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1):
 
 
 def _random_walk(rng: SplitMix64, space: FiniteFilteredSpace) -> AdaptedProcess:
-    """Adapted walk with per-atom increments from a small integer set,
-    drawn in partition order at each time."""
+    """Adapted walk from 0 with per-atom increments from a small integer
+    set, drawn in partition order at each time, summed as ints; its
+    values come from a shared table."""
     f = space.filtration
-    draws = [[rng.choice(_INCREMENTS) for _ in part]
-             for part in f.partitions[1:]]
-    return AdaptedProcess.from_increments(
-        f, step=lambda o, t: draws[t - 1][f.block_of[t][o]])
+    steps = [[0]] + [[rng.choice(_INCREMENTS) for _ in up] for up in f.up[1:]]
+    nodes, steps = ([[_VALUES[v] for v in row] for row in rows]
+                    for rows in (_cumulate(f, steps), steps))
+    return AdaptedProcess.from_nodes(f, nodes, steps)

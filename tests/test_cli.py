@@ -105,6 +105,38 @@ def test_cli_nupbr_rejects_malformed_model(entry, value, field, tmp_path,
     _assert_model_rejected(bad, field, tmp_path, capsys)
 
 
+def _stop_payload() -> dict:
+    return json.loads((FIXTURES / "stop.json").read_text())
+
+
+def _with(payload: dict, entry: str, key: str, value) -> dict:
+    payload.setdefault(entry, {})[key] = value
+    return payload
+
+
+@pytest.mark.parametrize("payload, field", [
+    # a key naming no outcome, in each map keyed by outcome
+    (_with(_tent_payload(), "prob", "ghost", "1/2"), "prob.ghost"),
+    (_with(_tent_payload(), "S", "ghost", ["0", "0", "0"]), "S.ghost"),
+    (_with(_tent_payload(), "processes",
+           "X", _tent_payload()["S"] | {"ghost": ["0", "0", "0"]}),
+     "processes.X.ghost"),
+    (_with(_stop_payload(), "tau", "ghost", 99), "tau.ghost"),
+    # a last-visit recipe with an explicit value beside it
+    (_with(_tent_payload(), "tau", "uu", 0), "tau"),
+])
+def test_cli_nupbr_rejects_unknown_outcome_keys(payload, field, tmp_path,
+                                                capsys):
+    _assert_model_rejected(payload, field, tmp_path, capsys)
+
+
+def test_cli_nupbr_rejects_an_empty_block(tmp_path, capsys):
+    # an empty block covers nothing, so its partition is no partition
+    bad = _tent_payload()
+    bad["partitions"][1].append([])
+    _assert_model_rejected(bad, "partitions", tmp_path, capsys)
+
+
 @pytest.mark.parametrize("entry, value, field", [
     ("prob", ["1/4", "1/4", "1/4", "1/4"], "prob"),
     ("partitions", 5, "partitions"),
@@ -213,6 +245,59 @@ def test_cli_crosscheck_fail_line_replays_the_first_failed_seed(
     monkeypatch.undo()
     assert main(replay.split()[1:]) == 0
     assert capsys.readouterr().out.startswith("PASS crosscheck seeds=1 ")
+
+
+def test_cli_nupbr_fail_line_replays_the_failed_verdict(monkeypatch,
+                                                        capsys):
+    # a re-verification that fails on the after verdict only: the FAIL
+    # line names that verdict, its witness node and the replay command;
+    # the printed verdicts are those of a passing run
+    from enlab import cli
+    model = str(FIXTURES / "tent.json")
+    assert main(["nupbr", "--model", model]) == 0
+    passing = capsys.readouterr().out.splitlines()
+    real = cli.verify_witness
+
+    def failing(verdict, x, space, filtration=None):
+        return verdict.filtration_label != "G" and real(verdict, x, space,
+                                                         filtration)
+
+    monkeypatch.setattr(cli, "verify_witness", failing)
+    replay = f"enlab nupbr --model {model}"
+    assert main(replay.split()[1:]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == passing[:2]
+    assert out[2] == ("FAIL nupbr base=True after=False failed=after "
+                      f"witness=arbitrage t=2 atom=dd replay: {replay}")
+    monkeypatch.undo()
+    assert main(replay.split()[1:]) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("PASS nupbr ")
+
+
+def test_cli_nupbr_fail_line_names_the_failing_deflator_node(monkeypatch,
+                                                             capsys):
+    # a deflator witness whose weights at one node no longer sum to one
+    # fails re-verification for real, and the line names that node
+    from enlab import cli
+    from enlab.nupbr import DeflatorWitness, NupbrVerdict
+    real = cli.nupbr_check
+
+    def skewed(x, space, filtration=None):
+        verdict = real(x, space, filtration)
+        if filtration is None:
+            return verdict
+        weights = dict(verdict.witness.node_weights)
+        node = sorted(weights)[-1]
+        weights[node] = (weights[node][0] * 2, *weights[node][1:])
+        return NupbrVerdict(True, DeflatorWitness(weights),
+                            verdict.filtration_label)
+
+    monkeypatch.setattr(cli, "nupbr_check", skewed)
+    model = str(FIXTURES / "stop.json")
+    assert main(["nupbr", "--model", model]) == 1
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "FAIL nupbr base=True after=True failed=after witness=deflator "
+        f"t=2 atom=ud,uu replay: enlab nupbr --model {model}")
 
 
 def test_cli_example_runs_and_determinism(tmp_path):

@@ -9,6 +9,11 @@ compensator, brackets, exponential and the process arithmetic) and reads
 them through `nodes`, `steps`, `at` and `delta`, so the storage of a
 process can change inside `finite_prob` alone.
 
+Only `random_times` forms a survival gap: no other module of
+`src/enlab` computes `1 - ....survival.at(...)` or
+`1 - ....survival_incl.at(...)`; each reads `gap` or `gap_incl` of the
+analysis, which derives them once per model.
+
 Only `poisson_mc` runs worker threads: no other module of `src/enlab`
 imports `threading` or `concurrent.futures`.  The exact `Fraction`
 engine gains nothing from threads, so its runners map seeds in one
@@ -61,6 +66,51 @@ def test_only_finite_prob_touches_process_storage():
     offenders = [f"{path.name}:{line}"
                  for path in modules if path.name != "finite_prob.py"
                  for line in storage_offenders(path.read_text())]
+    assert offenders == []
+
+
+SURVIVALS = {"survival", "survival_incl"}
+
+
+def gap_offenders(source: str) -> list[int]:
+    """Lines of `source` that subtract a survival value from one:
+    `1 - x.survival.at(...)` or `1 - x.survival_incl.at(...)` (also on a
+    bare `survival` name, and with `ONE` for 1)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+            continue
+        one, read = node.left, node.right
+        if not ((isinstance(one, ast.Constant) and one.value == 1)
+                or (isinstance(one, ast.Name) and one.id == "ONE")):
+            continue
+        if (isinstance(read, ast.Call) and isinstance(read.func, ast.Attribute)
+                and read.func.attr == "at"):
+            owner = read.func.value
+            name = (owner.attr if isinstance(owner, ast.Attribute)
+                    else getattr(owner, "id", None))
+            if name in SURVIVALS:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_gap_guard_sees_each_form():
+    planted = ("1 - analysis.survival.at(o, t - 1)\n"
+               "g = (1 - a.survival_incl.at(o, t)) * d\n"
+               "ONE - survival.at(o, t)\n"
+               "x / (1 - self.analysis.survival.at(base[0], t - 1))\n")
+    assert sorted(gap_offenders(planted)) == [1, 2, 3, 4]
+    assert gap_offenders("analysis.gap.at(o, t)\n1 - p\n"
+                         "2 - a.survival.at(o, t)\n"
+                         "1 - a.fundamental_martingale.at(o, t)\n"
+                         "a.survival.at(o, t) < 1\n") == []
+
+
+def test_only_random_times_forms_survival_gaps():
+    offenders = [f"{path.name}:{line}"
+                 for path in sorted(SRC.glob("*.py"))
+                 if path.name != "random_times.py"
+                 for line in gap_offenders(path.read_text())]
     assert offenders == []
 
 

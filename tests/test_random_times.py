@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,8 +12,10 @@ from hypothesis import strategies as st
 from enlab.enlargement import after_atoms
 from enlab.errors import GenerationExhausted, NotHonest, SchemaError
 from enlab import random_times
-from enlab.finite_prob import build_space, is_martingale
+from enlab.finite_prob import AdaptedProcess, build_space, is_martingale
+from enlab.model_io import dump_model
 from enlab.random_times import (
+    _BRANCH_WEIGHTS,
     BRANCHINGS,
     DEPTHS,
     RandomTimeMap,
@@ -18,6 +23,7 @@ from enlab.random_times import (
     enlarge,
     generate_honest_model,
 )
+from enlab.rng import SplitMix64
 
 from .conftest import COARSE, TREE, every_time
 from .oracles import (
@@ -166,6 +172,69 @@ def test_generator_determinism():
     assert one[0].prob == two[0].prob
     assert one[1].tau == two[1].tau
     assert ref_values(one[2]) == ref_values(two[2])
+
+
+# sha256 of the canonical bytes of every model in the generator's scope
+# (each depth and branching, seeds 1-3, d = 2): a change to how models
+# are drawn or analysed must leave every byte in place
+GENERATOR_SCOPE_SHA256 = (
+    "6ce8126c9061f190982cfd98922d71171af09438fe67ad7f311cae28199572b0")
+
+
+def _model_bytes(seed: int, depth: int, branching: int) -> bytes:
+    """The model file of the first component (the d = 1 asset: the
+    components draw from forks taken in order), every component's nodes,
+    and the analysis: both survivals, the jump set, the split and the
+    three flags."""
+    space, tau, asset, a = generate_honest_model(seed, depth, branching, d=2)
+
+    def strings(x):
+        return [[str(v) for v in row] for row in x.nodes]
+
+    payload = {"model": dump_model(space, tau, asset[0]),
+               "components": [strings(c) for c in asset],
+               "survival": strings(a.survival),
+               "survival_incl": strings(a.survival_incl),
+               "jump_set": a.jump_set, "split": a.split,
+               "flags": [a.honest, a.class_h, a.is_stopping_time]}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_generator_bytes_over_its_whole_scope():
+    digest = hashlib.sha256()
+    for depth in DEPTHS:
+        for branching in BRANCHINGS:
+            for seed in (1, 2, 3):
+                digest.update(_model_bytes(seed, depth, branching))
+    assert digest.hexdigest() == GENERATOR_SCOPE_SHA256
+
+
+def test_first_component_is_the_scalar_asset():
+    one = generate_honest_model(5, depth=4, branching=3)
+    two = generate_honest_model(5, depth=4, branching=3, d=2)
+    assert ref_values(one[2]) == ref_values(two[2][0])
+    assert one[1].tau == two[1].tau
+
+
+@pytest.mark.parametrize("seed, u64, ints, weights, forked, after", [
+    (1, [10451216379200822465, 13757245211066428519, 17911839290282890590],
+     [4, 2, 1, 2], [3, 1, 3, 3],
+     [6492591477144452079, 11624700144490430703], 8392123148533390784),
+    # the stream of generator seed 1: (1 << 8) ^ 0xE17AB
+    (923307, [16418193860844816695, 7926414673390744866, 5516834420066747362],
+     [1, 3, 2, 3], [3, 1, 3, 2],
+     [17919101070393587202, 16975976863014139849], 9393356010654485605),
+])
+def test_splitmix64_known_answers(seed, u64, ints, weights, forked, after):
+    # every generated model rests on this stream: its first words, draws
+    # and fork, in the order the generator takes them
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(3)] == u64
+    assert [rng.randint(1, 4) for _ in range(4)] == ints
+    assert [rng.choice(_BRANCH_WEIGHTS) for _ in range(4)] == weights
+    child = rng.fork(101)
+    assert [child.next_u64() for _ in range(2)] == forked
+    assert rng.next_u64() == after
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
@@ -323,6 +392,39 @@ def test_analysis_against_outcome_references(seed):
             for o in space.outcomes}
     assert a.jump_set == tuple(jump_set)
     _assert_survival_facts(a)
+
+
+def _gap_cases(stop_analysis, tent_analysis):
+    yield stop_analysis
+    yield tent_analysis
+    for seed in range(1, 9):
+        yield generate_honest_model(seed, depth=5, branching=3)[3]
+
+
+def test_gaps_are_one_minus_survival(stop_analysis, tent_analysis):
+    for a in _gap_cases(stop_analysis, tent_analysis):
+        for gap, survival in ((a.gap, a.survival),
+                              (a.gap_incl, a.survival_incl)):
+            assert gap.filtration is survival.filtration
+            assert gap.nodes == [[1 - v for v in row]
+                                 for row in survival.nodes]
+
+
+def test_gaps_follow_a_replaced_survival(stop_analysis, tent_analysis):
+    # the gaps are derived from the survivals of the analysis they are
+    # read on, so a replaced survival (as the planted-fault tests make)
+    # reaches every reader of the gap
+    for a in _gap_cases(stop_analysis, tent_analysis):
+        a.gap_incl, a.gap  # derived on the original first
+        f = a.space.filtration
+        halved = AdaptedProcess.from_nodes(
+            f, [[v / 2 for v in row] for row in a.survival_incl.nodes])
+        for field, gap in (("survival_incl", "gap_incl"),
+                           ("survival", "gap")):
+            moved = dataclasses.replace(a, **{field: halved})
+            assert getattr(moved, gap).nodes == [
+                [1 - v / 2 for v in row] for row in a.survival_incl.nodes]
+            assert getattr(moved, gap).filtration is f
 
 
 # ---------------------------------------------------------------------------
