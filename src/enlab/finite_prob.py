@@ -1,10 +1,11 @@
 """Exact discrete-time stochastic calculus on finite filtered spaces.
 
-Everything here is exact: process values are ``fractions.Fraction``
-and atom masses are integers over one common denominator, so
-conditional averages, compensators, brackets and stochastic exponentials
-carry no rounding, and downstream identity checks can demand
-bit-identical equality instead of tolerances.
+Everything here is exact: atom masses are integers over one common
+denominator, and a process holds, per time, one row of integer
+numerators over one integer denominator, so conditional averages,
+compensators, brackets and stochastic exponentials carry no rounding,
+and downstream identity checks can demand bit-identical equality
+instead of tolerances.
 
 Conventions, stated once and enforced everywhere:
 
@@ -22,15 +23,18 @@ t + 1 and its mass.  Masses are integers over the filtration's
 all times: every atom's mass is a sum of outcome probabilities, so it
 is an integer over that scale.
 
-Processes are stored on that tree.  A process holds, per time t, one
-value per atom of the ``Filtration`` it is adapted to and the
-increment from the parent atom, each derived from the other when first
-read; ``at(o, t)`` reads the node of the atom holding o.  Every
-operation works node by node: a conditional expectation given time
-t - 1 is the mass-weighted average over an atom's children, summed on
-plain integers and normalised once per returned value, and a process
-built from increments evaluates its step once per atom, on the atom's
-first outcome.
+Processes are stored on that tree.  A process holds, per time t, the
+values on the atoms of the ``Filtration`` it is adapted to and the
+increments from the parent atom, each as a row of int numerators over
+one int denominator, the other form derived when first read.  Every row
+is normalised once, when it is made: its denominator is the lcm of its
+values' reduced denominators, so two processes are equal exactly when
+their rows are.  Arithmetic, conditional averages (mass-weighted sums
+of numerators, with a parent's mass in the denominator), compensators,
+brackets, exponentials and the drift test run on these ints, node by
+node.  A ``Fraction`` is made only where a value leaves the engine:
+``at``, ``delta``, ``nodes`` and ``steps`` return normalised Fractions
+for reports, witnesses and the simplex.
 
 Adaptedness is structural.  Outcome rows become a process in one way,
 ``adapted``, which checks that they are constant on the atoms of the
@@ -46,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -86,7 +90,7 @@ class Filtration:
         self.outcomes = tuple(prob)
         # canonical: each block sorted, blocks by their first outcome
         self.partitions = tuple(
-            tuple(sorted((tuple(sorted(b)) for b in p), key=lambda b: b[0]))
+            tuple(sorted(map(tuple, map(sorted, p)), key=itemgetter(0)))
             for p in partitions)
         self.block_of: list[dict[str, int]] = [
             {o: i for i, block in enumerate(part) for o in block}
@@ -115,7 +119,8 @@ class Filtration:
         masses = [[sum(map(weight.__getitem__, block))
                    for block in self.partitions[-1]]]
         for row in reversed(self.kids):
-            masses.append([sum(masses[-1][c] for c in kids) for kids in row])
+            prev = masses[-1].__getitem__
+            masses.append([sum(map(prev, kids)) for kids in row])
         self.masses: list[list[int]] = masses[::-1]
 
     @property
@@ -126,11 +131,6 @@ class Filtration:
         """The atoms at t + 1 inside the time-t atom, in partition order."""
         part = self.partitions[t + 1]
         return tuple(part[c] for c in self.kids[t][self.block_of[t][atom[0]]])
-
-    def share(self, t: int, atom: Block) -> Fraction:
-        """Probability of the time-t atom given its parent at t - 1."""
-        i = self.block_of[t][atom[0]]
-        return Fraction(self.masses[t][i], self.masses[t - 1][self.up[t][i]])
 
 
 @dataclass(frozen=True)
@@ -202,79 +202,159 @@ def build_space(description: Mapping) -> FiniteFilteredSpace:
 
 
 # ---------------------------------------------------------------------------
-# Processes
+# Rows
 # ---------------------------------------------------------------------------
 
 Nodes = list[list[Fraction]]
+Row = tuple[list[int], int]               # numerators, denominator
+Rows = tuple[list[list[int]], list[int]]  # per t: numerators; denominators
 
 
-def _differences(f: Filtration, nodes: Nodes) -> Nodes:
-    """Increments from the parent atom (steps[0] is the time-0 value)."""
-    return [nodes[0]] + [
-        [v - nodes[t - 1][p] for v, p in zip(nodes[t], f.up[t])]
-        for t in range(1, len(nodes))]
+def normal(nums: list[int], den: int) -> Row:
+    """The row nums / den over the lcm of its values' reduced
+    denominators: den and every numerator divided by their gcd."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [n // g for n in nums], den // g
 
 
-def _cumulate(f: Filtration, steps: Nodes) -> Nodes:
-    """Values from the time-0 value and the increments."""
-    nodes = [steps[0]]
-    for t in range(1, len(steps)):
-        prev = nodes[-1]
-        nodes.append([prev[p] + s if s else prev[p]
-                      for p, s in zip(f.up[t], steps[t])])
-    return nodes
+def quotients(nums: Sequence[int], dens: Sequence[int]) -> Row:
+    """The normal row of the values nums[i] / dens[i], each dens[i] > 0."""
+    den = 1
+    for n, d in zip(nums, dens):
+        if n:
+            den = lcm(den, d // gcd(n, d))
+    return [n * den // d for n, d in zip(nums, dens)], den
 
+
+def row_of(values: Iterable) -> Row:
+    """Fractions (or ints) as the normal row over the lcm of their
+    denominators."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def stack(rows: Iterable[Row]) -> Rows:
+    """Per-t rows (numerators, denominator) as (numerator rows,
+    denominators)."""
+    rows = list(rows)
+    return [n for n, _ in rows], [d for _, d in rows]
+
+
+def add_rows(x: Row, y: Row, sign: int = 1) -> Row:
+    """The normal row x + sign * y."""
+    (xn, xd), (yn, yd) = x, y
+    if xd == yd:
+        return normal([a + sign * b for a, b in zip(xn, yn)], xd)
+    den = lcm(xd, yd)
+    ka, kb = den // xd, sign * (den // yd)
+    return normal([a * ka + b * kb for a, b in zip(xn, yn)], den)
+
+
+def _cumulate(f: Filtration, dnum: list[list[int]], dden: list[int]) -> Rows:
+    """Value rows from the time-0 value and the increment rows."""
+    rows = [(dnum[0], dden[0])]
+    for t in range(1, len(dnum)):
+        prev, d = rows[-1]
+        rows.append(add_rows(([prev[p] for p in f.up[t]], d),
+                             (dnum[t], dden[t])))
+    return stack(rows)
+
+
+def _differences(f: Filtration, num: list[list[int]], den: list[int]) -> Rows:
+    """Increment rows from the parent atom (row 0 is the time-0 value)."""
+    return stack([(num[0], den[0])] + [
+        add_rows((num[t], den[t]),
+                 ([num[t - 1][p] for p in f.up[t]], den[t - 1]), -1)
+        for t in range(1, len(num))])
+
+
+# ---------------------------------------------------------------------------
+# Processes
+# ---------------------------------------------------------------------------
 
 class AdaptedProcess:
-    """Per time, one value per atom of the filtration it is adapted to:
-    ``nodes[t][i]`` on the i-th atom at t and ``steps[t][i]`` its
-    increment from the parent atom (``steps[0]`` is the time-0 value).
-    A process is made from either; the other is derived on first read.
-    Outcome rows become a process through ``adapted``.
+    """Per time t, the value ``_num[t][i] / _den[t]`` on the i-th atom at
+    t of the filtration it is adapted to, and its increment
+    ``_dnum[t][i] / _dden[t]`` from the parent atom (the increment row
+    at 0 is the time-0 value), every row normal.  A process is made from
+    either form; the other is derived on first read.  Outcome rows
+    become a process through ``adapted``.
     """
 
-    __slots__ = ("filtration", "_nodes", "_steps")
+    __slots__ = ("filtration", "_num", "_den", "_dnum", "_dden")
 
     @classmethod
-    def from_nodes(cls, f: Filtration, nodes: Nodes | None,
-                   steps: Nodes | None = None):
-        """The process with value nodes[t][i] on the i-th atom of f at t;
-        its increments are derived on first read unless given."""
+    def from_rows(cls, f: Filtration, num, den, dnum=None, dden=None):
+        """The process with the normal value rows num[t] / den[t] on the
+        atoms of f at t; its increment rows are derived on first read
+        unless given."""
         x = cls.__new__(cls)
-        x.filtration, x._nodes, x._steps = f, nodes, steps
+        x.filtration, x._num, x._den, x._dnum, x._dden = f, num, den, dnum, dden
         return x
+
+    @classmethod
+    def from_step_rows(cls, f: Filtration, dnum, dden):
+        """The process with the normal increment rows dnum[t] / dden[t]
+        (row 0: the time-0 value)."""
+        return cls.from_rows(f, None, None, dnum, dden)
+
+    @classmethod
+    def from_nodes(cls, f: Filtration, nodes: Nodes):
+        """The process with value nodes[t][i] (a Fraction or int) on the
+        i-th atom of f at t."""
+        return cls.from_rows(f, *stack(map(row_of, nodes)))
 
     @classmethod
     def from_steps(cls, f: Filtration, steps: Nodes):
         """The process with time-0 value steps[0] and increment
         steps[t][i] on the i-th atom of f at t >= 1."""
-        return cls.from_nodes(f, None, steps)
-
-    @property
-    def nodes(self) -> Nodes:
-        if self._nodes is None:
-            self._nodes = _cumulate(self.filtration, self._steps)
-        return self._nodes
-
-    @property
-    def steps(self) -> Nodes:
-        if self._steps is None:
-            self._steps = _differences(self.filtration, self._nodes)
-        return self._steps
+        return cls.from_step_rows(f, *stack(map(row_of, steps)))
 
     @classmethod
     def from_increments(cls, f: Filtration, step) -> "AdaptedProcess":
         """X_0 = 0 and X_t = X_{t-1} + step(o, t) on the atoms of f: the
-        one constructor of processes from their increments.  step is
+        entry for increments given per outcome, as Fractions; step is
         evaluated once per atom at t, on the atom's first outcome."""
-        return _integral(f, [[step(block[0], t) for block in part]
-                             for t, part in enumerate(f.partitions) if t])
+        return cls.from_steps(f, [[0] * len(f.partitions[0])] + [
+            [step(block[0], t) for block in part]
+            for t, part in enumerate(f.partitions) if t])
+
+    @property
+    def node_rows(self) -> Rows:
+        """(value numerator rows, their denominators), per t."""
+        if self._num is None:
+            self._num, self._den = _cumulate(self.filtration, self._dnum,
+                                             self._dden)
+        return self._num, self._den
+
+    @property
+    def step_rows(self) -> Rows:
+        """(increment numerator rows, their denominators), per t."""
+        if self._dnum is None:
+            self._dnum, self._dden = _differences(self.filtration, self._num,
+                                                  self._den)
+        return self._dnum, self._dden
+
+    @property
+    def nodes(self) -> Nodes:
+        """The values as Fractions, per t and atom."""
+        return _fractions(*self.node_rows)
+
+    @property
+    def steps(self) -> Nodes:
+        """The increments as Fractions, per t and atom."""
+        return _fractions(*self.step_rows)
 
     def at(self, outcome: str, t: int) -> Fraction:
-        return self.nodes[t][self.filtration.block_of[t][outcome]]
+        num, den = self.node_rows
+        return Fraction(num[t][self.filtration.block_of[t][outcome]], den[t])
 
     def delta(self, outcome: str, t: int) -> Fraction:
-        return self.steps[t][self.filtration.block_of[t][outcome]]
+        num, den = self.step_rows
+        return Fraction(num[t][self.filtration.block_of[t][outcome]], den[t])
 
     def on(self, f: Filtration) -> "AdaptedProcess":
         """This process, read on f, which must be the filtration it was
@@ -285,30 +365,34 @@ class AdaptedProcess:
         return self
 
     def equals(self, other: "AdaptedProcess") -> bool:
-        """The same value at every outcome and time: the same time-0
-        values and increments."""
+        """The same value at every outcome and time: the same normal
+        rows of time-0 values and increments."""
         other = other.on(self.filtration)
-        if self._steps is not None and other._steps is not None:
-            return self._steps == other._steps
-        return self.nodes == other.nodes
+        if self._dnum is not None and other._dnum is not None:
+            return self._dnum == other._dnum and self._dden == other._dden
+        return self.node_rows == other.node_rows
 
-    def _combine(self, other, op, linear: bool) -> "AdaptedProcess":
-        """op node by node; a linear op acts on the increments alone."""
-        a, b = self, other.on(self.filtration)
-        rows = zip(a.steps, b.steps) if linear else zip(a.nodes, b.nodes)
-        out = [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in rows]
-        if linear:
-            return AdaptedProcess.from_steps(a.filtration, out)
-        return AdaptedProcess.from_nodes(a.filtration, out)
+    def _combine(self, other: "AdaptedProcess", sign: int) -> "AdaptedProcess":
+        """self + sign * other, on the increments alone."""
+        (an, ad), (bn, bd) = self.step_rows, other.on(self.filtration).step_rows
+        return AdaptedProcess.from_step_rows(self.filtration, *stack(
+            add_rows(x, y, sign) for x, y in zip(zip(an, ad), zip(bn, bd))))
 
     def __add__(self, other: "AdaptedProcess") -> "AdaptedProcess":
-        return self._combine(other, add, True)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "AdaptedProcess") -> "AdaptedProcess":
-        return self._combine(other, lambda x, y: x - y, True)
+        return self._combine(other, -1)
 
     def __mul__(self, other: "AdaptedProcess") -> "AdaptedProcess":
-        return self._combine(other, lambda x, y: x * y, False)
+        (an, ad), (bn, bd) = self.node_rows, other.on(self.filtration).node_rows
+        return AdaptedProcess.from_rows(self.filtration, *stack(
+            normal([x * y for x, y in zip(ra, rb)], da * db)
+            for ra, da, rb, db in zip(an, ad, bn, bd)))
+
+
+def _fractions(num: list[list[int]], den: list[int]) -> Nodes:
+    return [[Fraction(n, d) for n in row] for row, d in zip(num, den)]
 
 
 def _require_constant(f: Filtration, value) -> None:
@@ -344,44 +428,31 @@ def adapted(values: Mapping[str, Sequence], space: FiniteFilteredSpace,
 # Conditional averages and compensators
 # ---------------------------------------------------------------------------
 
-def mass_average(masses: Sequence[int], idxs: Sequence[int], value,
-                 mass: int | None = None) -> Fraction:
-    """sum m[i] value(i) / mass over the atoms idxs, with value evaluated
-    once per atom; `mass` defaults to sum m[i].  The one conditional
-    average over atoms: cond_average, the compensator, the drift test
-    and the transfer identities all reduce to it.
+def mass_average(masses: Sequence[int], idxs: Iterable[int],
+                 nums: Sequence[int], den: int,
+                 mass: int | None = None) -> tuple[int, int]:
+    """The average of the row nums / den over the atoms idxs, weighted by
+    their integer masses, as an unreduced pair: sum m[i] nums[i] over
+    den times `mass`, which defaults to sum m[i].  The conditional
+    average over a set of atoms: the transfer identities, the jump
+    functionals and the hat basis reduce to it, and ``parent_sums`` is
+    its form over every atom at t - 1 at once."""
+    if mass is None:
+        idxs = list(idxs)
+        mass = sum([masses[i] for i in idxs])
+    return sum([masses[i] * nums[i] for i in idxs]), den * mass
 
-    The masses are integers, and the sum is kept as an integer numerator
-    over the lcm of the values' denominators, so that the only
-    normalisation is that of the returned Fraction."""
-    if len(idxs) == 1 and (mass is None or mass == masses[idxs[0]]):
-        return value(idxs[0])
-    num, den = 0, 1
-    for i in idxs:
-        v = value(i)
-        n = v.numerator
+
+def parent_sums(f: Filtration, t: int, nums: Sequence[int]) -> list[int]:
+    """Per atom p at t - 1, mass_average's numerator over its children:
+    sum m[c] nums[c], so that E[X_t | t - 1] on p is that over den times
+    the mass of p for the row nums / den at t.  One pass over the atoms
+    at t, for the compensator and the drift test."""
+    sums = [0] * len(f.partitions[t - 1])
+    for p, m, n in zip(f.up[t], f.masses[t], nums):
         if n:
-            d = v.denominator
-            if d != den:
-                g = gcd(den, d)
-                num *= d // g
-                n *= den // g
-                den *= d // g
-            num += masses[i] * n
-    if not num:
-        return ZERO
-    return Fraction(num, den * (sum(masses[i] for i in idxs) if mass is None
-                                else mass))
-
-
-def cond_average(f: Filtration, t: int, atoms: Iterable[Block],
-                 values) -> Fraction:
-    """Conditional average of values(outcome) over the union of the given
-    time-t atoms of f, under the reference measure; values is evaluated
-    once per atom, on its first outcome."""
-    look = f.block_of[t]
-    return mass_average(f.masses[t], [look[atom[0]] for atom in atoms],
-                        lambda i: values(f.partitions[t][i][0]))
+            sums[p] += m * n
+    return sums
 
 
 def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
@@ -390,33 +461,33 @@ def compensator(v: AdaptedProcess, space: FiniteFilteredSpace,
     the value at 0 is V_0.  V must be on the given filtration (the base
     one by default); V minus the result is a martingale of it."""
     f = filtration or space.filtration
-    v = v.on(f)
-    steps = [v.steps[0]]
+    dnum, dden = v.on(f).step_rows
+    out_n, out_d = [dnum[0]], [dden[0]]
     for t in range(1, len(f.partitions)):
-        row = v.steps[t].__getitem__
-        drift = [mass_average(f.masses[t], kids, row, mass)
-                 for kids, mass in zip(f.kids[t - 1], f.masses[t - 1])]
-        steps.append([drift[p] for p in f.up[t]])
-    return AdaptedProcess.from_steps(f, steps)
+        d = dden[t]
+        drift, den = quotients(parent_sums(f, t, dnum[t]),
+                               [d * mass for mass in f.masses[t - 1]])
+        out_n.append([drift[p] for p in f.up[t]])
+        out_d.append(den)
+    return AdaptedProcess.from_step_rows(f, out_n, out_d)
 
 
 # ---------------------------------------------------------------------------
 # Brackets and exponential
 # ---------------------------------------------------------------------------
 
-def _integral(f: Filtration, increments: Nodes) -> AdaptedProcess:
-    """X_0 = 0 with increments[t - 1][i] on the i-th atom at t >= 1."""
-    return AdaptedProcess.from_steps(f, [[ZERO] * len(f.partitions[0]),
-                                         *increments])
+def integral(f: Filtration, rows: Iterable[Row]) -> AdaptedProcess:
+    """X_0 = 0 with the normal increment row rows[t - 1] at t >= 1."""
+    return AdaptedProcess.from_step_rows(
+        f, *stack([([0] * len(f.partitions[0]), 1), *rows]))
 
 
 def bracket(x: AdaptedProcess, y: AdaptedProcess) -> AdaptedProcess:
     """Covariation [X, Y]_t = sum_{s<=t} dX_s dY_s, starting at 0."""
-    y = y.on(x.filtration)
-    return _integral(x.filtration, [[a * b if a and b else ZERO
-                                     for a, b in zip(ra, rb)]
-                                    for ra, rb in zip(x.steps[1:],
-                                                      y.steps[1:])])
+    (xn, xd), (yn, yd) = x.step_rows, y.on(x.filtration).step_rows
+    return integral(x.filtration, [
+        normal([a * b for a, b in zip(ra, rb)], da * db)
+        for ra, da, rb, db in zip(xn[1:], xd[1:], yn[1:], yd[1:])])
 
 
 def angle_bracket(x: AdaptedProcess, y: AdaptedProcess,
@@ -433,21 +504,20 @@ def stochastic_exponential(x: AdaptedProcess) -> AdaptedProcess:
     reported by is_positive(), not enforced here.
     """
     f = x.filtration
-    nodes = [[ONE] * len(f.partitions[0])]
-    steps = [nodes[0]]
+    dnum, dden = x.step_rows
+    num, den = [[1] * len(f.partitions[0])], [1]
     for t in range(1, len(f.partitions)):
-        prev = nodes[-1]
-        # E_t = E_{t-1} (1 + dX_t), kept as E_{t-1} + E_{t-1} dX_t
-        step = [prev[p] * d if d else ZERO
-                for p, d in zip(f.up[t], x.steps[t])]
-        steps.append(step)
-        nodes.append([prev[p] + s if s else prev[p]
-                      for p, s in zip(f.up[t], step)])
-    return AdaptedProcess.from_nodes(f, nodes, steps)
+        # E_t = E_{t-1} (1 + dX_t) = E_{t-1} (d + n) / d for dX_t = n / d
+        prev, d = num[-1], dden[t]
+        row, rd = normal([prev[p] * (d + n) for p, n in zip(f.up[t], dnum[t])],
+                         den[-1] * d)
+        num.append(row)
+        den.append(rd)
+    return AdaptedProcess.from_rows(f, num, den)
 
 
 def is_positive(x: AdaptedProcess) -> bool:
-    return all(v > 0 for row in x.nodes for v in row)
+    return all(n > 0 for row in x.node_rows[0] for n in row)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +540,14 @@ def is_martingale(x: AdaptedProcess, space: FiniteFilteredSpace,
     conditional expectation on that atom, not the unnormalized sum.
     """
     f = filtration or space.filtration
-    x = x.on(f)
+    dnum, dden = x.on(f).step_rows
     for t in range(1, len(f.partitions)):
-        row = x.steps[t].__getitem__
-        for block, kids, mass in zip(f.partitions[t - 1], f.kids[t - 1],
-                                     f.masses[t - 1]):
-            drift = mass_average(f.masses[t], kids, row, mass)
-            if drift:
-                return MartingaleReport(False, t, block, drift)
+        sums = parent_sums(f, t, dnum[t])
+        if any(sums):
+            p = next(p for p, s in enumerate(sums) if s)
+            return MartingaleReport(False, t, f.partitions[t - 1][p],
+                                    Fraction(sums[p],
+                                             dden[t] * f.masses[t - 1][p]))
     return MartingaleReport(True)
 
 

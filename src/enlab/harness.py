@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from .enlargement import (
@@ -27,13 +28,7 @@ from .enlargement import (
     transfer_check,
 )
 from .errors import EnlabError
-from .finite_prob import (
-    ONE,
-    ZERO,
-    bracket,
-    compensator,
-    cond_average,
-)
+from .finite_prob import bracket, compensator, mass_average
 from .model_io import dump_model
 from .nupbr import theorem2_crosscheck, verify_witness
 from .random_times import generate_honest_model
@@ -51,12 +46,9 @@ def check_transfer_basis(analysis) -> list[dict]:
     Lemma-level equality for every finite-variation integrand and every
     martingale.
     """
-    f = analysis.space.filtration
-
-    def indicators(atom):
-        look = f.block_of[atom.t]
-        return [lambda o, i=look[child[0]]: ONE if look[o] == i else ZERO
-                for child in f.children(atom.t - 1, atom.base)]
+    def indicators(atom, kids):
+        return [([int(i == k) for i in range(len(kids))], 1)
+                for k in range(len(kids))]
 
     return transfer_check(analysis, indicators,
                           ("after_indicator", "after_indicator_over_gap",
@@ -70,34 +62,44 @@ def check_hat_basis(analysis) -> list[dict]:
     Such a basis element has one increment f at (t, B); its transform
     has the single increment f + E[f dm | B]/gap on the after-atom, so
     the enlarged drift condition is one equation per basis element.
+
+    With M the mass of B, m its child C's, F = sum_c m_c dm_c and a_C
+    the mass of the after-atom A's enlarged child inside C (read through
+    the node map), f = 1{C} - m/M, and all of it runs on integers: the
+    drift is the sum of (a_C M - m mass(A)) / (M mass(A)) and
+    m (M dm_C - F) / (M^2 gap).
     """
-    fund = analysis.fundamental_martingale
-    f = analysis.space.filtration
+    fn, fd = analysis.fundamental_martingale.step_rows
+    gn, gd = analysis.gap.node_rows
+    f, g = analysis.space.filtration, analysis.enlarged
+    base_of = analysis.node_map[0]
     violations = []
     for atom in after_atoms(analysis):
         t, base, members = atom.t, atom.base, atom.members
-        gap = analysis.gap.at(base[0], t - 1)
-        children = f.children(t - 1, base)
-        if len(children) < 2:
+        b = f.block_of[t - 1][base[0]]
+        kids = f.kids[t - 1][b]
+        if len(kids) < 2:
             # the increment is trivial: hat increment is a constant with
             # zero base mean, hence zero
             continue
-        after_children = analysis.enlarged.children(t - 1, members)
-        look = f.block_of[t]
-        for child in children[:-1]:
-            p_child = f.share(t, child)
-            inside, outside = ONE - p_child, -p_child
-            elem = lambda o, i=look[child[0]]: (inside if look[o] == i
-                                                 else outside)
-            drift_repair = cond_average(
-                f, t, children, lambda o: elem(o) * fund.delta(o, t)) / gap
-            enlarged_drift = (cond_average(analysis.enlarged, t,
-                                           after_children, elem)
-                              + drift_repair)
-            if enlarged_drift != 0:
-                violations.append({"identity": "hat_basis_martingale",
-                                   "t": t, "atom": list(members),
-                                   "drift": str(enlarged_drift)})
+        mass, gap = f.masses[t - 1][b], gn[t - 1][b]
+        dm = fn[t]
+        total = mass_average(f.masses[t], kids, dm, 1, 1)[0]
+        a = g.block_of[t - 1][members[0]]
+        a_mass = g.masses[t - 1][a]
+        in_a = {base_of[t][j]: g.masses[t][j] for j in g.kids[t - 1][a]}
+        for c in kids[:-1]:
+            m = f.masses[t][c]
+            # the drift over M^2 fd gap mass(A), whose numerator is
+            # (a_C M - m mass(A)) M fd gap + m (M dm_C - F) gd mass(A)
+            drift = ((in_a.get(c, 0) * mass - m * a_mass) * mass * fd[t] * gap
+                     + m * (mass * dm[c] - total) * gd[t - 1] * a_mass)
+            if drift:
+                violations.append({
+                    "identity": "hat_basis_martingale", "t": t,
+                    "atom": list(members),
+                    "drift": str(Fraction(drift, mass * mass * fd[t] * gap
+                                          * a_mass))})
     return violations
 
 

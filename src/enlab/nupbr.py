@@ -39,12 +39,15 @@ from .finite_prob import (
     Block,
     Filtration,
     FiniteFilteredSpace,
+    integral,
     is_martingale,
     is_positive,
+    normal,
+    quotients,
     stochastic_exponential,
 )
 from .random_times import RandomTimeAnalysis
-from .enlargement import _require_class_h, jump_functionals
+from .enlargement import _require_class_h, jump_functionals, left_row
 from .simplex import solve_nonneg_equalities
 
 NodeKey = tuple[int, Block]
@@ -100,34 +103,39 @@ def _child_increments(components: list[AdaptedProcess],
             for child in children]
 
 
-def _node_verdict(vectors, probs) -> tuple[bool, tuple[Fraction, ...]]:
-    """One node's verdict from its children's increments and conditional
-    probabilities: (True, strictly positive weights summing to one with
-    zero weighted increment), or (False, a separating direction)."""
-    d = len(vectors[0])
-    n = len(vectors)
+def _node_verdict(nums, dens, masses) -> tuple[bool, tuple[Fraction, ...]]:
+    """One node's verdict from its children's increments, nums[i][k] /
+    dens[k] for child i and component k, and their integer masses:
+    (True, strictly positive weights summing to one with zero weighted
+    increment), or (False, a separating direction)."""
+    d = len(dens)
+    n = len(nums)
+    mass = sum(masses)
     if d == 1:
         # feasible iff the increments are all zero or carry both signs;
-        # the weights split unit mass over each sign class
-        pos = [i for i, v in enumerate(vectors) if v[0] > 0]
-        neg = [i for i, v in enumerate(vectors) if v[0] < 0]
+        # the weights split unit mass over each sign class: a raw weight
+        # 1 / (k v) on each of the k children of a class, 1 on the rest
+        pos = [i for i, (v,) in enumerate(nums) if v > 0]
+        neg = [i for i, (v,) in enumerate(nums) if v < 0]
         if not pos and not neg:
-            return True, tuple(probs)
+            return True, tuple(Fraction(m, mass) for m in masses)
         if not neg:
             return False, (ONE,)
         if not pos:
             return False, (-ONE,)
-        raw = [ONE] * n
-        for i in pos:
-            raw[i] = ONE / (len(pos) * vectors[i][0])
-        for i in neg:
-            raw[i] = -ONE / (len(neg) * vectors[i][0])
+        raw = [(1, 1)] * n  # (numerator, positive denominator)
+        for group in (pos, neg):
+            for i in group:
+                raw[i] = (dens[0], len(group) * abs(nums[i][0]))
+        common = lcm(*(b for _, b in raw))
+        raw = [a * (common // b) for a, b in raw]
         total = sum(raw)
-        return True, tuple(w / total for w in raw)
+        return True, tuple(Fraction(w, total) for w in raw)
     # canonical candidate first: the conditional probabilities themselves
-    if all(sum(p * v[k] for p, v in zip(probs, vectors)) == 0
-           for k in range(d)):
-        return True, tuple(probs)
+    if not any(sum(m * v[k] for m, v in zip(masses, nums))
+               for k in range(d)):
+        return True, tuple(Fraction(m, mass) for m in masses)
+    vectors = [tuple(map(Fraction, v, dens)) for v in nums]
     combined = [ZERO] * n
     for j in range(n):
         rows = [[vectors[i][k] for i in range(n)] for k in range(d)]
@@ -170,13 +178,13 @@ def node_verdicts(x, space: FiniteFilteredSpace,
     if len(components) > 4:
         raise DimensionTooLarge(f"dimension {len(components)} exceeds 4")
     f = filtration or space.filtration
-    components = [c.on(f) for c in components]
+    rows = [c.on(f).step_rows for c in components]
     for t in range(1, space.horizon + 1):
-        for atom in f.partitions[t - 1]:
-            children = f.children(t - 1, atom)
+        masses, dens = f.masses[t], [den[t] for _, den in rows]
+        for atom, kids in zip(f.partitions[t - 1], f.kids[t - 1]):
             feasible, values = _node_verdict(
-                _child_increments(components, children, t),
-                [f.share(t, child) for child in children])
+                [tuple(num[t][c] for num, _ in rows) for c in kids], dens,
+                [masses[c] for c in kids])
             yield (t, atom), (values if feasible
                               else ArbitrageWitness(t, atom, values))
 
@@ -205,16 +213,19 @@ def assemble_deflator_process(witness: DeflatorWitness,
     carrying the verdict: the stochastic exponential of the node density
     (weight over conditional probability) minus one."""
     f = filtration
-    density = []  # density[t - 1][i]: on the i-th atom at t
+    # density - 1 = w M / m - 1 = (a M - b m) / (b m) for the weight
+    # w = a / b of a child of mass m in an atom of mass M
+    rows = []
     for t in range(1, space.horizon + 1):
-        row = [ZERO] * len(f.partitions[t])
-        for atom in f.partitions[t - 1]:
-            for child, w in zip(f.children(t - 1, atom),
-                                witness.node_weights[(t, atom)]):
-                row[f.block_of[t][child[0]]] = w / f.share(t, child)
-        density.append(row)
-    return stochastic_exponential(AdaptedProcess.from_increments(
-        f, step=lambda o, t: density[t - 1][f.block_of[t][o]] - 1))
+        masses = f.masses[t]
+        nums, dens = [0] * len(masses), [1] * len(masses)
+        for atom, kids, mass in zip(f.partitions[t - 1], f.kids[t - 1],
+                                    f.masses[t - 1]):
+            for c, w in zip(kids, witness.node_weights[(t, atom)]):
+                nums[c] = w.numerator * mass - w.denominator * masses[c]
+                dens[c] = w.denominator * masses[c]
+        rows.append(quotients(nums, dens))
+    return stochastic_exponential(integral(f, rows))
 
 
 def verify_witness(verdict: NupbrVerdict, x, space: FiniteFilteredSpace,
@@ -286,16 +297,19 @@ class TransformBundle:
 def transform(asset, analysis: RandomTimeAnalysis) -> TransformBundle:
     _require_class_h(analysis)
     f = analysis.space.filtration
-    gap = analysis.gap
+    times = range(1, f.horizon + 1)
+    left = [left_row(analysis.gap, f, t) for t in times]
 
     def one(x: AdaptedProcess) -> tuple[AdaptedProcess, ...]:
         x = x.on(f)
         purged = x - analysis.jump_part(x)
-        scaled = AdaptedProcess.from_increments(
-            f, step=lambda o, t: gap.at(o, t - 1) * purged.delta(o, t))
-        indicator_scaled = AdaptedProcess.from_increments(
-            f, step=lambda o, t: (purged.delta(o, t) if gap.at(o, t - 1)
-                                  else ZERO))
+        pn, pd = purged.step_rows
+        scaled = integral(f, [
+            normal([g * n for g, n in zip(gaps, pn[t])], gd * pd[t])
+            for t, (gaps, gd) in zip(times, left)])
+        indicator_scaled = integral(f, [
+            normal([n if g else 0 for g, n in zip(gaps, pn[t])], pd[t])
+            for t, (gaps, _) in zip(times, left)])
         return purged, scaled, indicator_scaled
 
     if isinstance(asset, AdaptedProcess):
@@ -377,7 +391,7 @@ def corollary_check(asset: AdaptedProcess, analysis: RandomTimeAnalysis
     return CorollaryReport(
         asset_nupbr_f=nupbr_check(asset, space).satisfied,
         jumps_disjoint_from_jump_set=not any(
-            map(any, analysis.jump_part(asset).steps)),
+            map(any, analysis.jump_part(asset).step_rows[0])),
         jump_set_empty=not analysis.jump_set,
         after_nupbr_g=nupbr_check(analysis.after_part(asset), space,
                                   analysis.enlarged).satisfied)

@@ -29,20 +29,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import GenerationExhausted, InvariantError, SchemaError
 from .finite_prob import (
-    ONE,
-    ZERO,
     AdaptedProcess,
     Block,
     Filtration,
     FiniteFilteredSpace,
-    _cumulate,
+    Row,
     build_space,
     compensator,
+    integral,
     is_martingale,
+    normal,
+    quotients,
+    stack,
 )
 from .rng import SplitMix64
 
@@ -88,15 +90,34 @@ class RandomTimeAnalysis:
     class_h: bool
     is_stopping_time: bool
 
-    def strictly_after(self, outcome: str, t: int) -> bool:
-        """True when the increment at t lies strictly after tau (t-1 >= tau)."""
-        return t - 1 >= self.tau[outcome]
-
     @cached_property
     def enlarged(self) -> Filtration:
         """The base filtration progressively enlarged by the time, built
         on first use."""
         return enlarge(self.space, self)
+
+    @cached_property
+    def node_map(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The G -> F node map of the enlarged filtration, as (base,
+        after): per t, base[t][j] is the index of the base atom at t
+        holding the j-th enlarged atom, and after[t][j] is that index
+        where step t lies strictly after the time (t - 1 >= tau), else
+        -1, so that a gather of a base row with a zero appended reads
+        zero before the time.  It is read off whichever filtration the
+        analysis holds as enlarged, one lookup per enlarged atom."""
+        look, tau = self.space.filtration.block_of, self.tau.tau
+        base, after = [], []
+        for t, part in enumerate(self.enlarged.partitions):
+            base.append(row := [look[t][block[0]] for block in part])
+            after.append([i if tau[block[0]] < t else -1
+                          for i, block in zip(row, part)])
+        return base, after
+
+    @cached_property
+    def after_nodes(self) -> list[list[int]]:
+        """Per t, the base atoms at t holding an enlarged atom strictly
+        after the time, in index order: where an after-row is read."""
+        return [sorted(set(row) - {-1}) for row in self.node_map[1]]
 
     @cached_property
     def occurrence_proj(self) -> AdaptedProcess:
@@ -107,21 +128,24 @@ class RandomTimeAnalysis:
     gap = cached_property(lambda self: _complement(self.survival))
     gap_incl = cached_property(lambda self: _complement(self.survival_incl))
 
-    def after_integral(self, increments) -> AdaptedProcess:
-        """Pathwise sum of increments(o, t) over the strictly-after region,
-        tagged with the enlarged filtration; increments is evaluated only
-        there."""
-        times = self.tau.tau
-        return AdaptedProcess.from_increments(
-            self.enlarged,
-            step=lambda o, t: increments(o, t) if t > times[o] else ZERO)
+    def after_integral(self, rows: Iterable[Row]) -> AdaptedProcess:
+        """Pathwise sum over the strictly-after region of the base
+        increment rows, rows[t - 1] at t >= 1, tagged with the enlarged
+        filtration: per t, a gather of the row through the node map,
+        which reads it only at ``after_nodes[t]``."""
+        gathered = []
+        for (row, d), after in zip(rows, self.node_map[1][1:]):
+            row = [*row, 0]
+            gathered.append(normal([row[c] for c in after], d))
+        return integral(self.enlarged, gathered)
 
     def after_part(self, x):
         """The after-part x - x^tau of a base process; of a list of
         components, the list of theirs."""
         if not isinstance(x, AdaptedProcess):
             return [self.after_part(c) for c in x]
-        return self.after_integral(x.on(self.space.filtration).delta)
+        dnum, dden = x.on(self.space.filtration).step_rows
+        return self.after_integral(zip(dnum[1:], dden[1:]))
 
     def jump_part(self, x):
         """Pathwise sum of the increments of a base process on the jump
@@ -130,38 +154,55 @@ class RandomTimeAnalysis:
         if not isinstance(x, AdaptedProcess):
             return [self.jump_part(c) for c in x]
         f = self.space.filtration
-        steps = x.on(f).steps
-        jumps = [[ZERO] * len(part) for part in f.partitions]
+        dnum, dden = x.on(f).step_rows
+        jumps = [[0] * len(part) for part in f.partitions]
         for t, block in self.jump_set:
             i = f.block_of[t][block[0]]
-            jumps[t][i] = steps[t][i]
-        return AdaptedProcess.from_steps(f, jumps)
+            jumps[t][i] = dnum[t][i]
+        return AdaptedProcess.from_step_rows(f, *stack(
+            map(normal, jumps, dden)))
 
 
 def _complement(x: AdaptedProcess) -> AdaptedProcess:
-    """1 - x node by node, as (d - n)/d for x = n/d in [0, 1]."""
-    return AdaptedProcess.from_nodes(x.filtration, [
-        [ONE if not v else ZERO if v == 1
-         else Fraction(v.denominator - v.numerator, v.denominator)
-         for v in row] for row in x.nodes])
+    """1 - x node by node: the rows (d - n) / d, normal as n / d is."""
+    num, den = x.node_rows
+    return AdaptedProcess.from_rows(
+        x.filtration, [[d - n for n in row] for row, d in zip(num, den)], den)
 
 
-def _split_by_tau(f: Filtration, tau: RandomTimeMap
+def _split_by_tau(f: Filtration, tau: RandomTimeMap, alive, alive_incl
                   ) -> tuple[tuple[AtomSplit, ...], ...]:
     """Each atom of f at each time t split into its pinned groups, one
     per value of tau <= t, and its later group (tau > t, maybe empty),
-    each in the atom's order."""
-    tau = tau.tau
-    split = []
+    each in the atom's order.
+
+    The masses of {tau > t} and {tau >= t} on the atom decide the split
+    where it is whole: with no mass on {tau <= t} the atom is its later
+    group, and with none on {tau > t} it is one pinned group when its
+    outcomes with tau <= t - 1 lie in its parent's one pinned group and
+    those with tau = t are not beside them.  The outcomes of the other
+    atoms are visited, to name their groups."""
+    times = tau.tau
+    split, single = [], [True]  # per atom at t - 1: one pinned value at most
     for t, part in enumerate(f.partitions):
-        row = []
-        for block in part:
-            groups: dict[int, list[str]] = {}
-            for o in block:
-                groups.setdefault(tau[o] if tau[o] <= t else -1, []).append(o)
-            later = tuple(groups.pop(-1, ()))
-            row.append((tuple(map(tuple, groups.values())), later))
+        row, ones = [], []
+        up = f.up[t] if t else [0] * len(part)
+        for block, mass, later, incl, p in zip(part, f.masses[t], alive[t],
+                                               alive_incl[t], up):
+            if later == mass:
+                row.append(((), block))
+            elif not later and (incl == mass or (single[p] and incl == 0)):
+                row.append(((block,), ()))
+            else:
+                groups: dict[int, list[str]] = {}
+                for o in block:
+                    groups.setdefault(times[o] if times[o] <= t else -1,
+                                      []).append(o)
+                later_group = tuple(groups.pop(-1, ()))
+                row.append((tuple(map(tuple, groups.values())), later_group))
+            ones.append(len(row[-1][0]) <= 1)
         split.append(tuple(row))
+        single = ones
     return tuple(split)
 
 
@@ -172,7 +213,7 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
     its time: hit[t][i] = P(tau = t, atom i at t).  The masses of
     {tau > t} and {tau >= t} on an atom then sum over its children.  All
     three are integers over the filtration's scale, like the atom
-    masses, so each conditional is one Fraction of two integers.
+    masses, so each conditional row is a quotient of integer rows.
     """
     f = space.filtration
     T = space.horizon
@@ -188,24 +229,23 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
                          for kids in f.kids[t]])
         alive_incl.insert(0, [a + h for a, h in zip(alive[0], hit[t])])
 
-    def conditional(masses):
-        return [[ZERO if not m else ONE if m == w else Fraction(m, w)
-                 for m, w in zip(row, weights)]
-                for row, weights in zip(masses, f.masses)]
-
-    incl = conditional(alive_incl)
-    survival = AdaptedProcess.from_nodes(f, conditional(alive))
-    survival_incl = AdaptedProcess.from_nodes(f, incl)
+    survival = AdaptedProcess.from_rows(
+        f, *stack(map(quotients, alive, f.masses)))
+    incl, incl_den = stack(map(quotients, alive_incl, f.masses))
+    survival_incl = AdaptedProcess.from_rows(f, incl, incl_den)
     # M = Z + occurrence_proj starts at Z~_0 and steps by Z~_t - Z_{t-1}
     # = (a w - b m) / (m w): a, m the alive_incl and mass of the atom at t,
     # b, w the alive and mass of its parent
-    steps = [incl[0]]
+    dnum, dden = [incl[0]], [incl_den[0]]
     for t in range(1, T + 1):
         above, weights = alive[t - 1], f.masses[t - 1]
-        steps.append([Fraction(n, m * weights[p])
-                      if (n := a * weights[p] - above[p] * m) else ZERO
-                      for a, m, p in zip(alive_incl[t], f.masses[t], f.up[t])])
-    fundamental = AdaptedProcess.from_steps(f, steps)
+        row, d = quotients(
+            [a * weights[p] - above[p] * m
+             for a, m, p in zip(alive_incl[t], f.masses[t], f.up[t])],
+            [m * weights[p] for m, p in zip(f.masses[t], f.up[t])])
+        dnum.append(row)
+        dden.append(d)
+    fundamental = AdaptedProcess.from_step_rows(f, dnum, dden)
     # only the drift of M is tested: Z_T = 0 (alive starts at zero at T),
     # Z and the inclusive Z lie in [0, 1] (masses of sub-events of the
     # atom) and inclusive Z_t = Z_{t-1} + dM_t (alive_incl = alive + hit)
@@ -219,7 +259,7 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
                                   f.masses[t], f.up[t])
         if a == m and alive[t - 1][p] < f.masses[t - 1][p])
 
-    split = _split_by_tau(f, tau)
+    split = _split_by_tau(f, tau, alive, alive_incl)
     # honest: no atom has two pinned groups; a stopping time: no atom
     # mixes pinned and later outcomes
     honest = all(len(pinned) <= 1 for row in split for pinned, _ in row)
@@ -239,12 +279,15 @@ def analyze(space: FiniteFilteredSpace, tau: RandomTimeMap) -> RandomTimeAnalysi
 def last_visit(space: FiniteFilteredSpace, driver: AdaptedProcess,
                hit) -> RandomTimeMap:
     """The last t with hit(driver at t), else 0, node by node down the
-    tree: t on a hit node at t, else its parent's; hit runs per node."""
+    tree: t on a hit node at t, else its parent's; hit runs per node, on
+    the value as an int where it is whole and as a Fraction elsewhere."""
     f = space.filtration
-    nodes = driver.on(f).nodes
+    num, den = driver.on(f).node_rows
     last = [0] * len(f.partitions[0])
     for t in range(1, len(f.partitions)):
-        last = [t if hit(v) else last[p] for v, p in zip(nodes[t], f.up[t])]
+        d = den[t]
+        last = [t if hit(n if d == 1 else Fraction(n, d)) else last[p]
+                for n, p in zip(num[t], f.up[t])]
     return RandomTimeMap({o: last[f.block_of[-1][o]] for o in space.outcomes})
 
 
@@ -269,8 +312,6 @@ def enlarge(space: FiniteFilteredSpace, analysis: RandomTimeAnalysis) -> Filtrat
 _BRANCH_WEIGHTS = (1, 2, 2, 3, 3, 3)  # children counts drawn from {1,2,3}-ish
 DEPTHS, BRANCHINGS = range(1, 9), range(1, 5)  # the generator's scope
 _INCREMENTS = (-2, -1, -1, 0, 1, 1, 2)
-# every value a walk takes within the generator's depths, as a Fraction
-_VALUES = {v: Fraction(v) for v in range(-2 * DEPTHS[-1], 2 * DEPTHS[-1] + 1)}
 
 
 def _grow_tree(rng: SplitMix64, depth: int, branching: int):
@@ -329,10 +370,10 @@ def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1):
 
     # driver walk for the last-visit time
     driver = _random_walk(rng, space)
-    # the walk's values are whole, so the level set reads numerators
-    visited = sorted({v.numerator for row in driver.nodes for v in row})
+    # the walk's values are whole: its rows are over the denominator 1
+    visited = sorted({v for row in driver.node_rows[0] for v in row})
     level = visited[rng.randint(0, max(len(visited) - 2, 0))]
-    tau = last_visit(space, driver, lambda v: v.numerator <= level)
+    tau = last_visit(space, driver, lambda v: v <= level)
 
     components = []
     for i in range(d):
@@ -348,10 +389,8 @@ def generate_honest_model(seed: int, depth: int, branching: int, d: int = 1):
 
 def _random_walk(rng: SplitMix64, space: FiniteFilteredSpace) -> AdaptedProcess:
     """Adapted walk from 0 with per-atom increments from a small integer
-    set, drawn in partition order at each time, summed as ints; its
-    values come from a shared table."""
+    set, drawn in partition order at each time: rows over the
+    denominator 1."""
     f = space.filtration
     steps = [[0]] + [[rng.choice(_INCREMENTS) for _ in up] for up in f.up[1:]]
-    nodes, steps = ([[_VALUES[v] for v in row] for row in rows]
-                    for rows in (_cumulate(f, steps), steps))
-    return AdaptedProcess.from_nodes(f, nodes, steps)
+    return AdaptedProcess.from_step_rows(f, steps, [1] * len(steps))

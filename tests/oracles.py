@@ -17,9 +17,20 @@ from itertools import product
 
 import numpy as np
 
-from enlab.finite_prob import AdaptedProcess
+from enlab.finite_prob import AdaptedProcess, mass_average, row_of
 
 Q = Fraction
+
+
+def cond_average(f, t, atoms, values):
+    """Conditional average of values(outcome) over the union of the given
+    time-t atoms of f, under the reference measure, as a Fraction: the
+    engine's mass_average on the row of the values at the atoms' first
+    outcomes."""
+    idxs = [f.block_of[t][atom[0]] for atom in atoms]
+    nums, den = row_of([values(f.partitions[t][i][0]) for i in idxs])
+    return Q(*mass_average([f.masses[t][i] for i in idxs], range(len(idxs)),
+                           nums, den))
 
 
 def enum_survival(description, tau, t, inclusive=False):
@@ -96,8 +107,8 @@ def ref_weights(f):
 def ref_values(x):
     """Outcome rows of a process, outcome -> list over t: the value of
     its atom at each time, in the outcome order of its filtration."""
-    f = x.filtration
-    return {o: [row[look[o]] for row, look in zip(x.nodes, f.block_of)]
+    f, nodes = x.filtration, x.nodes
+    return {o: [row[look[o]] for row, look in zip(nodes, f.block_of)]
             for o in f.outcomes}
 
 
@@ -145,6 +156,43 @@ def ref_jump_fibres(space, tau, asset):
                 mean = sum(prob[o] * (surv[o] - left[o] + hit[o])
                            for o in members) / mass
                 out[(t, base, x)] = (alive, mean)
+    return out
+
+
+def ref_deflator_drift(space, tau, deflator, mart):
+    """Both sides of the deflator's drift identity on every after-atom,
+    outcome by outcome: per (t, A) with A = B & {tau <= t - 1} for a
+    time-(t - 1) atom B, in time and atom order, (lhs, rhs) with X =
+    M - M^tau, E[.; E] the p-weighted sum over E, gap_B = P(A | B),
+    J_t the children of B whose outcomes all have tau >= t (where the
+    inclusive survival is one) and pi_B = P(J_t | B):
+
+        lhs = E[D_t X_t - D_{t-1} X_{t-1} ; A]
+        rhs = D_{t-1}(A) (pi_B E[dM_t ; A] - gap_B E[dM_t ; B & J_t]).
+    """
+    prob, partitions = space.prob, space.filtration.partitions
+    d, m = ref_values(deflator), ref_values(mart)
+    out = []
+    for t in range(1, len(partitions)):
+        # the outcomes of the time-t atoms whose outcomes all have tau >= t
+        jumps = {o for c in partitions[t] if all(tau[w] >= t for w in c)
+                 for o in c}
+        for base in partitions[t - 1]:
+            after = [o for o in base if tau[o] <= t - 1]
+            if not after:
+                continue
+            jump = [o for o in base if o in jumps]
+            mass = sum(prob[o] for o in base)
+            gap = sum(prob[o] for o in after) / mass
+            pinned = sum(prob[o] for o in jump) / mass
+            # on A, X_s = M_s - M_tau at s = t - 1 and t
+            lhs = sum(prob[o] * (d[o][t] * (m[o][t] - m[o][tau[o]])
+                                 - d[o][t - 1] * (m[o][t - 1] - m[o][tau[o]]))
+                      for o in after)
+            rhs = d[after[0]][t - 1] * (
+                pinned * sum(prob[o] * (m[o][t] - m[o][t - 1]) for o in after)
+                - gap * sum(prob[o] * (m[o][t] - m[o][t - 1]) for o in jump))
+            out.append((t, tuple(after), lhs, rhs))
     return out
 
 
@@ -245,6 +293,37 @@ def ref_bracket(xs, ys):
             acc.append(acc[-1] + (Q(x[t]) - x[t - 1]) * (Q(y[t]) - y[t - 1]))
         out[o] = acc
     return out
+
+
+def ref_combine(xs, ys, op):
+    """op(X_t, Y_t) outcome by outcome and time by time."""
+    return {o: [op(Q(a), Q(b)) for a, b in zip(x, ys[o])]
+            for o, x in xs.items()}
+
+
+def ref_after_part(xs, tau):
+    """X_t - X_{min(t, tau)}, outcome by outcome."""
+    return {o: [Q(v) - x[min(t, tau[o])] for t, v in enumerate(x)]
+            for o, x in xs.items()}
+
+
+def ref_node_map(base, enlarged, tau):
+    """(base, after) as the engine's node map, by scanning the base
+    partitions outcome by outcome: per t and enlarged atom, the index of
+    the one base atom that holds all of its outcomes, and that index again when
+    every one of them has tau <= t - 1, else -1."""
+    out_base, out_after = [], []
+    for t, (part, coarse) in enumerate(zip(enlarged.partitions,
+                                           base.partitions)):
+        holds = {o: i for i, block in enumerate(coarse) for o in block}
+        holders = []
+        for atom in part:
+            [i] = {holds[o] for o in atom}
+            holders.append(i)
+        out_base.append(holders)
+        out_after.append([i if all(tau[o] <= t - 1 for o in atom) else -1
+                          for i, atom in zip(holders, part)])
+    return out_base, out_after
 
 
 def ref_exponential(xs):

@@ -13,8 +13,8 @@ from enlab.finite_prob import (
     bracket,
     build_space,
     compensator,
-    cond_average,
     is_martingale,
+    row_of,
 )
 from enlab.enlargement import (
     after_atoms,
@@ -30,7 +30,14 @@ from enlab.enlargement import (
 from enlab.harness import check_transfer_basis
 from enlab.random_times import RandomTimeMap, analyze, generate_honest_model
 
-from .oracles import ref_constant, ref_jump_fibres, ref_values, ref_weights
+from .oracles import (
+    cond_average,
+    ref_constant,
+    ref_deflator_drift,
+    ref_jump_fibres,
+    ref_values,
+    ref_weights,
+)
 
 Q = Fraction
 
@@ -126,10 +133,15 @@ def test_transfer_rows_tent(tree_space, walk, tent_analysis):
     # root at t = 1 and survival_left = 1/2, so gap = 1/2
     atom = after_atoms(tent_analysis)[0]
     assert (atom.t, atom.members) == (1, ("dd", "uu"))
+    # the integrands on the children of the root, in their order: dS_1
+    # and the constant 1
+    f = tree_space.filtration
+    kids = f.children(0, f.partitions[0][0])
     rows = transfer_rows(tent_analysis, atom,
-                         (lambda o: walk.delta(o, 1), lambda o: Q(1)),
+                         (row_of(walk.delta(c[0], 1) for c in kids),
+                          ([1] * len(kids), 1)),
                          ("plain", "over_gap", "one_over_gap"))
-    assert rows == [
+    assert [(name, Q(*lhs), Q(*rhs)) for name, lhs, rhs in rows] == [
         ("plain", 0, 0),           # avg_A(dS) = 0; avg_B(dS / 2) / gap = 0
         ("over_gap", 0, 0),
         ("plain", 1, 1),           # avg_A(1) = 1; (1/2) / (1/2)
@@ -359,3 +371,41 @@ def test_transfer_identities_on_models(seed):
     assert proj_identity_check(_mart(asset, space), analysis) == []
     assert g_characteristics(asset, analysis) == []
     build_deflator(analysis)  # hard-asserts internally
+
+
+def _deflator_drift_cases():
+    # three martingales on each model: the compensated components of a
+    # d = 3 draw, whose tree and time are those of the scalar model
+    for seed in range(1, 61):
+        for depth in range(3, 7):
+            space, tau, components, analysis = generate_honest_model(
+                seed, depth, branching=3, d=3)
+            yield space, tau, analysis, [c - compensator(c, space)
+                                         for c in components]
+
+
+def test_deflator_drift_is_the_pinned_term():
+    # E[d(D X)_t ; A] = D_{t-1}(A) (pi_B E[dM_t ; A] - gap_B E[dM_t ; B & J_t])
+    # at zero tolerance on every after-atom A in its base atom B, with
+    # X = M - M^tau; the left side read off the engine's rows (the
+    # enlarged masses of A's children) against the outcome-by-outcome
+    # reference, which also checks the identity itself
+    atoms = obstructed = 0
+    for space, tau, analysis, marts in _deflator_drift_cases():
+        bundle = build_deflator(analysis)
+        g = analysis.enlarged
+        for mart in marts:
+            product = bundle.deflator * analysis.after_part(mart)
+            num, den = product.step_rows
+            ref = ref_deflator_drift(space, tau, bundle.deflator, mart)
+            assert [(t, a) for t, a, _, _ in ref] == [
+                (a.t, a.members) for a in after_atoms(analysis)]
+            for t, members, lhs, rhs in ref:
+                a = g.block_of[t - 1][members[0]]
+                engine = Q(sum(g.masses[t][j] * num[t][j]
+                               for j in g.kids[t - 1][a]),
+                           den[t] * g.scale)
+                assert engine == lhs == rhs
+                atoms += 1
+                obstructed += lhs != 0
+    assert atoms > 20_000 and obstructed > 0

@@ -23,7 +23,6 @@ from enlab.finite_prob import (
     bracket,
     build_space,
     compensator,
-    cond_average,
     is_martingale,
     is_positive,
     stochastic_exponential,
@@ -38,6 +37,7 @@ from enlab.random_times import (
 
 from .conftest import TREE
 from .oracles import (
+    cond_average,
     ref_average,
     ref_cond_exp,
     ref_constant,

@@ -1,21 +1,30 @@
 """Layout guards.
 
 Only `finite_prob` touches the storage of a process: no other module of
-`src/enlab` reads or writes its `_nodes` or `_steps` slots or makes one
-with `AdaptedProcess.__new__`.  Every other module constructs processes
-through the `finite_prob` constructors (`adapted` for outcome rows,
-`AdaptedProcess.from_nodes`/`from_steps`/`from_increments`, the
-compensator, brackets, exponential and the process arithmetic) and reads
-them through `nodes`, `steps`, `at` and `delta`, so the storage of a
-process can change inside `finite_prob` alone.
+`src/enlab` reads or writes its numerator or denominator slots (`_num`,
+`_den`, `_dnum`, `_dden`) or makes one with `AdaptedProcess.__new__`.
+Every other module constructs processes through the `finite_prob`
+constructors (`adapted` for outcome rows, `AdaptedProcess.from_rows`/
+`from_step_rows`/`from_nodes`/`from_steps`/`from_increments`,
+`integral`, the compensator, brackets, exponential and the process
+arithmetic) and reads them through `node_rows` and `step_rows`, or, as
+Fractions, through `nodes`, `steps`, `at` and `delta`, so the storage of
+a process can change inside `finite_prob` alone.
+
+`after_integral` gathers rows: every caller in `src/enlab` and `tests/`
+passes it one sequence of increment rows (numerators, denominator),
+never an outcome function.
 
 Only `random_times` forms a survival gap: no other module of
 `src/enlab` computes `1 - ....survival.at(...)` or
 `1 - ....survival_incl.at(...)`; each reads `gap` or `gap_incl` of the
 analysis, which derives them once per model.
 
+Every benchmark set-up probe imports the engine in a fresh interpreter,
+so that import is silent and raises nothing, warnings included.
+
 Only `poisson_mc` runs worker threads: no other module of `src/enlab`
-imports `threading` or `concurrent.futures`.  The exact `Fraction`
+imports `threading` or `concurrent.futures`.  The exact integer
 engine gains nothing from threads, so its runners map seeds in one
 loop.
 
@@ -27,12 +36,15 @@ call lives in `tests/`.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "enlab"
-STORAGE = {"_nodes", "_steps"}
+STORAGE = {"_num", "_den", "_dnum", "_dden"}
 THREAD_MODULES = {"concurrent", "threading"}
 
 
@@ -53,11 +65,13 @@ def storage_offenders(source: str) -> list[int]:
 
 
 def test_storage_guard_sees_each_kind_of_access():
-    planted = ("x._steps\nx._nodes = 1\n"
+    planted = ("x._num\nx._den = 1\ndel x._dnum\ny = x._dden[t]\n"
                "AdaptedProcess.__new__(AdaptedProcess)\n"
-               "object.__new__(AdaptedProcess)\n")
-    assert sorted(storage_offenders(planted)) == [1, 2, 3, 4]
-    assert storage_offenders("x.steps\nx.nodes\ncls.__new__(cls)\n") == []
+               "object.__new__(AdaptedProcess)\n"
+               "a, b = p._num, q._dnum\n")
+    assert sorted(storage_offenders(planted)) == [1, 2, 3, 4, 5, 6, 7, 7]
+    assert storage_offenders("x.steps\nx.nodes\nx.node_rows\nx.step_rows\n"
+                             "x.num\nx._nodes\ncls.__new__(cls)\n") == []
 
 
 def test_only_finite_prob_touches_process_storage():
@@ -67,6 +81,64 @@ def test_only_finite_prob_touches_process_storage():
                  for path in modules if path.name != "finite_prob.py"
                  for line in storage_offenders(path.read_text())]
     assert offenders == []
+
+
+def after_integral_offenders(source: str) -> list[int]:
+    """Lines of `source` that call `after_integral` with anything but
+    one positional argument of rows: a lambda, a function defined in the
+    source, a bound `at` or `delta` of a process, a keyword, or more or
+    fewer arguments."""
+    tree = ast.parse(source)
+    functions = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "attr",
+                            getattr(node.func, "id", None)) == "after_integral"):
+            continue
+        [arg, *rest] = node.args or [None]
+        if (rest or node.keywords or arg is None
+                or isinstance(arg, (ast.Lambda, ast.Starred))
+                or (isinstance(arg, ast.Name) and arg.id in functions)
+                or (isinstance(arg, ast.Attribute)
+                    and arg.attr in {"at", "delta"})):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_after_integral_guard_sees_each_outcome_function():
+    planted = ("a.after_integral(lambda o, t: x.delta(o, t))\n"
+               "a.after_integral(mart.delta)\n"
+               "def step(o, t):\n    return 1\n"
+               "a.after_integral(step)\n"
+               "self.after_integral(rows, lambda o, t: 1)\n"
+               "after_integral()\n"
+               "a.after_integral(step=rows)\n"
+               "a.after_integral(*steps)\n")
+    assert sorted(after_integral_offenders(planted)) == [1, 2, 5, 6, 7, 8, 9]
+    assert after_integral_offenders(
+        "a.after_integral(rows)\n"
+        "self.after_integral(zip(dnum[1:], dden[1:]))\n"
+        "a.after_integral([row(t) for t in times])\n") == []
+
+
+def test_after_integral_callers_pass_rows():
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    calls = {path.name: after_integral_offenders(path.read_text())
+             for path in paths}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_engine_imports_silently_in_a_fresh_interpreter():
+    # what every benchmark set-up probe imports first
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import enlab.harness, enlab.poisson_mc, enlab.ruin, "
+         "enlab.brownian_demo"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 SURVIVALS = {"survival", "survival_incl"}

@@ -457,13 +457,20 @@ def test_jump_part_on_tent(tree_space, tent_analysis, walk):
 
 @pytest.mark.parametrize("seed", range(1, 21))
 def test_after_integral_evaluates_only_strictly_after(seed):
+    # the row at t holds t at the base atoms holding an atom strictly
+    # after the time, and a poison value elsewhere, which the gather
+    # must never read
     space, tau, _, a = generate_honest_model(seed, depth=5, branching=3)
+    f = space.filtration
+    poison = 10 ** 9
+    rows = []
+    for t in range(1, space.horizon + 1):
+        holds = {f.block_of[t][o] for o in space.outcomes if t - 1 >= tau[o]}
+        assert holds == set(a.after_nodes[t])
+        rows.append([t if c in holds else poison
+                     for c in range(len(f.partitions[t]))])
 
-    def step(o, t):
-        assert t - 1 >= tau[o], f"evaluated before the time at ({o}, {t})"
-        return Q(t)
-
-    after = a.after_integral(step)
+    after = a.after_integral([(row, 1) for row in rows])
     for o in space.outcomes:
         assert ref_values(after)[o] == [
             Q(sum(s for s in range(1, t + 1) if s - 1 >= tau[o]))
