@@ -18,17 +18,29 @@ rather than waited out; no ladder time beyond that step is recorded.
 Steps come from counter-based Philox streams, one step per bit of each
 64-bit word, and stay packed eight to a byte: 256-entry tables give
 each byte's moves, so only bytes starting within 8 steps of a level are
-unpacked.  Outer path i reads the single stream keyed
-(seed, _STREAM_OUTER, i), so any path replays from (seed, path index)
-alone.  The nested estimate at outer index i steps its inner walks in
-lockstep with those of its group; round r of index i reads the stream
-keyed (seed, _STREAM_INNER, i, r).
+unpacked, and a block is unpacked no further than the word before the
+first one starting at or above one (the walk has hit one by then) or
+than the byte holding the step cap.  Outer path i reads the single
+stream keyed (seed, _STREAM_OUTER, i), so any path replays from
+(seed, path index) alone.  The nested estimate at outer index i steps
+its inner walks in lockstep with those of its group; round r of index i
+reads the stream keyed (seed, _STREAM_INNER, i, r).
+
+The stream keyed (seed, *key) is the one of
+Philox(SeedSequence(entropy=seed, spawn_key=key)).  A Philox stream is
+fully given by its 128-bit key and a zero counter, so the key is hashed
+here, with numpy's SeedSequence hash on plain ints, from the hash state
+cached after every word but the last (_stream_key).  Each outer path
+builds its own Philox from that key; each nested estimate builds one
+and re-keys it for every (index, round) stream.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +69,108 @@ def _byte_tables():
 _PREFIX, _MOVE, _DROP, _RISE = _byte_tables()
 
 
-def _philox(seed: int, *key: int) -> np.random.Philox:
-    return np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=key))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+# the output hash constants do not depend on the data: (xor, multiplier)
+# for each pool word
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_OUTPUT = tuple((_INIT_B * _MULT_B ** k & _MASK32,
+                 _INIT_B * _MULT_B ** (k + 1) & _MASK32)
+                for k in range(_POOL_SIZE))
+_ZEROS = (0, 0, 0, 0)
+
+
+def _uint32_words(value: int) -> list[int] | tuple[int]:
+    """32-bit words of a non-negative int, least significant first, one
+    word for zero (numpy's _coerce_to_uint32_array); numpy ints are
+    taken as Python ints, which do not overflow in the mixing."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"stream words must be non-negative, got {value}")
+    if value <= _MASK32:
+        return (value,)
+    return [value >> s & _MASK32 for s in range(0, value.bit_length(), 32)]
+
+
+def _hashmix(value: int, h: int) -> tuple[int, int]:
+    """numpy's hashmix: the mixed value and the next hash constant."""
+    value = (value ^ h) & _MASK32
+    h = h * _MULT_A & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool: tuple, h: int, value: int) -> tuple[tuple, int]:
+    """Mix the words of ``value``, entropy past the pool, into each pool
+    word in turn."""
+    for word in _uint32_words(value):
+        mixed = []
+        for p in pool:   # _mix(p, _hashmix(word, h)), inlined: per stream
+            v = (word ^ h) & _MASK32
+            h = h * _MULT_A & _MASK32
+            v = v * h & _MASK32
+            r = (_MIX_MULT_L * p - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+            mixed.append(r ^ r >> 16)
+        pool = tuple(mixed)
+    return pool, h
+
+
+@functools.lru_cache(maxsize=256)
+def _pool(seed: int, *key: int) -> tuple[tuple, int]:
+    """SeedSequence(entropy=seed, spawn_key=key)'s pool and hash constant
+    after the seed (zero-padded to the pool size, as numpy does when a
+    spawn key is given) and then the words of ``key``, in order."""
+    if key:
+        return _absorb(*_pool(seed, *key[:-1]), key[-1])
+    words = list(_uint32_words(seed))
+    words += [0] * (_POOL_SIZE - len(words))
+    h = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        v, h = _hashmix(word, h)
+        pool.append(v)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    state = tuple(pool), h
+    for word in words[_POOL_SIZE:]:
+        state = _absorb(*state, word)
+    return state
+
+
+def _stream_key(seed: int, *key: int) -> tuple[int, int]:
+    """The two words of SeedSequence(entropy=seed,
+    spawn_key=key).generate_state(2, np.uint64): the Philox key of the
+    stream (seed, *key).  Only the last key word is mixed per call."""
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}",
+                         field="seed")
+    pool, _ = _absorb(*_pool(seed, *key[:-1]), key[-1])
+    out = []
+    for p, (x, m) in zip(pool, _OUTPUT):
+        v = (p ^ x) * m & _MASK32
+        out.append(v ^ v >> 16)
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+def _rekey(bitgen: np.random.Philox, key: tuple[int, int]
+           ) -> np.random.Philox:
+    """Point ``bitgen`` at the start of the stream with Philox ``key``."""
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": _ZEROS, "key": key},
+                    "buffer": _ZEROS, "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0}
+    return bitgen
 
 
 def _levels(eps: float, dt: float) -> tuple[int, int]:
@@ -91,7 +202,10 @@ def _ladder_steps(blocks, k_eps: int, k_one: int, cap: int
     steps, so after a return it must pass k_eps before anything else,
     and after an up-passage the next new level is zero or one.
     A block of whole 64-bit words none of which starts within 64 steps
-    of a level is passed over.  Positions fit int32 under _MAX_CAP.
+    of a level is passed over; any other block is unpacked no further
+    than the word before its first word starting at or above k_one, nor
+    than the byte holding step ``cap``, so the blocks read end there.
+    Positions fit int32 under _MAX_CAP.
     """
     levels = (0, k_eps, k_one)
     # reach[s + 9]: a byte started at s can touch a level; False at both
@@ -117,6 +231,12 @@ def _ladder_steps(blocks, k_eps: int, k_one: int, cap: int
                 if done >= cap:
                     break
                 continue
+            if hi - 64 >= k_one:
+                # the walk, below k_one at the block's start, has hit it
+                # by the start of the first word at or above it
+                packed = packed[:8 * int(np.argmax(word_start >= k_one - pos))]
+        # no byte past the one holding step cap
+        packed = packed[:(cap - done + 7) // 8]
         move = np.take(_MOVE, packed)
         start = np.cumsum(move, dtype=np.int32)
         start -= move
@@ -178,14 +298,15 @@ class BrownianDemoReport:
 def simulate_ladder_path(eps: float, dt: float, seed: int, path_index: int,
                          time_cap: float) -> LadderPath:
     k_eps, k_one = _levels(eps, dt)
-    cap = int(time_cap / dt)
-    if cap < 1:
-        raise UsageError(f"time_cap={time_cap} must cover at least one step "
-                         f"of dt={dt}", field="time_cap")
-    if cap > _MAX_CAP:
-        raise UsageError(f"time_cap={time_cap} covers {cap} steps of "
-                         f"dt={dt}, more than {_MAX_CAP}", field="time_cap")
-    bitgen = _philox(seed, _STREAM_OUTER, path_index)
+    span = time_cap / dt   # NaN fails both comparisons
+    if not 1 <= span < _MAX_CAP + 1:
+        raise UsageError(f"time_cap={time_cap} must cover from 1 to "
+                         f"{_MAX_CAP} steps of dt={dt}", field="time_cap")
+    cap = int(span)
+    # an array, not a tuple: numpy reads a tuple of one word above 2^63
+    # and one below as float64
+    bitgen = np.random.Philox(key=np.array(
+        _stream_key(seed, _STREAM_OUTER, path_index), dtype=np.uint64))
     blocks = (bitgen.random_raw(_BLOCK // 64).view(np.uint8)
               for _ in itertools.repeat(None))
     ups, returns, hit = _ladder_steps(blocks, k_eps, k_one, cap)
@@ -242,11 +363,12 @@ def _inner_survival_estimates(k_eps: int, k_one: int, seed: int,
     group = np.repeat(np.arange(n_outer), inner_paths)
     pos = np.full(group.size, k_eps, dtype=np.int16)
     wins = np.zeros(n_outer, dtype=np.int64)
+    bitgen = np.random.Philox(key=0)
     for rnd in itertools.count():
         alive = np.bincount(group, minlength=n_outer).tolist()
         words = np.concatenate([
-            _philox(seed, _STREAM_INNER, i, rnd).random_raw(
-                n * _LOCKSTEP // 64)
+            _rekey(bitgen, _stream_key(seed, _STREAM_INNER, i, rnd)
+                   ).random_raw(n * _LOCKSTEP // 64)
             for i, n in zip(outer_indices, alive) if n])
         packed = words.view(np.uint8).reshape(pos.size, _LOCKSTEP // 8)
         end = np.cumsum(np.take(_MOVE, packed), axis=1, dtype=np.int16)

@@ -423,6 +423,29 @@ def test_ladder_guards():
     assert simulate_ladder_path(0.25, 1e-6, 1, 0, 1e-4).censored
 
 
+@pytest.mark.parametrize("time_cap", [math.inf, math.nan, -math.inf])
+def test_ladder_rejects_a_time_cap_that_is_no_step_count(time_cap):
+    for run in (lambda: simulate_ladder_path(0.25, 1e-3, 1, 0, time_cap),
+                lambda: brownian_demo(0.25, 1e-3, paths=2, seed=1,
+                                      time_cap=time_cap)):
+        with pytest.raises(UsageError) as bad:
+            run()
+        assert bad.value.field == "time_cap"
+
+
+def test_ladder_rejects_a_negative_seed_before_hashing_it():
+    for run in (lambda: simulate_ladder_path(0.25, 1e-3, -1, 0, 5.0),
+                lambda: brownian_demo(0.25, 1e-3, paths=2, seed=-1),
+                lambda: bd._stream_key(-2**40, bd._STREAM_OUTER, 0)):
+        with pytest.raises(UsageError) as bad:
+            run()
+        assert bad.value.field == "seed"
+    # a negative int never shifts to zero, so no word split may see one
+    for key in ((-1,), (3, -2**33), (-1, 3)):
+        with pytest.raises(ValueError):
+            bd._stream_key(1, *key)
+
+
 def _reference_ladder(steps, k_eps, k_one, cap):
     """Plain step-by-step scan of an explicit +-1 sequence: the 1-based
     steps of the up-passages, the returns and the first visit to one."""
@@ -445,6 +468,12 @@ def _packed_blocks(steps, block_bytes):
     packed = np.packbits(np.asarray(steps) > 0)
     return (packed[i:i + block_bytes]
             for i in range(0, packed.size, block_bytes))
+
+
+def _numpy_stream(seed, *key):
+    """The stream keyed (seed, *key), built by numpy itself."""
+    return np.random.Philox(np.random.SeedSequence(entropy=seed,
+                                                   spawn_key=key))
 
 
 def _unpacked_steps(bitgen, n_steps):
@@ -546,13 +575,91 @@ def test_ladder_extraction_over_whole_words_matches_reference_scan():
     assert far_cases >= 50
 
 
+def _walk_to_one(rng, k_one, p_up):
+    """Steps of a walk from zero up to its first visit to k_one."""
+    steps, pos = [], 0
+    while pos < k_one:
+        steps.append(1 if rng.random() < p_up else -1)
+        pos += steps[-1]
+    return steps
+
+
+def _first_word_at(word_starts, level, first, end):
+    """The first of words first..end-1 starting at or above level, or end."""
+    over = np.flatnonzero(word_starts[first:end] >= level)
+    return first + int(over[0]) if over.size else end
+
+
+def test_ladder_extraction_cuts_match_reference_scan():
+    # a block not passed over is unpacked through the word before its
+    # first word starting at or above k_one, and through the byte holding
+    # the cap; the hit is placed at the block's first word, at the last
+    # word the cut keeps and on a word boundary, and the cap mid-byte and
+    # mid-word, before and after the hit
+    rng = np.random.default_rng(2026)
+    at_one = {"first word": 0, "last word": 0, "word boundary": 0}
+    at_cap = {("mid-byte", False): 0, ("mid-byte", True): 0,
+              ("mid-word", False): 0, ("mid-word", True): 0}
+    for case in range(1200):
+        block_bytes = int(rng.choice([16, 24, 40]))
+        width = 8 * block_bytes
+        k_eps = int(rng.integers(1, 12))
+        # k_one even, so that a hit can end a word
+        k_one = k_eps + 2 * int(rng.integers(1, 25))
+        steps = _walk_to_one(rng, k_one, 0.7)
+        # (-1, +1) pairs inserted before the hit move it by two steps each
+        # and create no visit to one
+        hit = int(rng.integers(len(steps), len(steps) + 3 * width))
+        if case % 3 == 0:
+            hit += -hit % width + int(rng.integers(1, 65))   # first word
+        elif case % 3 == 1:
+            hit += -hit % 64                                 # word boundary
+        hit += (hit - len(steps)) % 2
+        at = int(rng.integers(0, len(steps)))
+        steps[at:at] = [-1, 1] * ((hit - len(steps)) // 2)
+        steps += (2 * (rng.random(int(rng.integers(0, 2 * width)))
+                       < rng.choice([0.5, 0.9])) - 1).tolist()
+        steps += [1] * (-len(steps) % 64)
+        events = _reference_ladder(steps, k_eps, k_one, len(steps))
+        near = events[0] + events[1] + [hit]
+        cap = [len(steps), 8 * int(rng.integers(1, len(steps) // 8 + 1)),
+               int(rng.choice(near)) + int(rng.integers(-9, 10)),
+               hit + int(rng.integers(0, 24)),
+               hit + -hit % 8 + 8 * int(rng.integers(0, 3))][case % 5]
+        cap = min(len(steps), max(1, cap))
+        expected = _reference_ladder(steps, k_eps, k_one, cap)
+        assert bd._ladder_steps(_packed_blocks(steps, block_bytes),
+                                k_eps, k_one, cap) == expected
+        # where the block that ends the read is cut
+        word_starts = np.concatenate([[0], np.cumsum(steps)])[::64]
+        block = (min(hit, cap) - 1) // width
+        first, end = block * width // 64, (block + 1) * width // 64
+        lo, hi = word_starts[first:end].min(), word_starts[first:end].max()
+        if not any(lo - 64 <= level <= hi + 64 for level in (0, k_eps, k_one)):
+            continue   # passed over
+        one_cut = 64 * _first_word_at(word_starts, k_one, first, end)
+        cap_cut = block * width + 8 * -(-(cap - block * width) // 8)
+        if expected[2] is not None and one_cut < min(cap_cut, 64 * end):
+            at_one["first word"] += (hit - 1) // 64 == first
+            at_one["last word"] += (hit - 1) // 64 == one_cut // 64 - 1
+            at_one["word boundary"] += hit == one_cut
+        if cap_cut < min(one_cut, 64 * end):
+            after = expected[2] is not None
+            if cap % 8:
+                at_cap["mid-byte", after] += 1
+            elif cap % 64:
+                at_cap["mid-word", after] += 1
+    assert min(at_one.values()) >= 50, at_one
+    assert min(at_cap.values()) >= 50, at_cap
+
+
 def test_ladder_path_replays_from_its_stream():
     dt, time_cap = 1e-4, 10.0
     cap = int(time_cap / dt)
     outcomes = set()
     for index in range(12):
         path = simulate_ladder_path(0.25, dt, 7, index, time_cap)
-        steps = _unpacked_steps(bd._philox(7, bd._STREAM_OUTER, index), cap)
+        steps = _unpacked_steps(_numpy_stream(7, bd._STREAM_OUTER, index), cap)
         ups, returns, hit = _reference_ladder(steps, 25, 100, cap)
         assert path.up_times == tuple(n * dt for n in ups)
         assert path.return_times == tuple(n * dt for n in returns)
@@ -560,6 +667,61 @@ def test_ladder_path_replays_from_its_stream():
         assert path.first_hit_one == (None if hit is None else hit * dt)
         outcomes.add(path.censored)
     assert outcomes == {True, False}
+
+
+def test_stream_key_is_numpys_seed_sequence_hash():
+    # 10^5 (seed, key) tuples, 20 keys per seed so that cached prefixes
+    # are both hit and missed: seeds from 0 to above 2^130 (several words
+    # past the pool), key words of 0, below 2^32 and at or above 2^32
+    rng = np.random.default_rng(2027)
+    n_seeds, per_seed = 5_000, 20
+    seeds = [int(x) << int(a) >> int(b) for x, a, b in zip(
+        rng.integers(0, 2**63, n_seeds), rng.integers(0, 80, n_seeds),
+        rng.integers(0, 64, n_seeds))]
+    seeds[:4] = [0, 2**32 - 1, 2**128, 2**131 + 5]
+    words = [int(x) >> int(b) for x, b in zip(
+        rng.integers(0, 2**63, 3 * n_seeds * per_seed),
+        rng.choice([63, 40, 31, 0], 3 * n_seeds * per_seed))]
+    words[:6] = [2**32 - 1, 2**32, 2**64 - 1, 2**64, 0, 1]
+    lengths = rng.integers(1, 4, n_seeds * per_seed).tolist()
+    cases = [(seeds[n // per_seed], tuple(words[3 * n:3 * n + length]))
+             for n, length in enumerate(lengths)]
+    wrong = [(seed, key) for seed, key in cases
+             if list(bd._stream_key(seed, *key)) != np.random.SeedSequence(
+                 entropy=seed, spawn_key=key).generate_state(
+                     2, np.uint64).tolist()]
+    assert wrong == []
+    # numpy ints hash as the Python ints they hold
+    for seed, key in ((np.int64(5), (13, np.int64(2))),
+                      (np.int64(2**40), (13, np.uint64(2**63)))):
+        assert list(bd._stream_key(seed, *key)) == np.random.SeedSequence(
+            entropy=seed, spawn_key=key).generate_state(2, np.uint64).tolist()
+
+
+def test_rekeyed_generator_reads_each_stream_from_its_start():
+    # the generator is re-keyed after the previous stream was only
+    # partly read: mid-buffer, and with half of a 64-bit word kept for a
+    # later 32-bit draw
+    rng = np.random.default_rng(2028)
+    bitgen = np.random.Philox(key=0)
+    for n in range(300):
+        seed = int(rng.integers(0, 2**63)) << int(rng.integers(0, 70))
+        key = tuple(int(k) for k in rng.integers(0, 2**40,
+                                                 int(rng.integers(1, 4))))
+        bd._rekey(bitgen, bd._stream_key(seed, *key))
+        fresh = _numpy_stream(seed, *key)
+        if n % 2:
+            assert np.array_equal(bitgen.random_raw(n % 11 + 1),
+                                  fresh.random_raw(n % 11 + 1))
+        else:
+            assert np.array_equal(
+                np.random.Generator(bitgen).random(n % 7 + 1, np.float32),
+                np.random.Generator(fresh).random(n % 7 + 1, np.float32))
+        assert np.array_equal(bitgen.random_raw(9), fresh.random_raw(9))
+    outer = bd._stream_key(7, bd._STREAM_OUTER, 3)
+    assert np.array_equal(
+        np.random.Philox(key=np.array(outer, dtype=np.uint64)).random_raw(9),
+        _numpy_stream(7, bd._STREAM_OUTER, 3).random_raw(9))
 
 
 def test_ladder_path_independent_of_block_width(monkeypatch):
@@ -594,7 +756,7 @@ def _reference_lockstep(k_eps, k_one, seed, outer_index, inner_paths):
     wins = 0
     for rnd in range(10_000):
         steps = _unpacked_steps(
-            bd._philox(seed, bd._STREAM_INNER, outer_index, rnd),
+            _numpy_stream(seed, bd._STREAM_INNER, outer_index, rnd),
             len(pos) * width)
         running = []
         for row, start in enumerate(pos):
@@ -668,6 +830,26 @@ def test_brownian_demo_is_deterministic():
             assert b != b
         else:
             assert a == b, name
+
+
+def test_brownian_demo_builds_no_seed_sequence(monkeypatch):
+    built = {"SeedSequence": 0, "Philox": 0}
+
+    def counted(name):
+        real = getattr(np.random, name)
+
+        def build(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.random, name, build)
+    counted("SeedSequence")
+    counted("Philox")
+    _numpy_stream(1, 2)   # the counters see numpy's own construction
+    assert built == {"SeedSequence": 1, "Philox": 1}
+    brownian_demo(0.25, 1e-3, paths=20, seed=4, time_cap=20.0,
+                  nested_outer=9, nested_inner=40)
+    # one Philox per outer path and one per group of nested estimates
+    assert built == {"SeedSequence": 1, "Philox": 1 + 20 + 2}
 
 
 def test_brownian_demo_small():
