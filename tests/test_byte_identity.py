@@ -34,6 +34,11 @@ from enlab.ruin import RuinOracle
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 IDENTITY_SUITE_SHA256 = (
+    "8192486dff5b52a2ad1b9ef08e54ea2a15c5d7382f21f3fd099a65eb689dca30")
+# the same report before the deflator became an identity row, when each
+# row had a fundamental_martingale identity that read "ok" and a deflator
+# object of two booleans
+OLD_LAYOUT_SHA256 = (
     "7a699283a5501a8ba6a24abafdd9f66e3b5ba530b1ad67f8e73ac17900131d86")
 CROSSCHECK_SHA256 = (
     "2411e56e3c2db2825fc5b64f51f4cc945308ac2d759f4aee3d8d28cd22be1995")
@@ -61,6 +66,12 @@ def test_identity_suite_report_bytes():
     report = run_identity_suite(range(1, 13), 5, 3).to_json()
     del report["elapsed_seconds"]
     assert _sha256(json.dumps(report, sort_keys=True)) == IDENTITY_SUITE_SHA256
+    # only the layout changed: every verdict, witness and row is as before
+    for row in report["rows"]:
+        built = row["identities"].pop("deflator") == "ok"
+        row["identities"]["fundamental_martingale"] = "ok"
+        row["deflator"] = {"positivity": built, "pre_tau_zero": built}
+    assert _sha256(json.dumps(report, sort_keys=True)) == OLD_LAYOUT_SHA256
 
 
 def test_crosscheck_rows_bytes():

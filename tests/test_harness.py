@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enlab import harness, random_times
+from enlab import harness
 from enlab.cli import main
 from enlab.enlargement import after_atoms, hat_transform
-from enlab.errors import InvariantError, NotClassH, NotHonest
-from enlab.finite_prob import MartingaleReport, adapted, is_martingale
+from enlab.errors import NotClassH, NotHonest
+from enlab.finite_prob import AdaptedProcess, adapted, is_martingale
 from enlab.harness import (
     check_hat_basis,
     check_transfer_basis,
@@ -31,12 +31,8 @@ def test_identity_suite_small():
     suite = run_identity_suite(range(1, 9), depth=4, branching=3)
     assert suite.ok and suite.n_models == 8
     row = suite.rows[0]
-    assert set(row["identities"]) == {
-        "fundamental_martingale", "hat_basis", "transfer_basis", "hat_full",
-        "g_compensator", "proj_identities", "jump_set_identity",
-        "jump_characteristics"}
-    assert row["deflator"] == {"positivity": True, "pre_tau_zero": True}
-    assert row["counterexample"] is None
+    assert row["identities"] == dict.fromkeys(IDENTITY_KEYS, "ok")
+    assert row["counterexample"] is None and row["ok"]
 
 
 def test_crosscheck_archives_nothing_without_disagreement(tmp_path):
@@ -98,9 +94,9 @@ def test_collapsed_transfer_check_matches_identities(seed):
 
 
 IDENTITY_KEYS = [
-    "fundamental_martingale", "hat_basis", "transfer_basis", "hat_full",
-    "g_compensator", "proj_identities", "jump_set_identity",
-    "jump_characteristics"]
+    "hat_basis", "transfer_basis", "hat_full", "g_compensator",
+    "proj_identities", "jump_set_identity", "jump_characteristics",
+    "deflator"]
 
 
 def test_jump_set_row_names_a_dropped_node():
@@ -128,14 +124,16 @@ ROW_SCHEMA = SCHEMA["properties"]["rows"]["items"]
 
 def test_schema_lists_exactly_the_identity_keys_the_suite_writes():
     written = run_identity_suite([1], depth=3, branching=3).rows[0]
+    assert list(ROW_SCHEMA["properties"]) == list(written)
+    assert ROW_SCHEMA["required"] == list(written)
+    assert ROW_SCHEMA["additionalProperties"] is False
     identities = ROW_SCHEMA["properties"]["identities"]
     assert list(written["identities"]) == IDENTITY_KEYS
     assert list(identities["properties"]) == IDENTITY_KEYS
     assert identities["required"] == IDENTITY_KEYS
     assert identities["additionalProperties"] is False
     counterexample = ROW_SCHEMA["properties"]["counterexample"]
-    assert counterexample["properties"]["identity"]["enum"] == [
-        *IDENTITY_KEYS, "deflator"]
+    assert counterexample["properties"]["identity"]["enum"] == IDENTITY_KEYS
 
 
 def _unenlarged(analysis):
@@ -186,8 +184,7 @@ def test_each_failed_row_names_its_node(monkeypatch, row):
     jsonschema.validate(payload, ROW_SCHEMA)
     assert not payload["ok"]
     violated = {k for k, v in report.identities.items() if v != "ok"}
-    assert violated == {row} - {"deflator"}
-    assert all(report.deflator.values()) == (row != "deflator")
+    assert violated == {row}
     assert payload["counterexample"]["identity"] == row
     first = payload["counterexample"]["first"]
     if keys is None:
@@ -203,6 +200,68 @@ def test_each_failed_row_names_its_node(monkeypatch, row):
     f = analysis.space.filtration
     assert 1 <= t <= f.horizon and atom == sorted(atom)
     assert len({f.block_of[t - 1][o] for o in atom}) == 1
+
+
+def test_every_identity_row_has_a_planted_fault():
+    identities = ROW_SCHEMA["properties"]["identities"]["properties"]
+    assert list(PLANTS) == list(identities)
+
+
+def _drifting(analysis):
+    """The analysis with a fundamental martingale that drifts by one at
+    t = 1: M plus the process that is 0 at time 0 and 1 after it."""
+    f = analysis.space.filtration
+    step = AdaptedProcess.from_nodes(
+        f, [[Q(int(t > 0))] * len(part) for t, part in enumerate(f.partitions)])
+    return dataclasses.replace(
+        analysis,
+        fundamental_martingale=analysis.fundamental_martingale + step)
+
+
+def test_a_drifting_fundamental_martingale_fails_its_model():
+    # the hat transform's input check sees the drift: hat_full (for the
+    # transform of M) and deflator (built on it) are violated, and the
+    # counterexample names the drift
+    jsonschema = pytest.importorskip("jsonschema")
+    _, _, asset, analysis = generate_honest_model(3, depth=5, branching=3)
+    report = run_model_identities(_drifting(analysis), asset)
+    jsonschema.validate(report.to_json(), ROW_SCHEMA)
+    assert not report.ok
+    assert {k for k, v in report.identities.items() if v != "ok"} == {
+        "hat_full", "deflator"}
+    assert report.deflator_harvest == {"hypothesis": False,
+                                       "conclusion": False}
+    root = analysis.space.filtration.partitions[0][0]
+    assert report.counterexample == {
+        "identity": "hat_full",
+        "first": {"error": "InternalCheckFailed: hat_transform input has "
+                           f"drift 1 at t=1 on {root}"}}
+
+
+def test_verify_reports_a_drifting_fundamental_martingale(monkeypatch,
+                                                          capsys, tmp_path):
+    # the drift fails the second model's row; the run goes on, writes
+    # its report and exits 1 with the replay line, and raises nothing
+    real = harness.generate_honest_model
+
+    def planted(seed, *args):
+        space, tau, asset, analysis = real(seed, *args)
+        return space, tau, asset, (_drifting(analysis) if seed == 2
+                                   else analysis)
+
+    monkeypatch.setattr(harness, "generate_honest_model", planted)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--models-seed-range", "1..3", "--depth", "4",
+                 "--branching", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.strip().endswith(
+        " first=seed-2 row=hat_full replay: enlab verify "
+        "--models-seed-range 2..2 --depth 4 --branching 3")
+    assert "Traceback" not in captured.out + captured.err
+    assert "InvariantError" not in captured.out + captured.err
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["ok"] for r in rows] == [True, False, True]
+    assert "has drift 1 at t=1" in rows[1]["counterexample"]["first"]["error"]
 
 
 # per row: the harness name a guard raises from in the second model, and
@@ -256,16 +315,6 @@ def test_guard_raised_in_a_check_is_that_rows_violation(monkeypatch, capsys,
     assert first["error"].startswith(f"{guard}: ")
 
 
-def test_fundamental_martingale_row_is_decided_by_analyze(monkeypatch):
-    # that row cannot read violated in a report: a fundamental
-    # martingale with drift stops analyze, and so the suite
-    monkeypatch.setattr(random_times, "is_martingale",
-                        lambda *args: MartingaleReport(False, 1, ("0",), Q(1)))
-    with pytest.raises(InvariantError,
-                       match="fundamental martingale has drift"):
-        run_identity_suite([3], depth=5, branching=3)
-
-
 def _record_calls(monkeypatch, name, calls, record):
     """Wrap the function `name` in every loaded enlab module that binds
     it, so that each call first runs record(calls, args)."""
@@ -294,8 +343,8 @@ def test_jump_functionals_calls_per_runner(monkeypatch):
 
 def test_identity_rows_run_no_drift_test_of_the_fundamental_martingale(
         monkeypatch):
-    # analyze has tested M for drift; of the identity rows only the hat
-    # transform's input check (inside build_deflator) tests it again
+    # M has no drift by construction; the hat transform's input check
+    # (inside build_deflator) is the one drift test of M per model
     _, _, asset, analysis = generate_honest_model(3, depth=5, branching=3)
     fund = analysis.fundamental_martingale
     callers = []
@@ -305,6 +354,5 @@ def test_identity_rows_run_no_drift_test_of_the_fundamental_martingale(
             callers.append(sys._getframe(2).f_code.co_name)
 
     _record_calls(monkeypatch, "is_martingale", callers, record)
-    report = run_model_identities(analysis, asset)
-    assert report.identities["fundamental_martingale"] == "ok"
+    assert run_model_identities(analysis, asset).ok
     assert callers == ["require_martingale"]

@@ -43,12 +43,14 @@ from enlab.nupbr import nupbr_check
 from enlab.random_times import BRANCHINGS, DEPTHS, analyze, generate_honest_model
 
 from .oracles import (
+    enum_survival,
     ref_after_part,
     ref_average,
     ref_bracket,
     ref_combine,
     ref_compensator,
     ref_exponential,
+    ref_first_drift,
     ref_node_map,
     ref_values,
     ref_weights,
@@ -118,6 +120,25 @@ def test_node_map_against_a_scan_of_the_partitions():
         assert a.node_map == ref_node_map(space.filtration, a.enlarged, tau)
         assert a.after_nodes == [sorted(set(row) - {-1})
                                  for row in a.node_map[1]]
+
+
+def test_fundamental_martingale_against_enumeration():
+    # analyze builds M = Z + A without testing it: outcome by outcome it
+    # has no drift, and M - Z is A_t = sum over s <= t of Z~_s - Z_s
+    # (P(tau = s | atom at s)), with Z and Z~ enumerated per atom
+    for key in SCOPE + FIXTURES:
+        space, tau, _, a = _model(key)
+        parts = space.filtration.partitions
+        m = ref_values(a.fundamental_martingale)
+        assert ref_first_drift(m, space.prob, parts) is None, key
+        description = {"prob": space.prob, "partitions": parts}
+        occurred = dict.fromkeys(space.outcomes, Q(0))
+        for t in range(space.horizon + 1):
+            z = enum_survival(description, tau, t)
+            z_incl = enum_survival(description, tau, t, inclusive=True)
+            for o in space.outcomes:
+                occurred[o] += z_incl[o] - z[o]
+                assert m[o][t] - z[o] == occurred[o], (key, o, t)
 
 
 # ---------------------------------------------------------------------------
