@@ -23,29 +23,21 @@ first one starting at or above one (the walk has hit one by then) or
 than the byte holding the step cap.  Outer path i reads the single
 stream keyed (seed, _STREAM_OUTER, i), so any path replays from
 (seed, path index) alone.  The nested estimate at outer index i steps
-its inner walks in lockstep with those of its group; round r of index i
-reads the stream keyed (seed, _STREAM_INNER, i, r).
-
-The stream keyed (seed, *key) is the one of
-Philox(SeedSequence(entropy=seed, spawn_key=key)).  A Philox stream is
-fully given by its 128-bit key and a zero counter, so the key is hashed
-here, with numpy's SeedSequence hash on plain ints, from the hash state
-cached after every word but the last (_stream_key).  Each outer path
-builds its own Philox from that key; each nested estimate builds one
-and re-keys it for every (index, round) stream.
+its inner walks in lockstep with those of its group, round after round,
+and reads them all from the single stream keyed (seed, _STREAM_INNER, i),
+each round continuing where the one before stopped.  The stream keyed
+(seed, *key) is Philox(SeedSequence(entropy=seed, spawn_key=key)).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnlabError, UsageError
+from .errors import UsageError
 
 _BLOCK = 1 << 16     # outer-walk steps per block
 _LOCKSTEP = 256      # steps per round of the nested lockstep walks
@@ -69,108 +61,13 @@ def _byte_tables():
 _PREFIX, _MOVE, _DROP, _RISE = _byte_tables()
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
-_POOL_SIZE = 4
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
-# the output hash constants do not depend on the data: (xor, multiplier)
-# for each pool word
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_OUTPUT = tuple((_INIT_B * _MULT_B ** k & _MASK32,
-                 _INIT_B * _MULT_B ** (k + 1) & _MASK32)
-                for k in range(_POOL_SIZE))
-_ZEROS = (0, 0, 0, 0)
-
-
-def _uint32_words(value: int) -> list[int] | tuple[int]:
-    """32-bit words of a non-negative int, least significant first, one
-    word for zero (numpy's _coerce_to_uint32_array); numpy ints are
-    taken as Python ints, which do not overflow in the mixing."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"stream words must be non-negative, got {value}")
-    if value <= _MASK32:
-        return (value,)
-    return [value >> s & _MASK32 for s in range(0, value.bit_length(), 32)]
-
-
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    """numpy's hashmix: the mixed value and the next hash constant."""
-    value = (value ^ h) & _MASK32
-    h = h * _MULT_A & _MASK32
-    value = value * h & _MASK32
-    return value ^ value >> 16, h
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _absorb(pool: tuple, h: int, value: int) -> tuple[tuple, int]:
-    """Mix the words of ``value``, entropy past the pool, into each pool
-    word in turn."""
-    for word in _uint32_words(value):
-        mixed = []
-        for p in pool:   # _mix(p, _hashmix(word, h)), inlined: per stream
-            v = (word ^ h) & _MASK32
-            h = h * _MULT_A & _MASK32
-            v = v * h & _MASK32
-            r = (_MIX_MULT_L * p - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-            mixed.append(r ^ r >> 16)
-        pool = tuple(mixed)
-    return pool, h
-
-
-@functools.lru_cache(maxsize=256)
-def _pool(seed: int, *key: int) -> tuple[tuple, int]:
-    """SeedSequence(entropy=seed, spawn_key=key)'s pool and hash constant
-    after the seed (zero-padded to the pool size, as numpy does when a
-    spawn key is given) and then the words of ``key``, in order."""
-    if key:
-        return _absorb(*_pool(seed, *key[:-1]), key[-1])
-    words = list(_uint32_words(seed))
-    words += [0] * (_POOL_SIZE - len(words))
-    h = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        v, h = _hashmix(word, h)
-        pool.append(v)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    state = tuple(pool), h
-    for word in words[_POOL_SIZE:]:
-        state = _absorb(*state, word)
-    return state
-
-
-def _stream_key(seed: int, *key: int) -> tuple[int, int]:
-    """The two words of SeedSequence(entropy=seed,
-    spawn_key=key).generate_state(2, np.uint64): the Philox key of the
-    stream (seed, *key).  Only the last key word is mixed per call."""
+def _philox(seed: int, *key: int) -> np.random.Philox:
+    """The stream keyed (seed, *key), from its start."""
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}",
                          field="seed")
-    pool, _ = _absorb(*_pool(seed, *key[:-1]), key[-1])
-    out = []
-    for p, (x, m) in zip(pool, _OUTPUT):
-        v = (p ^ x) * m & _MASK32
-        out.append(v ^ v >> 16)
-    return out[0] | out[1] << 32, out[2] | out[3] << 32
-
-
-def _rekey(bitgen: np.random.Philox, key: tuple[int, int]
-           ) -> np.random.Philox:
-    """Point ``bitgen`` at the start of the stream with Philox ``key``."""
-    bitgen.state = {"bit_generator": "Philox",
-                    "state": {"counter": _ZEROS, "key": key},
-                    "buffer": _ZEROS, "buffer_pos": 4,
-                    "has_uint32": 0, "uinteger": 0}
-    return bitgen
+    return np.random.Philox(np.random.SeedSequence(entropy=seed,
+                                                   spawn_key=key))
 
 
 def _levels(eps: float, dt: float) -> tuple[int, int]:
@@ -303,10 +200,7 @@ def simulate_ladder_path(eps: float, dt: float, seed: int, path_index: int,
         raise UsageError(f"time_cap={time_cap} must cover from 1 to "
                          f"{_MAX_CAP} steps of dt={dt}", field="time_cap")
     cap = int(span)
-    # an array, not a tuple: numpy reads a tuple of one word above 2^63
-    # and one below as float64
-    bitgen = np.random.Philox(key=np.array(
-        _stream_key(seed, _STREAM_OUTER, path_index), dtype=np.uint64))
+    bitgen = _philox(seed, _STREAM_OUTER, path_index)
     blocks = (bitgen.random_raw(_BLOCK // 64).view(np.uint8)
               for _ in itertools.repeat(None))
     ups, returns, hit = _ladder_steps(blocks, k_eps, k_one, cap)
@@ -350,10 +244,10 @@ def _inner_survival_estimates(k_eps: int, k_one: int, seed: int,
     decision leg from eps is simulated: absorb at zero (another return
     happens) or at the one level (the time stays put).  The inner walks
     of all the given outer indices step together, _LOCKSTEP steps per
-    round; absorbed walks drop out.  Round r of outer index i hands its
-    running walks one row of steps each, in order, from the stream
-    keyed (seed, _STREAM_INNER, i, r), so each estimate is the one the
-    index would get alone.
+    round; absorbed walks drop out.  Each round hands the running walks
+    of outer index i one row of steps each, in order, read on from the
+    single stream keyed (seed, _STREAM_INNER, i), so each estimate is
+    the one the index would get alone.
     A walk strictly inside (0, k_one) is absorbed in the first byte
     whose range reaches a boundary, and a byte spans fewer than k_one
     levels, so that byte decides which boundary.  Positions fit int16
@@ -363,13 +257,12 @@ def _inner_survival_estimates(k_eps: int, k_one: int, seed: int,
     group = np.repeat(np.arange(n_outer), inner_paths)
     pos = np.full(group.size, k_eps, dtype=np.int16)
     wins = np.zeros(n_outer, dtype=np.int64)
-    bitgen = np.random.Philox(key=0)
-    for rnd in itertools.count():
+    streams = [_philox(seed, _STREAM_INNER, i) for i in outer_indices]
+    while pos.size:
         alive = np.bincount(group, minlength=n_outer).tolist()
         words = np.concatenate([
-            _rekey(bitgen, _stream_key(seed, _STREAM_INNER, i, rnd)
-                   ).random_raw(n * _LOCKSTEP // 64)
-            for i, n in zip(outer_indices, alive) if n])
+            bitgen.random_raw(n * _LOCKSTEP // 64)
+            for bitgen, n in zip(streams, alive) if n])
         packed = words.view(np.uint8).reshape(pos.size, _LOCKSTEP // 8)
         end = np.cumsum(np.take(_MOVE, packed), axis=1, dtype=np.int16)
         end += pos[:, None]   # position after each byte
@@ -384,16 +277,17 @@ def _inner_survival_estimates(k_eps: int, k_one: int, seed: int,
         running = ~absorbed
         pos = end[running, -1]
         group = group[running]
-        if pos.size == 0:
-            return (wins / inner_paths).tolist()
+    return (wins / inner_paths).tolist()
 
 
 def brownian_demo(eps: float, dt: float, paths: int, seed: int,
                   time_cap: float = 100.0, nested_outer: int = 64,
                   nested_inner: int = 500) -> BrownianDemoReport:
-    if min(paths, nested_outer, nested_inner) < 1:
-        raise EnlabError("paths, nested_outer and nested_inner must be at "
-                         "least 1")
+    for name, value in (("paths", paths), ("nested_outer", nested_outer),
+                        ("nested_inner", nested_inner)):
+        if value < 1:
+            raise UsageError(f"{name} must be at least 1, got {value}",
+                             field=name)
     k_eps, k_one = _levels(eps, dt)
     first_failed = None
     censored = 0

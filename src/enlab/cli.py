@@ -279,7 +279,10 @@ def cmd_psi(args) -> int:
                     f"{float(np.max(np.abs(pk - freq) / np.maximum(se, 1e-300))):.2f}")
 
 
-_BROWNIAN_FLAGS = {"eps": "--epsilon", "dt": "--dt", "time_cap": "--time-cap"}
+# the flag of every field brownian_demo can name in a brownian run, which
+# leaves nested_outer and nested_inner at their defaults
+_BROWNIAN_FLAGS = {"eps": "--epsilon", "dt": "--dt", "time_cap": "--time-cap",
+                   "seed": "--seed", "paths": "--paths"}
 
 
 def cmd_brownian(args) -> int:
@@ -287,8 +290,8 @@ def cmd_brownian(args) -> int:
         report = brownian_demo(args.epsilon, args.dt, args.paths, args.seed,
                                time_cap=args.time_cap)
     except UsageError as exc:
-        raise UsageError(f"argument {_BROWNIAN_FLAGS[exc.field]}: {exc}"
-                         ) from exc
+        raise UsageError(f"argument {_BROWNIAN_FLAGS[exc.field]}: {exc}",
+                         field=exc.field) from exc
     # NaN when every path is censored; JSON has no NaN, so it reads null
     last = report.mean_last_return
     payload = {"eps": report.eps, "dt": report.dt, "paths": report.n_paths,

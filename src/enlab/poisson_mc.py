@@ -68,6 +68,16 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _check_run(paths: int, seed: int, paths_field: str = "paths") -> None:
+    """Refuse a run of no paths or a negative master seed."""
+    if paths < 1:
+        raise UsageError(f"{paths_field} must be at least 1, got {paths}",
+                         field=paths_field)
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}",
+                         field="seed")
+
+
 @dataclass
 class PoissonModel:
     """The unit-intensity surplus model at premium rate mu and level a.
@@ -288,6 +298,7 @@ def example1_run(model: PoissonModel, paths: int, seed: int,
     1/mu.  Each uncensored path ends with a completed crossing of the
     band, so the terminal wealth is at least 1/mu > 0.
     """
+    _check_run(paths, seed)
     mu, a = model.mu, model.a
 
     def work(chunk_index: int, rows: int, scratch: dict):
@@ -489,6 +500,7 @@ def example2_run(model: PoissonModel, paths: int, seed: int,
     chunk's full width, so every per-path value has the bits of the
     evaluation over all columns.  Checkpoints must lie in (0, t_max].
     """
+    _check_run(paths, seed)
     checkpoints = _checked_checkpoints(model, checkpoints)
     mu, a = model.mu, model.a
     min_time = max(checkpoints)
@@ -569,6 +581,7 @@ def example2_selftest(model: PoissonModel, paths: int, seed: int,
     fail; an independent compensated Poisson asset must pass.
     Checkpoints must lie in (0, t_max].
     """
+    _check_run(paths, seed)
     checkpoints = _checked_checkpoints(model, checkpoints)
     a = model.a
     min_time = max(checkpoints)
@@ -638,6 +651,7 @@ def ruin_mc(mu: float, us, n_paths: int, seed: int,
     The per-path decision error is at most _DECISION_EPS, negligible
     against the binomial standard errors returned.
     """
+    _check_run(n_paths, seed, "n_paths")
     us = np.asarray(us, dtype=float)
     u_dec = shared_tail_level(mu, _DECISION_EPS)
 

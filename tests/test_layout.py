@@ -28,6 +28,11 @@ imports `threading` or `concurrent.futures`.  The exact integer
 engine gains nothing from threads, so its runners map seeds in one
 loop.
 
+Every random stream of `src/enlab` comes from a `SeedSequence`: no
+module sets the `state` of a bit generator (of any object but `self`)
+or builds a `Philox` from a raw key, so no code depends on numpy's
+internal state layout.
+
 Every public top-level function and class of `src/enlab` is used by the
 package or by the benchmark in `perfbench/`, so code that only tests
 call lives in `tests/`.
@@ -220,6 +225,80 @@ def test_only_poisson_mc_imports_thread_machinery():
                  for path in sorted(SRC.glob("*.py"))}
     assert offenders.pop("poisson_mc.py")
     assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+def _stored(target):
+    """The expressions an assignment to `target` writes into, with the
+    objects whose items it writes."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _stored(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _stored(target.value)
+    else:
+        yield target
+        if isinstance(target, ast.Subscript):
+            yield from _stored(target.value)
+
+
+def _foreign_state(node) -> bool:
+    """`node` is the `state` attribute of an object other than `self`."""
+    return (isinstance(node, ast.Attribute) and node.attr == "state"
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id == "self"))
+
+
+def stream_offenders(source: str) -> list[int]:
+    """Lines of `source` that set the `state` of an object other than
+    `self`, by assignment (also into its items) or by `setattr`, or that
+    build a `Philox` from a raw key (`key=` or a third positional
+    argument)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            if any(_foreign_state(stored) for target in targets
+                   for stored in _stored(target)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "setattr" and len(node.args) > 1:
+                obj, attr = node.args[:2]
+                if (isinstance(attr, ast.Constant) and attr.value == "state"
+                        and not (isinstance(obj, ast.Name)
+                                 and obj.id == "self")):
+                    lines.append(node.lineno)
+            elif name == "Philox" and (
+                    len(node.args) > 2
+                    or any(k.arg == "key" for k in node.keywords)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_stream_guard_sees_each_state_write_and_raw_key():
+    planted = ("bitgen.state = {'bit_generator': 'Philox'}\n"
+               "gen.bit_generator.state = saved\n"
+               "n, gen.state = 1, saved\n"
+               "gen.state['state']['counter'] = zeros\n"
+               "setattr(gen, 'state', saved)\n"
+               "np.random.Philox(key=k)\n"
+               "Philox(None, None, k)\n"
+               "random.Philox(seed, key=k)\n"
+               "gen.state: dict = saved\n")
+    assert sorted(stream_offenders(planted)) == list(range(1, 10))
+    assert stream_offenders(
+        "self.state = seed\nself.state += 1\nsetattr(self, 'state', 0)\n"
+        "saved = gen.state\nx = {'state': gen.state}\n"
+        "np.random.Philox(np.random.SeedSequence(1, spawn_key=(2,)))\n"
+        "Philox(ss)\nkey = 3\n") == []
+
+
+def test_every_stream_comes_from_a_seed_sequence():
+    offenders = [f"{path.name}:{line}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for line in stream_offenders(path.read_text())]
+    assert offenders == []
 
 
 # Public names that only tests call, each kept for the ROADMAP item that

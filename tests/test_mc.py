@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import math
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from enlab import brownian_demo as bd
 from enlab import poisson_mc as pm
 from enlab.brownian_demo import brownian_demo, simulate_ladder_path
-from enlab.cli import main
+from enlab.cli import cmd_brownian, main
 from enlab.errors import EnlabError, UsageError
 from enlab.poisson_mc import (
     CHUNK,
@@ -20,6 +21,7 @@ from enlab.poisson_mc import (
     example2_run,
     example2_selftest,
     replay_path,
+    ruin_mc,
 )
 
 from enlab.ruin import RuinOracle, shared_tail_level
@@ -397,6 +399,37 @@ def test_ladder_path_structure():
         assert all(v < path.first_hit_one for v in path.return_times)
 
 
+def _brownian_run(paths, seed):
+    return cmd_brownian(argparse.Namespace(
+        epsilon=0.25, dt=1e-3, paths=paths, seed=seed, time_cap=5.0,
+        out=None))
+
+
+@pytest.mark.parametrize("run, field", [
+    (lambda m: example1_run(m, 100, -1), "seed"),
+    (lambda m: example2_run(m, 100, -1), "seed"),
+    (lambda m: example2_selftest(m, 100, -1), "seed"),
+    (lambda m: ruin_mc(2.0, [1.0], 100, -1), "seed"),
+    (lambda m: example1_run(m, 0, 1), "paths"),
+    (lambda m: example2_run(m, -5, 1), "paths"),
+    (lambda m: example2_selftest(m, 0, 1), "paths"),
+    (lambda m: ruin_mc(2.0, [1.0], 0, 1), "n_paths"),
+    (lambda m: brownian_demo(0.25, 1e-3, paths=0, seed=1), "paths"),
+    (lambda m: brownian_demo(0.25, 1e-3, paths=2, seed=1, nested_outer=0),
+     "nested_outer"),
+    (lambda m: brownian_demo(0.25, 1e-3, paths=2, seed=1, nested_inner=-1),
+     "nested_inner"),
+    (lambda m: _brownian_run(0, 1), "paths"),
+    (lambda m: _brownian_run(2, -1), "seed"),
+])
+def test_monte_carlo_entry_points_name_a_bad_run_setting(model, run, field):
+    # called from Python, past the command line's parse-time checks
+    with pytest.raises(UsageError) as bad:
+        run(model)
+    assert bad.value.field == field
+    assert field in str(bad.value)
+
+
 def test_ladder_guards():
     with pytest.raises(EnlabError):
         simulate_ladder_path(1.5, 1e-4, 1, 0, 10.0)
@@ -435,15 +468,14 @@ def test_ladder_rejects_a_time_cap_that_is_no_step_count(time_cap):
 
 def test_ladder_rejects_a_negative_seed_before_hashing_it():
     for run in (lambda: simulate_ladder_path(0.25, 1e-3, -1, 0, 5.0),
-                lambda: brownian_demo(0.25, 1e-3, paths=2, seed=-1),
-                lambda: bd._stream_key(-2**40, bd._STREAM_OUTER, 0)):
+                lambda: simulate_ladder_path(0.25, 1e-3, -2**40, 0, 5.0),
+                lambda: brownian_demo(0.25, 1e-3, paths=2, seed=-1)):
         with pytest.raises(UsageError) as bad:
             run()
         assert bad.value.field == "seed"
-    # a negative int never shifts to zero, so no word split may see one
-    for key in ((-1,), (3, -2**33), (-1, 3)):
-        with pytest.raises(ValueError):
-            bd._stream_key(1, *key)
+    # numpy's SeedSequence takes no negative spawn key word either
+    with pytest.raises(ValueError):
+        simulate_ladder_path(0.25, 1e-3, 1, -1, 5.0)
 
 
 def _reference_ladder(steps, k_eps, k_one, cap):
@@ -669,61 +701,6 @@ def test_ladder_path_replays_from_its_stream():
     assert outcomes == {True, False}
 
 
-def test_stream_key_is_numpys_seed_sequence_hash():
-    # 10^5 (seed, key) tuples, 20 keys per seed so that cached prefixes
-    # are both hit and missed: seeds from 0 to above 2^130 (several words
-    # past the pool), key words of 0, below 2^32 and at or above 2^32
-    rng = np.random.default_rng(2027)
-    n_seeds, per_seed = 5_000, 20
-    seeds = [int(x) << int(a) >> int(b) for x, a, b in zip(
-        rng.integers(0, 2**63, n_seeds), rng.integers(0, 80, n_seeds),
-        rng.integers(0, 64, n_seeds))]
-    seeds[:4] = [0, 2**32 - 1, 2**128, 2**131 + 5]
-    words = [int(x) >> int(b) for x, b in zip(
-        rng.integers(0, 2**63, 3 * n_seeds * per_seed),
-        rng.choice([63, 40, 31, 0], 3 * n_seeds * per_seed))]
-    words[:6] = [2**32 - 1, 2**32, 2**64 - 1, 2**64, 0, 1]
-    lengths = rng.integers(1, 4, n_seeds * per_seed).tolist()
-    cases = [(seeds[n // per_seed], tuple(words[3 * n:3 * n + length]))
-             for n, length in enumerate(lengths)]
-    wrong = [(seed, key) for seed, key in cases
-             if list(bd._stream_key(seed, *key)) != np.random.SeedSequence(
-                 entropy=seed, spawn_key=key).generate_state(
-                     2, np.uint64).tolist()]
-    assert wrong == []
-    # numpy ints hash as the Python ints they hold
-    for seed, key in ((np.int64(5), (13, np.int64(2))),
-                      (np.int64(2**40), (13, np.uint64(2**63)))):
-        assert list(bd._stream_key(seed, *key)) == np.random.SeedSequence(
-            entropy=seed, spawn_key=key).generate_state(2, np.uint64).tolist()
-
-
-def test_rekeyed_generator_reads_each_stream_from_its_start():
-    # the generator is re-keyed after the previous stream was only
-    # partly read: mid-buffer, and with half of a 64-bit word kept for a
-    # later 32-bit draw
-    rng = np.random.default_rng(2028)
-    bitgen = np.random.Philox(key=0)
-    for n in range(300):
-        seed = int(rng.integers(0, 2**63)) << int(rng.integers(0, 70))
-        key = tuple(int(k) for k in rng.integers(0, 2**40,
-                                                 int(rng.integers(1, 4))))
-        bd._rekey(bitgen, bd._stream_key(seed, *key))
-        fresh = _numpy_stream(seed, *key)
-        if n % 2:
-            assert np.array_equal(bitgen.random_raw(n % 11 + 1),
-                                  fresh.random_raw(n % 11 + 1))
-        else:
-            assert np.array_equal(
-                np.random.Generator(bitgen).random(n % 7 + 1, np.float32),
-                np.random.Generator(fresh).random(n % 7 + 1, np.float32))
-        assert np.array_equal(bitgen.random_raw(9), fresh.random_raw(9))
-    outer = bd._stream_key(7, bd._STREAM_OUTER, 3)
-    assert np.array_equal(
-        np.random.Philox(key=np.array(outer, dtype=np.uint64)).random_raw(9),
-        _numpy_stream(7, bd._STREAM_OUTER, 3).random_raw(9))
-
-
 def test_ladder_path_independent_of_block_width(monkeypatch):
     full = [simulate_ladder_path(0.25, 1e-4, 3, i, 50.0) for i in range(6)]
     monkeypatch.setattr(bd, "_BLOCK", 512)
@@ -749,15 +726,15 @@ def test_time_cap_binds_at_the_step():
 
 def _reference_lockstep(k_eps, k_one, seed, outer_index, inner_paths):
     """Step-by-step scan of the lockstep rounds: each round hands the
-    walks still running one row of _LOCKSTEP steps each, in order.
-    Returns the estimate and the number of rounds."""
+    walks still running one row of _LOCKSTEP steps each, in order, read
+    on from the index's single stream.  Returns the estimate and the
+    number of rounds."""
     width = bd._LOCKSTEP
+    stream = _numpy_stream(seed, bd._STREAM_INNER, outer_index)
     pos = [k_eps] * inner_paths
     wins = 0
     for rnd in range(10_000):
-        steps = _unpacked_steps(
-            _numpy_stream(seed, bd._STREAM_INNER, outer_index, rnd),
-            len(pos) * width)
+        steps = _unpacked_steps(stream, len(pos) * width)
         running = []
         for row, start in enumerate(pos):
             for step in steps[row * width:(row + 1) * width]:
@@ -797,14 +774,15 @@ def test_nested_estimate_within_4se_of_lattice_survival():
 
 
 def test_brownian_demo_matches_recorded_values():
-    # recorded before the byte-level walk and the grouped nested
-    # estimate were rewritten; every value must stay bit for bit
+    # the outer-walk values were recorded before the byte-level walk and
+    # the grouped nested estimate were rewritten, and must stay bit for
+    # bit; the nested estimates' digest is that of one stream per index
     report = brownian_demo(0.25, 1e-4, paths=300, seed=1)
     assert report.structural_ok and report.first_failed_path is None
     assert report.n_censored == 23
     assert report.mean_last_return.hex() == "0x1.98e2ed61b606ep+2"
     assert hashlib.sha256(report.inner_estimates.tobytes()).hexdigest() == \
-        "c82dcbc337abfb3080b7d1f6ebeb9eec828ae6fd7d8b1181c3193b0dd493bd45"
+        "9114b6bd7e5b32706095f0db2079105931019c753584c4399cfba62c5bd1622e"
 
 
 def test_brownian_demo_names_the_first_failed_path(monkeypatch):
@@ -832,7 +810,8 @@ def test_brownian_demo_is_deterministic():
             assert a == b, name
 
 
-def test_brownian_demo_builds_no_seed_sequence(monkeypatch):
+def test_brownian_demo_builds_one_stream_per_path_and_nested_index(
+        monkeypatch):
     built = {"SeedSequence": 0, "Philox": 0}
 
     def counted(name):
@@ -848,8 +827,8 @@ def test_brownian_demo_builds_no_seed_sequence(monkeypatch):
     assert built == {"SeedSequence": 1, "Philox": 1}
     brownian_demo(0.25, 1e-3, paths=20, seed=4, time_cap=20.0,
                   nested_outer=9, nested_inner=40)
-    # one Philox per outer path and one per group of nested estimates
-    assert built == {"SeedSequence": 1, "Philox": 1 + 20 + 2}
+    # one stream per outer path and one per nested index, and no other
+    assert built == {"SeedSequence": 1 + 20 + 9, "Philox": 1 + 20 + 9}
 
 
 def test_brownian_demo_small():
